@@ -44,7 +44,13 @@ from .graphsym import (
     gray_oracle,
     is_isomorphic,
 )
-from .matgroup import ConfigurationError, OverflowResult, generate_group
+from .fpgroup import DEFAULT_MAX_COSETS
+from .matgroup import (
+    DEFAULT_MAX_ELEMENTS,
+    ConfigurationError,
+    OverflowResult,
+    generate_group,
+)
 from .polytope import (
     PolytopeHandle,
     PolytopeValidationError,
@@ -60,6 +66,7 @@ EXIT_BAD_INPUT = 4
 
 CSV_COLUMNS = ["key", "params", "group_order", "N", "verdict", "aut_order",
                "seconds"]
+FORMATS = ("csv", "md", "dot", "adj", "graph6")
 
 
 class BadInput(ValueError):
@@ -68,9 +75,11 @@ class BadInput(ValueError):
 
 @dataclass
 class JobSpec:
+    """One command's settings; its defaults are the CLI's defaults."""
+
     key: str
-    max_cosets: int = 10**7
-    max_elements: int = 2 * 10**6
+    max_cosets: int = DEFAULT_MAX_COSETS
+    max_elements: int = DEFAULT_MAX_ELEMENTS
     time_budget: float | None = None
     max_vertices: int = graphsym.DEFAULT_VERTEX_CAP
     fmt: str = "csv"
@@ -80,7 +89,7 @@ class JobSpec:
     def __post_init__(self):
         if self.max_cosets < 1 or self.max_elements < 1 or self.jobs < 1:
             raise BadInput("limits must be positive")
-        if self.fmt not in ("csv", "md", "dot", "adj", "graph6"):
+        if self.fmt not in FORMATS:
             raise BadInput(f"unknown format {self.fmt!r}")
 
 
@@ -199,7 +208,7 @@ def cmd_build(spec: JobSpec, out) -> int:
     out.write(f"schlafli: {report.handle.schlafli}\n")
     out.write(f"group_order: {report.handle.group_order}\n")
     out.write(f"N: {report.graph.n}\n")
-    validated = "full" if report.handle.cgroup is not None else "relations"
+    validated = "full" if report.handle.validated else "relations"
     out.write(f"validation: {validated}\n")
     if report.handle.self_dual is not None:
         out.write(f"self_dual: {report.handle.self_dual}\n")
@@ -294,21 +303,22 @@ def cmd_gray_verify(spec: JobSpec, out) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-cosets", type=int, default=10**7)
-    common.add_argument("--max-elements", type=int, default=2 * 10**6)
-    common.add_argument("--time-budget", type=float, default=None,
+    # Options left off the command line stay unset, so a config file can
+    # fill them in and JobSpec supplies the rest.
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--max-cosets", type=int)
+    common.add_argument("--max-elements", type=int)
+    common.add_argument("--time-budget", type=float,
                         help="per-enumeration budget in seconds")
     common.add_argument("--max-vertices", type=int,
-                        default=graphsym.DEFAULT_VERTEX_CAP,
                         help="automorphism search cap")
-    common.add_argument("--format", dest="fmt", default="csv",
-                        choices=["csv", "md", "dot", "adj", "graph6"])
+    common.add_argument("--format", dest="fmt", choices=FORMATS)
     common.add_argument("--extended", action="store_true",
                         help="attempt the long-running table row")
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--output", default=None, help="write to file")
-    common.add_argument("--config", default=None,
+    common.add_argument("--jobs", type=int)
+    common.add_argument("--output", help="write to file")
+    common.add_argument("--config",
                         help="key=value file supplying defaults for any flag")
     parser = argparse.ArgumentParser(
         prog="medial",
@@ -330,17 +340,8 @@ _CONFIG_KEYS = {
 }
 
 
-_CONFIG_DEFAULTS = {
-    "max_cosets": 10**7, "max_elements": 2 * 10**6, "time_budget": None,
-    "max_vertices": graphsym.DEFAULT_VERTEX_CAP, "fmt": "csv",
-    "extended": False, "jobs": 1, "output": None,
-}
-
-
 def _apply_config(args: argparse.Namespace) -> None:
-    """Config-file values fill in any option left at its default; explicit
-    flags win."""
-    defaults = _CONFIG_DEFAULTS
+    """Config-file values fill in any option not given as a flag."""
     with open(args.config) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -353,7 +354,7 @@ def _apply_config(args: argparse.Namespace) -> None:
             if not sep or key not in _CONFIG_KEYS:
                 raise BadInput(f"{args.config}:{lineno}: bad config line"
                                f" {line!r}")
-            if getattr(args, key) == defaults[key]:
+            if key not in args:
                 try:
                     setattr(args, key, _CONFIG_KEYS[key](value.strip()))
                 except ValueError as exc:
@@ -363,20 +364,17 @@ def _apply_config(args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.config:
+        if "config" in args:
             _apply_config(args)
         spec = JobSpec(key=getattr(args, "key", ""),
-                       max_cosets=args.max_cosets,
-                       max_elements=args.max_elements,
-                       time_budget=args.time_budget,
-                       max_vertices=args.max_vertices,
-                       fmt=args.fmt, extended=args.extended, jobs=args.jobs)
+                       **{k: getattr(args, k) for k in _CONFIG_KEYS
+                          if k in args and k != "output"})
     except (BadInput, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     out = sys.stdout
     close = False
-    if args.output:
+    if "output" in args:
         out = open(args.output, "w")
         close = True
     try:

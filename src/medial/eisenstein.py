@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .permgroup import orbit
+
 
 @dataclass(frozen=True, order=True)
 class EisensteinInt:
@@ -373,16 +375,7 @@ class ScalarGroup:
         for g in start:
             if ring.inverse(g) is None:
                 raise ValueError(f"scalar generator {g} is not a unit mod {ring.modulus}")
-        members = {ring.one(), ring.reduce(-ONE)}
-        frontier = list(members | set(start))
-        while frontier:
-            x = frontier.pop()
-            members.add(x)
-            for g in set(start) | {ring.reduce(-ONE)}:
-                y = ring.mul(x, g)
-                if y not in members:
-                    members.add(y)
-                    frontier.append(y)
+        members = orbit([ring.one()], [ring.reduce(-ONE), *start], ring.mul)
         self.members = sorted(members, key=lambda x: (x.norm(), x.a, x.b))
         self._memberset = set(self.members)
 

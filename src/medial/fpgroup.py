@@ -205,18 +205,6 @@ class CosetTable:
     def permutation_representation(self) -> PermutationGroup:
         return PermutationGroup(self.generator_permutations(), degree=self.num_cosets)
 
-    def to_csv(self) -> str:
-        if not self.is_complete:
-            raise RuntimeError("coset table is not complete")
-        names = self.presentation.names
-        header = ["coset"]
-        for n in names:
-            header += [n, f"{n}^-1"]
-        lines = [",".join(header)]
-        for c in range(self.num_cosets):
-            lines.append(",".join([str(c)] + [str(v) for v in self.rows[c]]))
-        return "\n".join(lines) + "\n"
-
 
 def subgroup_order(table: CosetTable, full_order: int) -> int:
     """Order of the enumerated subgroup inside a group of known order."""

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .permgroup import Permutation, PermutationGroup
+from .permgroup import Permutation, PermutationGroup, orbit
 
 MAX_SYMMETRIC_T = 5   # Tutte's bound for cubic symmetric graphs
 MAX_SEMI_T = 7        # bound for per-type arc transitivity
@@ -192,17 +192,8 @@ def _individualized(base: np.ndarray, fixed: Sequence[int]) -> np.ndarray:
     return col
 
 
-def _orbit_closure(seed: int, gens: list[np.ndarray]) -> set[int]:
-    orbit = {seed}
-    frontier = [seed]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = int(g[x])
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return orbit
+def _image(x: int, g: np.ndarray) -> int:
+    return int(g[x])
 
 
 @dataclass
@@ -247,18 +238,18 @@ def automorphism_group(G: BipartiteCubicGraph,
         cell = [int(v) for v in np.flatnonzero(col == c)]
         b = cell[0]
         level_gens = [g for g in gens if all(g[f] == f for f in fixed)]
-        orbit = _orbit_closure(b, level_gens)
+        b_orbit = orbit([b], level_gens, _image)
         colA = _individualized(base_colors, fixed + [b])
         for v in cell[1:]:
-            if v in orbit:
+            if v in b_orbit:
                 continue
             colB = _individualized(base_colors, fixed + [v])
             found = _search_mapping(adj, adj, colA, colB)
             if found is not None:
                 gens.append(found)
                 level_gens.append(found)
-                orbit = _orbit_closure(b, level_gens)
-        order *= len(orbit)
+                b_orbit = orbit([b], level_gens, _image)
+        order *= len(b_orbit)
         fixed.append(b)
     # Type-swapping coset: search with the type roles exchanged on one side.
     swapped = np.where(G.types == 1, 2, 1).astype(np.int64)

@@ -33,7 +33,7 @@ checked in the test suite together with the defining relations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .eisenstein import (
     EisensteinInt,
@@ -41,7 +41,7 @@ from .eisenstein import (
     ScalarGroup,
     format_eisenstein,
 )
-from .permgroup import Permutation, PermutationGroup
+from .permgroup import Permutation, PermutationGroup, orbit
 
 #: Frozen integral generator triple (row-major 2x2 entries a + b*w).
 SIGMA_TRIPLE: tuple[tuple[EisensteinInt, ...], ...] = (
@@ -257,9 +257,6 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def index_of(self, code: tuple[int, ...]) -> int:
-        return self._index[code]
-
     def canonical(self, code: tuple[int, ...]) -> tuple[int, ...]:
         mul = self.arith.mul
         mat, star = code[:4], code[4]
@@ -279,20 +276,6 @@ class MatrixGroup:
     def identity_code(self) -> tuple[int, ...]:
         return self.canonical(
             self.arith.encode(identity_matrix(self.ring)) + (0,))
-
-    def subgroup_codes(self, gens: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
-        """Closure of the given element codes inside this group."""
-        gens = [self.canonical(g) for g in gens]
-        seen = {self.identity_code()}
-        frontier = list(seen)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.multiply(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
 
     def coset_action(self, subgroup: set[tuple[int, ...]],
                      gens: Sequence[tuple[int, ...]] | None = None
@@ -342,14 +325,12 @@ class MatrixGroup:
             self._cayley = PermutationGroup(perms, degree=self.order)
         return self._cayley
 
-    def code_permutations(self, codes: Sequence[tuple]) -> list[Permutation]:
-        """Right-multiplication action of the given elements on the group."""
+    def sigma_permutations(self) -> list[Permutation]:
+        """Right-multiplication action of the rotation generators on the
+        group."""
         return [Permutation(
             [self._index[self.multiply(x, g)] for x in self.elements])
-            for g in codes]
-
-    def sigma_permutations(self) -> list[Permutation]:
-        return self.code_permutations(self.sigma_codes)
+            for g in self.sigma_codes]
 
 
 def generate_group(
@@ -385,20 +366,12 @@ def generate_group(
         gen_codes.append(group.canonical(
             arith.encode(identity_matrix(ring)) + (1,)))
 
-    ident = group.identity_code()
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        x = frontier.pop()
-        for g in gen_codes:
-            y = group.multiply(x, g)
-            if y not in seen:
-                if len(seen) >= max_elements:
-                    raise OverflowResult(
-                        f"closure exceeded {max_elements} elements")
-                seen.add(y)
-                frontier.append(y)
-
+    try:
+        seen = orbit([group.identity_code()], gen_codes, group.multiply,
+                     max_elements)
+    except ValueError:
+        raise OverflowResult(
+            f"closure exceeded {max_elements} elements") from None
     group.elements = tuple(sorted(seen))
     group._index = {code: i for i, code in enumerate(group.elements)}
     group.generator_codes = tuple(gen_codes)

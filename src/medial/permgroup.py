@@ -3,12 +3,12 @@
 Backed by numpy image arrays and a deterministic Schreier-Sims stabilizer
 chain (base points chosen in ascending domain order, or as prescribed).
 Provides exact orders, membership, orbits on points and tuples, and
-pointwise stabilizers.
+pointwise stabilizers, plus ``orbit``, the package's one closure primitive.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.images, np.arange(len(self.images))))
-
-    def is_valid(self) -> bool:
-        return bool(np.array_equal(np.sort(self.images), np.arange(len(self.images))))
 
     def apply_tuple(self, points: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(int(self.images[p]) for p in points)
@@ -105,9 +102,6 @@ class Permutation:
         if not cycs:
             return "()"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
-
-    def one_line(self) -> str:
-        return "[" + " ".join(map(str, self.images.tolist())) + "]"
 
     def __repr__(self) -> str:
         return f"Permutation{self.cycle_string()}"
@@ -264,43 +258,9 @@ class PermutationGroup:
     def orbit(self, seed) -> set:
         """Orbit of a point or tuple of points under the group."""
         if isinstance(seed, int) or isinstance(seed, np.integer):
-            return self._point_orbit(int(seed))
-        return self.tuple_orbit(tuple(seed))
-
-    def _point_orbit(self, p: int) -> set[int]:
-        seen = {p}
-        frontier = [p]
-        while frontier:
-            x = frontier.pop()
-            for g in self.generators:
-                y = g(x)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
-
-    def tuple_orbit(self, seed: tuple[int, ...]) -> set[tuple[int, ...]]:
-        seen = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for g in self.generators:
-                y = g.apply_tuple(x)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
-
-    def orbits_count(self, seeds: Iterable) -> int:
-        remaining = [s if isinstance(s, tuple) else int(s) for s in seeds]
-        count = 0
-        covered: set = set()
-        for s in remaining:
-            if s in covered:
-                continue
-            count += 1
-            covered |= self.orbit(s) if isinstance(s, tuple) else self._point_orbit(s)
-        return count
+            return orbit([int(seed)], self.generators, lambda p, g: g(p))
+        return orbit([tuple(seed)], self.generators,
+                     lambda t, g: g.apply_tuple(t))
 
     def point_orbits(self) -> list[set[int]]:
         out = []
@@ -308,7 +268,7 @@ class PermutationGroup:
         for p in range(self.degree):
             if p in covered:
                 continue
-            orb = self._point_orbit(p)
+            orb = self.orbit(p)
             covered |= orb
             out.append(orb)
         return out
@@ -386,21 +346,32 @@ def _transporter_search(levels: list[_ChainLevel], n: int,
     return rec(0, Permutation.identity(n))
 
 
+def orbit(seeds: Iterable[Hashable], gens: Sequence, act: Callable,
+          limit: int | None = None) -> set:
+    """Closure of ``seeds`` under ``x -> act(x, g)`` for every g in ``gens``.
+
+    With the identity as the seed and right multiplication as ``act`` this
+    is the subgroup generated by ``gens``, in whatever form the elements
+    take.  Raises ValueError once the orbit would exceed ``limit`` points.
+    """
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                if limit is not None and len(seen) >= limit:
+                    raise ValueError(f"orbit exceeds limit {limit}")
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
 def naive_closure(generators: Sequence[Permutation], limit: int = 2000000) -> list[Permutation]:
     """Brute-force closure; the oracle against which chain orders are checked."""
     if not generators:
         return []
-    n = generators[0].degree
-    ident = Permutation.identity(n)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = x * g
-            if y not in seen:
-                if len(seen) >= limit:
-                    raise ValueError("closure exceeds limit")
-                seen.add(y)
-                frontier.append(y)
-    return sorted(seen, key=lambda p: p.images.tobytes())
+    ident = Permutation.identity(generators[0].degree)
+    return sorted(orbit([ident], generators, Permutation.__mul__, limit),
+                  key=lambda p: p.images.tobytes())

@@ -25,15 +25,27 @@ under simultaneous right multiplication by the group generators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import operator
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .catalog import SchlafliType
-from .fpgroup import Presentation, coset_enumeration, gen_word
+from .fpgroup import (
+    DEFAULT_MAX_COSETS,
+    Presentation,
+    coset_enumeration,
+    gen_word,
+)
 from .matgroup import MatrixGroup, OverflowResult, recover_reflection_codes
-from .permgroup import Permutation, PermutationGroup, naive_closure
+from .permgroup import Permutation, PermutationGroup, orbit
 
-DEFAULT_ORDER_CAP = 10**5
+# validate_string_cgroup, self_duality_test and generator_map_homomorphism
+# take group elements in whatever form the caller holds them: ``identity``
+# plus ``mul(x, g)``, the right product of an element x with a generator g.
+# Library callers pass permutations, multiplied with ``*``; the pipeline
+# passes coset indices of a full enumeration, multiplied by table lookup, or
+# matrix-group element codes, multiplied by MatrixGroup.multiply, so no
+# element becomes a permutation of degree |G|.
 
 
 class PolytopeValidationError(ValueError):
@@ -42,10 +54,12 @@ class PolytopeValidationError(ValueError):
 
 @dataclass(frozen=True)
 class StringCGroup:
-    """Validated regular-polytope generators rho0..rho3."""
+    """Validated regular-polytope generators rho0..rho3, with the element
+    form (``identity``, ``mul``) they were validated in."""
 
-    rhos: tuple[Permutation, Permutation, Permutation, Permutation]
-    group: PermutationGroup
+    rhos: tuple
+    identity: Hashable
+    mul: Callable
     schlafli: SchlafliType
 
 
@@ -58,53 +72,56 @@ class RotationGroup:
     schlafli: SchlafliType
 
 
-def _closure_set(perms: Sequence[Permutation], limit: int) -> frozenset[Permutation]:
-    if not perms:
-        raise ValueError("empty generating set")
-    return frozenset(naive_closure(list(perms), limit=limit))
+def _times(x, word: Iterable, mul: Callable):
+    """x multiplied on the right by each generator of ``word`` in turn."""
+    for g in word:
+        x = mul(x, g)
+    return x
+
+
+def _word_order(identity, word: Sequence, mul: Callable) -> int:
+    """Order of the product of ``word``."""
+    x, k = _times(identity, word, mul), 1
+    while x != identity:
+        x, k = _times(x, word, mul), k + 1
+    return k
 
 
 def validate_string_cgroup(
-        rhos: Sequence[Permutation],
-        check_intersections: bool = True,
-        limit: int = DEFAULT_ORDER_CAP) -> StringCGroup:
-    """Check relations (R) and, unless disabled, intersections (C).
+        rhos: Sequence, identity: Hashable | None = None,
+        mul: Callable = operator.mul) -> StringCGroup:
+    """Check relations (R) and intersections (C).
 
-    The intersection condition only needs checking for proper subsets I, J
-    (a full-index side intersects trivially), so the group itself is never
-    enumerated here.
+    By default the generators are permutations: ``identity`` is the
+    identity of their degree and ``mul`` is ``*``.  The intersection
+    condition only needs checking for proper subsets I, J (a full-index
+    side intersects trivially), so the group itself is never enumerated
+    here.
     """
     rhos = tuple(rhos)
     if len(rhos) != 4:
         raise PolytopeValidationError(f"need 4 generators, got {len(rhos)}")
+    if identity is None:
+        identity = Permutation.identity(rhos[0].degree)
     for i, r in enumerate(rhos):
-        if r.is_identity() or (r * r) != Permutation.identity(r.degree):
+        x = mul(identity, r)
+        if x == identity or mul(x, r) != identity:
             raise PolytopeValidationError(f"rho{i} is not an involution")
     for i, j in ((0, 2), (0, 3), (1, 3)):
-        p = rhos[i] * rhos[j]
-        if (p * p) != Permutation.identity(p.degree):
+        if _times(identity, (rhos[i], rhos[j]) * 2, mul) != identity:
             raise PolytopeValidationError(
                 f"(rho{i} rho{j})^2 != identity (commuting relation fails)")
-    p1 = (rhos[0] * rhos[1]).order()
-    p2 = (rhos[1] * rhos[2]).order()
-    p3 = (rhos[2] * rhos[3]).order()
-    if check_intersections:
-        _check_intersections(rhos, range(4), limit)
-    return StringCGroup(rhos, PermutationGroup(rhos), SchlafliType(p1, p2, p3))
+    p1, p2, p3 = (_word_order(identity, rhos[j:j + 2], mul) for j in range(3))
+    _check_intersections(rhos, identity, mul)
+    return StringCGroup(rhos, identity, mul, SchlafliType(p1, p2, p3))
 
 
-def _check_intersections(gens: Sequence[Permutation], indices: Iterable[int],
-                         limit: int) -> None:
+def _check_intersections(gens: tuple, identity, mul: Callable) -> None:
     """Condition (C) over all pairs of proper index subsets."""
-    indices = tuple(indices)
-    ident = Permutation.identity(gens[0].degree)
-    subsets = [frozenset(c) for k in range(len(indices))
-               for c in itertools.combinations(indices, k)]
-    closures: dict[frozenset, frozenset[Permutation]] = {
-        frozenset(): frozenset([ident])}
-    for s in subsets:
-        if s:
-            closures[s] = _closure_set([gens[i] for i in sorted(s)], limit)
+    subsets = [frozenset(c) for k in range(len(gens))
+               for c in itertools.combinations(range(len(gens)), k)]
+    closures = {s: orbit([identity], [gens[i] for i in sorted(s)], mul)
+                for s in subsets}
     for I in subsets:
         for J in subsets:
             inter = closures[I] & closures[J]
@@ -116,9 +133,7 @@ def _check_intersections(gens: Sequence[Permutation], indices: Iterable[int],
                     f" |<I^J>| = {len(expected)}")
 
 
-def validate_rotation_group(
-        sigmas: Sequence[Permutation],
-        limit: int = DEFAULT_ORDER_CAP) -> RotationGroup:
+def validate_rotation_group(sigmas: Sequence[Permutation]) -> RotationGroup:
     """Check relations (R') and intersections (C')."""
     sigmas = tuple(sigmas)
     if len(sigmas) != 3:
@@ -131,14 +146,11 @@ def validate_rotation_group(
         if w * w != ident:
             raise PolytopeValidationError(f"{name} != identity")
     p1, p2, p3 = (s.order() for s in sigmas)
-    c1 = _closure_set([s1], limit)
-    c2 = _closure_set([s2], limit)
-    c3 = _closure_set([s3], limit)
+    c1, c2, c3, c12, c23 = (orbit([ident], gens, operator.mul) for gens in
+                            ((s1,), (s2,), (s3,), (s1, s2), (s2, s3)))
     if c1 & c2 != {ident} or c2 & c3 != {ident}:
         raise PolytopeValidationError(
             "<sigma1> ^ <sigma2> or <sigma2> ^ <sigma3> is nontrivial")
-    c12 = _closure_set([s1, s2], limit)
-    c23 = _closure_set([s2, s3], limit)
     if c12 & c23 != c2:
         raise PolytopeValidationError(
             f"<sigma1,sigma2> ^ <sigma2,sigma3> has order {len(c12 & c23)},"
@@ -149,8 +161,7 @@ def validate_rotation_group(
 
 def reflection_recovery(
         R: RotationGroup,
-        candidates: Iterable[Permutation] | None = None,
-        limit: int = DEFAULT_ORDER_CAP) -> StringCGroup | None:
+        candidates: Iterable[Permutation] | None = None) -> StringCGroup | None:
     """Search for an involution r with r sigma1 r = sigma1^-1 and
     r sigma2 r = sigma2^-1; when found, return the string C-group
 
@@ -164,7 +175,7 @@ def reflection_recovery(
     s1, s2, s3 = R.sigmas
     ident = Permutation.identity(s1.degree)
     s1i, s2i = s1.inverse(), s2.inverse()
-    pool = candidates if candidates is not None else R.group.elements(limit)
+    pool = candidates if candidates is not None else R.group.elements()
     for r in pool:
         if r * r != ident or r.is_identity():
             continue
@@ -172,57 +183,50 @@ def reflection_recovery(
             continue
         rhos = (s1 * r, r, r * s2, r * s2 * s3)
         try:
-            return validate_string_cgroup(rhos, limit=limit)
+            return validate_string_cgroup(rhos)
         except PolytopeValidationError:
             continue
     return None
 
 
 def generator_map_homomorphism(
-        gens: Sequence[Permutation],
-        images: Sequence[Permutation],
-        limit: int = DEFAULT_ORDER_CAP) -> dict[Permutation, Permutation] | None:
-    """The homomorphism <gens> -> <images> with gens[i] |-> images[i], as an
-    element map, or None when the assignment does not extend to one."""
-    ident = Permutation.identity(gens[0].degree)
-    ident2 = Permutation.identity(images[0].degree)
-    mapping = {ident: ident2}
-    frontier = [(ident, ident2)]
+        gens: Sequence, images: Sequence, identity: Hashable,
+        mul: Callable) -> dict | None:
+    """The endomorphism of <gens> with gens[i] |-> images[i], as an element
+    map, or None when the assignment does not extend to one.
+
+    The images must be valid second arguments of ``mul``.  The search stops
+    at the first element that would get two images.
+    """
+    mapping = {identity: identity}
+    frontier = [identity]
     while frontier:
-        g, h = frontier.pop()
+        g = frontier.pop()
+        h = mapping[g]
         for a, b in zip(gens, images):
-            g2, h2 = g * a, h * b
+            g2, h2 = mul(g, a), mul(h, b)
             known = mapping.get(g2)
             if known is None:
-                if len(mapping) >= limit:
-                    raise PolytopeValidationError(
-                        f"group order exceeds limit {limit}")
                 mapping[g2] = h2
-                frontier.append((g2, h2))
+                frontier.append(g2)
             elif known != h2:
                 return None
     return mapping
 
 
-def is_directly_regular(R: RotationGroup,
-                        limit: int = DEFAULT_ORDER_CAP) -> bool | str:
+def is_directly_regular(R: RotationGroup) -> bool:
     """Whether the rotation group admits the involutory reflection twist
 
         sigma1 |-> sigma1^-1,  sigma2 |-> sigma1^2 sigma2,  sigma3 |-> sigma3
 
     as an automorphism NOT induced by conjugation with a group element
-    (an inner twist would not enlarge the symmetry group).  Returns
-    "undecided" when the group exceeds the search budget.
+    (an inner twist would not enlarge the symmetry group).
     """
     s1, s2, s3 = R.sigmas
     targets = [s1.inverse(), s1 * s1 * s2, s3]
-    try:
-        mapping = generator_map_homomorphism(R.sigmas, targets, limit)
-    except PolytopeValidationError:
-        return "undecided"
-    if mapping is None:
-        return False
-    if len(set(mapping.values())) != len(mapping):
+    mapping = generator_map_homomorphism(
+        R.sigmas, targets, Permutation.identity(s1.degree), operator.mul)
+    if mapping is None or len(set(mapping.values())) != len(mapping):
         return False
     # Involutory: applying the twist to each target must give the generator.
     for s, t in zip(R.sigmas, targets):
@@ -236,17 +240,11 @@ def is_directly_regular(R: RotationGroup,
     return True
 
 
-def self_duality_test(C: StringCGroup,
-                      limit: int = DEFAULT_ORDER_CAP) -> bool | str:
+def self_duality_test(C: StringCGroup) -> bool:
     """Whether rho_j |-> rho_{3-j} extends to a group automorphism."""
-    try:
-        mapping = generator_map_homomorphism(
-            C.rhos, tuple(reversed(C.rhos)), limit)
-    except PolytopeValidationError:
-        return "undecided"
-    if mapping is None:
-        return False
-    return len(set(mapping.values())) == len(mapping)
+    mapping = generator_map_homomorphism(C.rhos, C.rhos[::-1], C.identity,
+                                         C.mul)
+    return mapping is not None and len(set(mapping.values())) == len(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +273,8 @@ class PolytopeHandle:
     rank2_images: list[list[int]]
     base1: int = 0
     base2: int = 0
-    cgroup: StringCGroup | None = field(default=None, repr=False)
-    rotation: RotationGroup | None = field(default=None, repr=False)
-    self_dual: bool | str | None = None
+    validated: bool = False  # (R) and (C) checked in full
+    self_dual: bool | None = None
 
     def __post_init__(self):
         n1, n2 = len(self.rank1_images[0]), len(self.rank2_images[0])
@@ -288,22 +285,17 @@ class PolytopeHandle:
                 f"{self.label}: face counts ({n1}, {n2}) inconsistent with"
                 f" group order {self.group_order} and stabilizer order {stab}")
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.rank1_images[0]) + len(self.rank2_images[0])
-
 
 def handle_from_presentation(
         pres: Presentation,
         label: str,
-        max_cosets: int = 10**7,
-        time_budget: float | None = None,
-        validate_cap: int = 5000) -> PolytopeHandle:
+        max_cosets: int = DEFAULT_MAX_COSETS,
+        time_budget: float | None = None) -> PolytopeHandle:
     """Regular route: enumerate the group and the two face-coset actions.
 
-    Full relation + intersection validation runs when the group order is at
-    most ``validate_cap``; larger groups get relation checks via the face
-    actions only (the coset postconditions still apply).
+    The group is validated and tested for self-duality on the cosets of the
+    full enumeration (coset 0 is the identity), multiplied by a generator
+    letter through a lookup in the full table.
     """
     full = coset_enumeration(pres, (), max_cosets=max_cosets,
                              time_budget=time_budget)
@@ -320,25 +312,17 @@ def handle_from_presentation(
             raise OverflowResult(
                 f"{label}: rank-{rank} face enumeration overflow"
                 f" ({tables[rank].reason})")
-    cgroup = None
-    if order <= validate_cap:
-        rhos = full.generator_permutations()
-        cgroup = validate_string_cgroup(rhos, limit=max(order, 1) + 1)
-        schlafli = cgroup.schlafli
-    else:
-        perms1 = tables[1].generator_permutations()
-        schlafli = SchlafliType((perms1[0] * perms1[1]).order(),
-                                (perms1[1] * perms1[2]).order(),
-                                (perms1[2] * perms1[3]).order())
+    rows = full.rows
+    cgroup = validate_string_cgroup(gen_word(0, 1, 2, 3), 0,
+                                    lambda coset, letter: rows[coset][letter])
     handle = PolytopeHandle(
-        label=label, kind="regular", schlafli=schlafli, group_order=order,
+        label=label, kind="regular", schlafli=cgroup.schlafli,
+        group_order=order,
         rank1_images=[p.images.tolist()
                       for p in tables[1].generator_permutations()],
         rank2_images=[p.images.tolist()
                       for p in tables[2].generator_permutations()],
-        cgroup=cgroup)
-    if cgroup is not None:
-        handle.self_dual = self_duality_test(cgroup)
+        validated=True, self_dual=self_duality_test(cgroup))
     if order <= 2000:
         _diamond_check(pres, order, max_cosets, label)
     return handle
@@ -395,49 +379,38 @@ def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> Polyt
     """
     if label is None:
         label = f"eisenstein m={mg.modulus}"
+    ident = mg.identity_code()
+    cgroup = None
     if mg.kind == "regular":
         rhos = recover_reflection_codes(mg)
         if rhos is None:
             raise PolytopeValidationError(
                 f"{label}: no reflection recovery in a regular instance")
+        cgroup = validate_string_cgroup(rhos, ident, mg.multiply)
         gens = rhos
-        sub1 = mg.subgroup_codes([rhos[0], rhos[2], rhos[3]])
-        sub2 = mg.subgroup_codes([rhos[0], rhos[1], rhos[3]])
+        sub1 = orbit([ident], [rhos[0], rhos[2], rhos[3]], mg.multiply)
+        sub2 = orbit([ident], [rhos[0], rhos[1], rhos[3]], mg.multiply)
     else:
         s1, s2, s3 = mg.sigma_codes
         gens = mg.sigma_codes
-        sub1 = mg.subgroup_codes([mg.multiply(s1, s2), s3])
-        sub2 = mg.subgroup_codes([s1, mg.multiply(s2, s3)])
+        sub1 = orbit([ident], [mg.multiply(s1, s2), s3], mg.multiply)
+        sub2 = orbit([ident], [s1, mg.multiply(s2, s3)], mg.multiply)
     act1, base1 = mg.coset_action(sub1, gens)
     act2, base2 = mg.coset_action(sub2, gens)
-    cgroup = None
-    if mg.kind == "regular" and mg.order <= 5000:
-        cgroup = validate_string_cgroup(mg.code_permutations(rhos),
-                                        limit=mg.order + 1)
-    handle = PolytopeHandle(
+    return PolytopeHandle(
         label=label, kind=mg.kind, schlafli=SchlafliType(3, 6, 3),
         group_order=mg.order,
         rank1_images=act1, rank2_images=act2, base1=base1, base2=base2,
-        cgroup=cgroup)
-    if cgroup is not None:
-        handle.self_dual = self_duality_test(cgroup)
-    return handle
+        validated=cgroup is not None,
+        self_dual=None if cgroup is None else self_duality_test(cgroup))
 
 
 def _pair_orbit(images1: Sequence[Sequence[int]],
                 images2: Sequence[Sequence[int]],
                 base1: int, base2: int) -> set[tuple[int, int]]:
     """Orbit of the base pair under simultaneous generator action."""
-    seen = {(base1, base2)}
-    stack = [(base1, base2)]
-    while stack:
-        x, y = stack.pop()
-        for g1, g2 in zip(images1, images2):
-            p = (g1[x], g2[y])
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
+    return orbit([(base1, base2)], list(zip(images1, images2)),
+                 lambda pair, g: (g[0][pair[0]], g[1][pair[1]]))
 
 
 def medial_layer_graph(handle: PolytopeHandle):

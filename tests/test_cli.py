@@ -36,6 +36,22 @@ def test_build_universal(capsys):
     assert "self_dual: True" in out
 
 
+def test_build_validates_every_regular_instance(capsys):
+    code, out, _ = run(capsys, "build", "eisenstein:m=3-3w:A=")
+    assert code == EXIT_OK
+    assert "group_order: 8748" in out
+    assert "validation: full" in out
+    assert "self_dual: False" in out
+
+
+def test_build_self_dual_universal_row5(capsys):
+    code, out, _ = run(capsys, "build", "universal:3,6:3,0:3,0")
+    assert code == EXIT_OK
+    assert "group_order: 2916" in out
+    assert "validation: full" in out
+    assert "self_dual: True" in out
+
+
 def test_build_eisenstein_product_modulus(capsys):
     code, out, _ = run(capsys, "build", "eisenstein:m=(1-w)*(1+3w):A=")
     assert code == EXIT_OK

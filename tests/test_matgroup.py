@@ -24,6 +24,7 @@ from medial.matgroup import (
     recover_reflection_codes,
     regularity_test,
 )
+from medial.permgroup import orbit
 
 RNG = random.Random(11)
 
@@ -54,7 +55,7 @@ def test_group_order_chiral():
 
 def test_rotation_subgroup_has_index_2_when_regular():
     g = generate_group(parse_eisenstein("3"))
-    rotations = g.subgroup_codes(g.sigma_codes)
+    rotations = orbit([g.identity_code()], g.sigma_codes, g.multiply)
     assert len(rotations) * 2 == g.order
     assert all(code[4] == 0 for code in rotations)
 

@@ -9,9 +9,9 @@ from medial.catalog import (
     universal_locally_toroidal,
 )
 from medial.eisenstein import parse_eisenstein
-from medial.fpgroup import coset_enumeration
+from medial.fpgroup import coset_enumeration, gen_word
 from medial.matgroup import generate_group
-from medial.permgroup import Permutation
+from medial.permgroup import Permutation, PermutationGroup
 from medial.polytope import (
     PolytopeValidationError,
     handle_from_matrix_group,
@@ -40,13 +40,13 @@ def universal_rhos(s, t):
 def test_simplex_cgroup_valid():
     c = validate_string_cgroup(simplex_rhos())
     assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (3, 3, 3)
-    assert c.group.order() == 120
+    assert PermutationGroup(c.rhos).order() == 120
 
 
 def test_universal_54_cgroup_valid():
     c = validate_string_cgroup(universal_rhos((1, 1), (3, 0)))
     assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (3, 6, 3)
-    assert c.group.order() == 324
+    assert PermutationGroup(c.rhos).order() == 324
 
 
 def test_commuting_relation_violation_rejected():
@@ -114,7 +114,7 @@ def test_reflection_recovery_in_full_cayley_group():
     ambient = mg.cayley_group().elements(limit=400)
     c = reflection_recovery(r, candidates=ambient)
     assert c is not None
-    assert c.group.order() == 324
+    assert PermutationGroup(c.rhos).order() == 324
     assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (3, 6, 3)
 
 
@@ -141,6 +141,21 @@ def test_self_duality():
     assert self_duality_test(
         validate_string_cgroup(universal_rhos((1, 1), (3, 0)))) is False
     assert self_duality_test(validate_string_cgroup(simplex_rhos())) is True
+
+
+@pytest.mark.parametrize("p1,order,self_dual", [(3, 120, True),
+                                                (4, 384, False)])
+def test_faithful_action_on_vertices_validates(p1, order, self_dual):
+    # The action on the cosets of <rho1, rho2, rho3> (the vertices) is
+    # faithful but not regular: elements are permutations of small degree.
+    table = coset_enumeration(coxeter_string(p1, 3, 3),
+                              [gen_word(1), gen_word(2), gen_word(3)])
+    rhos = table.generator_permutations()
+    assert rhos[0].degree == order // 24
+    c = validate_string_cgroup(rhos)
+    assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (p1, 3, 3)
+    assert PermutationGroup(c.rhos).order() == order
+    assert self_duality_test(c) is self_dual
 
 
 @pytest.mark.parametrize("s,t,order,n", [
