@@ -25,6 +25,7 @@ with explicit witness, and adjacency-list / DOT / graph6 exporters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -557,7 +558,12 @@ def to_dot(G: BipartiteCubicGraph, name: str = "medial") -> str:
 
 
 def to_graph6(G: BipartiteCubicGraph) -> str:
-    """Standard graph6 encoding (type labels are not representable)."""
+    """Standard graph6 encoding (type labels are not representable).
+
+    Edge {i, j} with i < j is bit j(j-1)/2 + i of the upper triangle, read
+    column by column in 6-bit groups offset by 63; only the set bits are
+    written, so the work is linear in the output size.
+    """
     n = G.n
     if n <= 62:
         header = chr(n + 63)
@@ -566,26 +572,23 @@ def to_graph6(G: BipartiteCubicGraph) -> str:
             chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError("graph too large for this graph6 writer")
-    bits = []
-    adjset = {(v, int(w)) for v in range(n) for w in G.adj[v]}
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in adjset else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return header + "".join(chars)
+    body = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))  # "?" is 0 + 63
+    for j in range(n):
+        for i in G.adj[j]:
+            if i < j:
+                k = j * (j - 1) // 2 + int(i)
+                body[k // 6] += 32 >> (k % 6)
+    return header + body.decode("ascii")
 
 
 def from_graph6(text: str, types: Sequence[int] | None = None
                 ) -> BipartiteCubicGraph:
     """Decode graph6; types default to a BFS 2-coloring (class containing
-    vertex 0 becomes type 1), flagged as convention, not provenance."""
+    vertex 0 becomes type 1), flagged as convention, not provenance.
+
+    Only the set bits are decoded: bit k of the upper triangle is the edge
+    {i, j} with j(j-1)/2 <= k = j(j-1)/2 + i < j(j+1)/2.
+    """
     text = text.strip()
     if text.startswith(">>graph6<<"):
         text = text[10:]
@@ -596,18 +599,18 @@ def from_graph6(text: str, types: Sequence[int] | None = None
     else:
         n = ord(text[0]) - 63
         body = text[1:]
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> s) & 1 for s in range(5, -1, -1))
     neighbors: list[list[int]] = [[] for _ in range(n)]
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
+    nbits = n * (n - 1) // 2
+    for pos in range((nbits + 5) // 6):
+        val = ord(body[pos]) - 63
+        if not val:
+            continue
+        for k in range(6 * pos, min(6 * pos + 6, nbits)):
+            if val & (32 >> (k - 6 * pos)):
+                j = (1 + math.isqrt(1 + 8 * k)) // 2
+                i = k - j * (j - 1) // 2
                 neighbors[i].append(j)
                 neighbors[j].append(i)
-            idx += 1
     if types is None:
         color = [0] * n
         color[0] = 1

@@ -41,7 +41,7 @@ from .eisenstein import (
     ScalarGroup,
     format_eisenstein,
 )
-from .permgroup import Permutation, PermutationGroup, orbit
+from .permgroup import Permutation, PermutationGroup, face_action, orbit
 
 #: Frozen integral generator triple (row-major 2x2 entries a + b*w).
 SIGMA_TRIPLE: tuple[tuple[EisensteinInt, ...], ...] = (
@@ -221,9 +221,10 @@ class _Arith:
         return ResidueMatrix(ring, tuple(self.elems[i] for i in code))
 
     def mat_mul(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+        """Product of the matrices in the first four entries of x and y."""
         mul, add = self.mul, self.add
-        a, b, c, d = x
-        e, f, g, h = y
+        a, b, c, d = x[:4]
+        e, f, g, h = y[:4]
         return (add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
                 add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]])
 
@@ -250,7 +251,7 @@ class MatrixGroup:
     sigma_codes: tuple[tuple[int, ...], ...]
     arith: _Arith = field(repr=False)
     _index: dict = field(default_factory=dict, repr=False)
-    _scalar_codes: tuple[int, ...] = ()
+    _scalar_rows: tuple[list[int], ...] = ()  # arith.mul rows of A's members
     _cayley: PermutationGroup | None = field(default=None, repr=False)
 
     @property
@@ -258,16 +259,13 @@ class MatrixGroup:
         return len(self.elements)
 
     def canonical(self, code: tuple[int, ...]) -> tuple[int, ...]:
-        mul = self.arith.mul
-        mat, star = code[:4], code[4]
-        best = min(tuple(mul[s][e] for e in mat) for s in self._scalar_codes)
-        return best + (star,)
+        a, b, c, d, star = code
+        return min([(m[a], m[b], m[c], m[d], star) for m in self._scalar_rows])
 
     def multiply(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        ymat = y[:4]
-        if x[4]:
-            ymat = self.arith.mat_conj(ymat)
-        return self.canonical(self.arith.mat_mul(x[:4], ymat) + (x[4] ^ y[4],))
+        arith = self.arith
+        product = arith.mat_mul(x, arith.mat_conj(y) if x[4] else y)
+        return self.canonical(product + (x[4] ^ y[4],))
 
     def to_element(self, code: tuple[int, ...]) -> ProjectiveElement:
         return ProjectiveElement(
@@ -277,41 +275,13 @@ class MatrixGroup:
         return self.canonical(
             self.arith.encode(identity_matrix(self.ring)) + (0,))
 
-    def coset_action(self, subgroup: set[tuple[int, ...]],
-                     gens: Sequence[tuple[int, ...]] | None = None
-                     ) -> tuple[list[list[int]], int]:
-        """Right-multiplication action on right cosets of ``subgroup`` by
-        the given generators (defaults to the group's own); returns (one
-        image list per generator, index of the identity coset)."""
-        if gens is None:
-            gens = self.generator_codes
-        sub = sorted(subgroup)
-        coset_of: dict[tuple[int, ...], int] = {}
-        reps: list[tuple[int, ...]] = []
-
-        def locate(code: tuple[int, ...]) -> int:
-            got = coset_of.get(code)
-            if got is not None:
-                return got
-            k = len(reps)
-            reps.append(code)
-            for s in sub:
-                coset_of[self.multiply(s, code)] = k
-            return k
-
-        base = locate(self.identity_code())
-        images: list[list[int]] = [[] for _ in gens]
-        done = 0
-        while done < len(reps):
-            k = done
-            done += 1
-            for gi, g in enumerate(gens):
-                images[gi].append(locate(self.multiply(reps[k], g)))
-        expected = self.order // len(sub)
-        if len(reps) != expected:
-            raise ConfigurationError(
-                f"coset action has {len(reps)} cosets; expected {expected}")
-        return images, base
+    def coset_action(self, stabilizer_gens: Sequence[tuple[int, ...]],
+                     gens: Sequence[tuple[int, ...]]) -> list[list[int]]:
+        """Right multiplication by ``gens`` on the right cosets of
+        <stabilizer_gens>, one image list per generator; coset 0 is the
+        subgroup."""
+        return face_action(self.identity_code(), gens, self.multiply,
+                           stabilizer_gens)
 
     def cayley_group(self) -> PermutationGroup:
         """Right-regular permutation action of the generators (built on
@@ -353,12 +323,13 @@ def generate_group(
         raise ConfigurationError("scalar group must contain -1")
     kind = regularity_test(m, A)
     arith = _Arith(ring)
-    scalar_codes = tuple(sorted(arith.index[ring.reduce(a)] for a in A.members))
+    scalar_rows = tuple(arith.mul[arith.index[ring.reduce(a)]]
+                        for a in A.members)
 
     group = MatrixGroup(
         modulus=m, scalars=A, kind=kind, ring=ring,
         elements=(), generator_codes=(), sigma_codes=(), arith=arith,
-        _scalar_codes=scalar_codes)
+        _scalar_rows=scalar_rows)
 
     sigma_codes = [group.canonical(arith.encode(s) + (0,)) for s in sigmas]
     gen_codes = list(sigma_codes)

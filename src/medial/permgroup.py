@@ -3,7 +3,8 @@
 Backed by numpy image arrays and a deterministic Schreier-Sims stabilizer
 chain (base points chosen in ascending domain order, or as prescribed).
 Provides exact orders, membership, orbits on points and tuples, and
-pointwise stabilizers, plus ``orbit``, the package's one closure primitive.
+pointwise stabilizers, plus ``orbit``, the package's one closure primitive,
+and ``face_action``, the one action on the cosets of a subgroup.
 """
 
 from __future__ import annotations
@@ -366,6 +367,32 @@ def orbit(seeds: Iterable[Hashable], gens: Sequence, act: Callable,
                 seen.add(y)
                 frontier.append(y)
     return seen
+
+
+def face_action(identity: Hashable, gens: Sequence, mul: Callable,
+                stabilizer_gens: Sequence) -> list[list[int]]:
+    """Right multiplication by each of ``gens`` on the right cosets of
+    <stabilizer_gens>, as one image list per generator.
+
+    The elements take the form of ``orbit``'s closure: an ``identity`` and
+    ``mul(x, g)``, the right product with a generator.  Coset 0 is the
+    subgroup itself; every further coset is first met as the block of an
+    earlier coset multiplied by a generator, so the whole group is visited
+    once and no coset table is enumerated.
+    """
+    blocks = [list(orbit([identity], stabilizer_gens, mul))]
+    coset_of = dict.fromkeys(blocks[0], 0)
+    images: list[list[int]] = [[] for _ in gens]
+    for block in blocks:
+        for row, g in zip(images, gens):
+            target = coset_of.get(mul(block[0], g))
+            if target is None:
+                target = len(blocks)
+                moved = [mul(x, g) for x in block]
+                coset_of.update(dict.fromkeys(moved, target))
+                blocks.append(moved)
+            row.append(target)
+    return images
 
 
 def naive_closure(generators: Sequence[Permutation], limit: int = 2000000) -> list[Permutation]:

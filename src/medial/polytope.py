@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -37,7 +38,7 @@ from .fpgroup import (
     gen_word,
 )
 from .matgroup import MatrixGroup, OverflowResult, recover_reflection_codes
-from .permgroup import Permutation, PermutationGroup, orbit
+from .permgroup import Permutation, PermutationGroup, face_action, orbit
 
 # validate_string_cgroup, self_duality_test and generator_map_homomorphism
 # take group elements in whatever form the caller holds them: ``identity``
@@ -251,7 +252,7 @@ def self_duality_test(C: StringCGroup) -> bool:
 # Handles: face-coset actions feeding the medial layer graph
 # ---------------------------------------------------------------------------
 
-#: Parabolic subgroup generator indices (regular route): the stabilizer of
+#: Parabolic subgroup generator indices (regular kind): the stabilizer of
 #: the base j-face omits rho_j.
 _PARABOLIC = {0: (1, 2, 3), 1: (0, 2, 3), 2: (0, 1, 3), 3: (0, 1, 2)}
 
@@ -261,8 +262,8 @@ class PolytopeHandle:
     """Coset actions of the symmetry group on 1-faces and 2-faces.
 
     ``rank1_images``/``rank2_images`` hold, per group generator, the image
-    list of the corresponding face-coset action; the base faces are the
-    cosets of the identity and are incident by construction.
+    list of the corresponding face-coset action; the base faces are coset 0
+    of each action and are incident by construction.
     """
 
     label: str
@@ -271,8 +272,6 @@ class PolytopeHandle:
     group_order: int
     rank1_images: list[list[int]]
     rank2_images: list[list[int]]
-    base1: int = 0
-    base2: int = 0
     validated: bool = False  # (R) and (C) checked in full
     self_dual: bool | None = None
 
@@ -291,83 +290,31 @@ def handle_from_presentation(
         label: str,
         max_cosets: int = DEFAULT_MAX_COSETS,
         time_budget: float | None = None) -> PolytopeHandle:
-    """Regular route: enumerate the group and the two face-coset actions.
+    """Regular route: one enumeration of the group, then everything on its
+    cosets.
 
-    The group is validated and tested for self-duality on the cosets of the
-    full enumeration (coset 0 is the identity), multiplied by a generator
-    letter through a lookup in the full table.
+    Coset 0 of the full enumeration is the identity, and a generator letter
+    multiplies a coset by a lookup in the table.  In that form the group is
+    validated, tested for self-duality and acts on the faces of each rank,
+    the cosets of the parabolic subgroups.
     """
     full = coset_enumeration(pres, (), max_cosets=max_cosets,
                              time_budget=time_budget)
     if not full.is_complete:
         raise OverflowResult(f"{label}: group enumeration overflow"
                              f" ({full.reason})")
-    order = full.num_cosets
-    tables = {}
-    for rank in (1, 2):
-        sub = [gen_word(i) for i in _PARABOLIC[rank]]
-        tables[rank] = coset_enumeration(pres, sub, max_cosets=max_cosets,
-                                         time_budget=time_budget)
-        if not tables[rank].is_complete:
-            raise OverflowResult(
-                f"{label}: rank-{rank} face enumeration overflow"
-                f" ({tables[rank].reason})")
     rows = full.rows
-    cgroup = validate_string_cgroup(gen_word(0, 1, 2, 3), 0,
-                                    lambda coset, letter: rows[coset][letter])
-    handle = PolytopeHandle(
-        label=label, kind="regular", schlafli=cgroup.schlafli,
-        group_order=order,
-        rank1_images=[p.images.tolist()
-                      for p in tables[1].generator_permutations()],
-        rank2_images=[p.images.tolist()
-                      for p in tables[2].generator_permutations()],
-        validated=True, self_dual=self_duality_test(cgroup))
-    if order <= 2000:
-        _diamond_check(pres, order, max_cosets, label)
-    return handle
+    letters = gen_word(0, 1, 2, 3)
 
+    def mul(coset: int, letter: int) -> int:
+        return rows[coset][letter]
 
-def _diamond_check(pres: Presentation, order: int, max_cosets: int,
-                   label: str) -> None:
-    """Small-instance sanity gate: between any two incident faces two ranks
-    apart there are exactly 2 intermediate faces, and every 1-face (2-face)
-    lies in exactly 2 vertices (cells, respectively)."""
-    actions = {}
-    for rank in range(4):
-        sub = [gen_word(i) for i in _PARABOLIC[rank]]
-        t = coset_enumeration(pres, sub, max_cosets=max_cosets)
-        actions[rank] = [p.images.tolist() for p in t.generator_permutations()]
-
-    def incidence(r1: int, r2: int) -> set[tuple[int, int]]:
-        return _pair_orbit(actions[r1], actions[r2], 0, 0)
-
-    inc = {(a, b): incidence(a, b)
-           for a, b in ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3))}
-    for low, mid, high in ((0, 1, 2), (1, 2, 3)):
-        below = {}
-        for f, g in inc[(low, mid)]:
-            below.setdefault(g, set()).add(f)
-        above = {}
-        for g, h in inc[(mid, high)]:
-            above.setdefault(g, set()).add(h)
-        for f, h in inc[(low, high)]:
-            middles = sum(1 for g in range(len(actions[mid][0]))
-                          if f in below.get(g, ()) and h in above.get(g, ()))
-            if middles != 2:
-                raise PolytopeValidationError(
-                    f"{label}: diamond condition fails between ranks"
-                    f" {low} and {high}: {middles} middle faces")
-    for rank, neighbor in ((1, 0), (2, 3)):
-        key = (neighbor, rank) if neighbor < rank else (rank, neighbor)
-        counts: dict[int, int] = {}
-        for pair in inc[key]:
-            f = pair[0] if key == (rank, neighbor) else pair[1]
-            counts[f] = counts.get(f, 0) + 1
-        if set(counts.values()) != {2}:
-            raise PolytopeValidationError(
-                f"{label}: rank-{rank} faces do not have exactly 2 incident"
-                f" rank-{neighbor} faces")
+    cgroup = validate_string_cgroup(letters, 0, mul)
+    actions = [face_action(0, letters, mul,
+                           [letters[i] for i in _PARABOLIC[rank]])
+               for rank in range(4)]
+    return _checked_handle(label, "regular", cgroup.schlafli,
+                           full.num_cosets, actions, cgroup)
 
 
 def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> PolytopeHandle:
@@ -379,37 +326,71 @@ def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> Polyt
     """
     if label is None:
         label = f"eisenstein m={mg.modulus}"
-    ident = mg.identity_code()
-    cgroup = None
     if mg.kind == "regular":
-        rhos = recover_reflection_codes(mg)
-        if rhos is None:
+        gens = recover_reflection_codes(mg)
+        if gens is None:
             raise PolytopeValidationError(
                 f"{label}: no reflection recovery in a regular instance")
-        cgroup = validate_string_cgroup(rhos, ident, mg.multiply)
-        gens = rhos
-        sub1 = orbit([ident], [rhos[0], rhos[2], rhos[3]], mg.multiply)
-        sub2 = orbit([ident], [rhos[0], rhos[1], rhos[3]], mg.multiply)
+        cgroup = validate_string_cgroup(gens, mg.identity_code(), mg.multiply)
+        stabilizers = [[gens[i] for i in _PARABOLIC[rank]]
+                       for rank in range(4)]
     else:
-        s1, s2, s3 = mg.sigma_codes
-        gens = mg.sigma_codes
-        sub1 = orbit([ident], [mg.multiply(s1, s2), s3], mg.multiply)
-        sub2 = orbit([ident], [s1, mg.multiply(s2, s3)], mg.multiply)
-    act1, base1 = mg.coset_action(sub1, gens)
-    act2, base2 = mg.coset_action(sub2, gens)
-    return PolytopeHandle(
-        label=label, kind=mg.kind, schlafli=SchlafliType(3, 6, 3),
-        group_order=mg.order,
-        rank1_images=act1, rank2_images=act2, base1=base1, base2=base2,
+        cgroup = None
+        s1, s2, s3 = gens = mg.sigma_codes
+        s12, s23 = mg.multiply(s1, s2), mg.multiply(s2, s3)
+        stabilizers = [(s2, s3), (s12, s3), (s1, s23), (s1, s2)]
+    actions = [mg.coset_action(stab, gens) for stab in stabilizers]
+    return _checked_handle(label, mg.kind, SchlafliType(3, 6, 3), mg.order,
+                           actions, cgroup)
+
+
+def _checked_handle(label: str, kind: str, schlafli: SchlafliType,
+                    order: int, actions: list[list[list[int]]],
+                    cgroup: StringCGroup | None) -> PolytopeHandle:
+    """The handle on the rank-1 and rank-2 actions of ``actions`` (one per
+    rank), once its face counts and the diamond condition hold."""
+    handle = PolytopeHandle(
+        label=label, kind=kind, schlafli=schlafli, group_order=order,
+        rank1_images=actions[1], rank2_images=actions[2],
         validated=cgroup is not None,
         self_dual=None if cgroup is None else self_duality_test(cgroup))
+    _diamond_check(actions, label)
+    return handle
+
+
+def _diamond_check(actions: Sequence[list[list[int]]], label: str) -> None:
+    """Between any two incident faces two ranks apart there are exactly 2
+    intermediate faces, and every 1-face (2-face) lies in exactly 2
+    vertices (cells, respectively).  ``actions[r]`` acts on the r-faces."""
+    inc = {(a, b): _pair_orbit(actions[a], actions[b])
+           for a, b in ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3))}
+    for low, mid, high in ((0, 1, 2), (1, 2, 3)):
+        below: dict[int, list[int]] = defaultdict(list)
+        for f, g in inc[(low, mid)]:
+            below[g].append(f)
+        above: dict[int, list[int]] = defaultdict(list)
+        for g, h in inc[(mid, high)]:
+            above[g].append(h)
+        middles = Counter((f, h) for g, fs in below.items()
+                          for f in fs for h in above[g])
+        for pair in inc[(low, high)]:
+            if middles[pair] != 2:
+                raise PolytopeValidationError(
+                    f"{label}: diamond condition fails between ranks"
+                    f" {low} and {high}: {middles[pair]} middle faces")
+    for rank, neighbor, counts in (
+            (1, 0, Counter(g for _, g in inc[(0, 1)])),
+            (2, 3, Counter(f for f, _ in inc[(2, 3)]))):
+        if set(counts.values()) != {2}:
+            raise PolytopeValidationError(
+                f"{label}: rank-{rank} faces do not have exactly 2 incident"
+                f" rank-{neighbor} faces")
 
 
 def _pair_orbit(images1: Sequence[Sequence[int]],
-                images2: Sequence[Sequence[int]],
-                base1: int, base2: int) -> set[tuple[int, int]]:
-    """Orbit of the base pair under simultaneous generator action."""
-    return orbit([(base1, base2)], list(zip(images1, images2)),
+                images2: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
+    """Orbit of the pair of base faces under simultaneous generator action."""
+    return orbit([(0, 0)], list(zip(images1, images2)),
                  lambda pair, g: (g[0][pair[0]], g[1][pair[1]]))
 
 
@@ -420,8 +401,7 @@ def medial_layer_graph(handle: PolytopeHandle):
 
     n1 = len(handle.rank1_images[0])
     n2 = len(handle.rank2_images[0])
-    pairs = _pair_orbit(handle.rank1_images, handle.rank2_images,
-                        handle.base1, handle.base2)
+    pairs = _pair_orbit(handle.rank1_images, handle.rank2_images)
     neighbors: list[list[int]] = [[] for _ in range(n1 + n2)]
     for x, y in pairs:
         neighbors[x].append(n1 + y)
@@ -432,8 +412,7 @@ def medial_layer_graph(handle: PolytopeHandle):
     except graphsym.GraphError as exc:
         raise PolytopeValidationError(
             f"{handle.label}: medial construction inconsistent: {exc}") from exc
-    base_edge = (handle.base1, n1 + handle.base2)
-    if not _has_cycle_through(graph, base_edge, 2 * handle.schlafli.p2):
+    if not _has_cycle_through(graph, (0, n1), 2 * handle.schlafli.p2):
         raise PolytopeValidationError(
             f"{handle.label}: no {2 * handle.schlafli.p2}-cycle through the"
             " base edge")

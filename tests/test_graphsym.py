@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 
+from medial.catalog import ToroidalParams, universal_locally_toroidal
+from medial.eisenstein import parse_eisenstein
 from medial.graphsym import (
     Arc,
     GraphError,
@@ -23,6 +25,12 @@ from medial.graphsym import (
     to_dot,
     to_graph6,
     validate,
+)
+from medial.matgroup import generate_group
+from medial.polytope import (
+    handle_from_matrix_group,
+    handle_from_presentation,
+    medial_layer_graph,
 )
 
 RNG = random.Random(7)
@@ -218,6 +226,28 @@ def test_graph6_roundtrip_up_to_isomorphism():
     assert h.n == g.n
     ok, _ = is_isomorphic(g, h)
     assert ok
+
+
+@pytest.mark.parametrize("source", ["gray", "row4", "3-3w"])
+def test_graph6_matches_networkx(source):
+    # Byte-identical to networkx's writer on 54, 120 (4-character header)
+    # and 1458 vertices, and decoded back to the same edge set.
+    nx = pytest.importorskip("networkx")
+    if source == "gray":
+        g = gray_oracle()
+    elif source == "row4":
+        pres = universal_locally_toroidal(ToroidalParams(2, 0),
+                                          ToroidalParams(2, 2))
+        g = medial_layer_graph(handle_from_presentation(pres, "row 4"))
+    else:
+        g = medial_layer_graph(handle_from_matrix_group(
+            generate_group(parse_eisenstein("3-3w"))))
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    text = to_graph6(g)
+    assert text.encode() == nx.to_graph6_bytes(ref, header=False).rstrip(b"\n")
+    assert sorted(from_graph6(text).edges()) == sorted(g.edges())
 
 
 def test_dot_output_contains_all_edges():

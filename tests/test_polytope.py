@@ -3,7 +3,9 @@ direct regularity, self-duality, and medial-graph construction."""
 
 import pytest
 
+from medial import polytope
 from medial.catalog import (
+    TABLE1_ROWS,
     ToroidalParams,
     coxeter_string,
     universal_locally_toroidal,
@@ -11,9 +13,11 @@ from medial.catalog import (
 from medial.eisenstein import parse_eisenstein
 from medial.fpgroup import coset_enumeration, gen_word
 from medial.matgroup import generate_group
-from medial.permgroup import Permutation, PermutationGroup
+from medial.permgroup import Permutation, PermutationGroup, face_action
 from medial.polytope import (
     PolytopeValidationError,
+    _diamond_check,
+    _pair_orbit,
     handle_from_matrix_group,
     handle_from_presentation,
     is_directly_regular,
@@ -194,3 +198,52 @@ def test_two_pipelines_agree_on_54_vertex_graph():
         handle_from_matrix_group(generate_group(parse_eisenstein("3"))))
     ok, witness = is_isomorphic(g1, g2)
     assert ok and witness is not None
+
+
+def face_actions(pres):
+    """The four face actions, as the presentation route derives them from
+    the one full coset table."""
+    rows = coset_enumeration(pres).rows
+    letters = gen_word(0, 1, 2, 3)
+    return [face_action(0, letters, lambda c, x: rows[c][x],
+                        [letters[i] for i in range(4) if i != rank])
+            for rank in range(4)]
+
+
+@pytest.mark.parametrize("s,t", TABLE1_ROWS[:4])
+def test_face_action_matches_todd_coxeter(s, t):
+    pres = universal_locally_toroidal(ToroidalParams(*s), ToroidalParams(*t))
+    for rank, action in enumerate(face_actions(pres)):
+        oracle = coset_enumeration(
+            pres, [gen_word(i) for i in range(4) if i != rank])
+        images = [p.images.tolist() for p in oracle.generator_permutations()]
+        assert len(action[0]) == oracle.num_cosets
+        # The diagonal orbit of the base pair is the graph of a bijection
+        # commuting with every generator: the actions are isomorphic, with
+        # base face matched to base face.
+        assert len(_pair_orbit(action, images)) == oracle.num_cosets
+
+
+def test_presentation_route_enumerates_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return coset_enumeration(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "coset_enumeration", counting)
+    pres = universal_locally_toroidal(ToroidalParams(2, 0), ToroidalParams(2, 2))
+    assert handle_from_presentation(pres, "row 4").group_order == 720
+    assert len(calls) == 1
+
+
+def test_diamond_check_rejects_broken_action():
+    pres = universal_locally_toroidal(ToroidalParams(2, 0), ToroidalParams(2, 2))
+    actions = face_actions(pres)
+    _diamond_check(actions, "row 4")
+    broken = [list(rows) for rows in actions]
+    swapped = list(broken[1][0])
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    broken[1][0] = swapped
+    with pytest.raises(PolytopeValidationError, match="row 4"):
+        _diamond_check(broken, "row 4")
