@@ -26,9 +26,13 @@ def main():
     mg = generate_group(m)
     print(f"matrix group: order {mg.order}, kind = {mg.kind}")
 
+    # The handle is built only once (R') and (C') hold for the rotation
+    # generators and no outer automorphism realizes the reflection twist:
+    # the polytope is chiral, not directly regular.
     handle = handle_from_matrix_group(mg)
     print(f"polytope type {handle.schlafli}; rotation group order"
-          f" {handle.group_order}; no reflection exists")
+          f" {handle.group_order}; (R') and (C') hold and the rotation group"
+          " is not directly regular: no reflection exists")
 
     graph = medial_layer_graph(handle)
     aut = automorphism_group(graph)

@@ -53,7 +53,6 @@ from .polytope import (
     handle_from_presentation,
     is_directly_regular,
     medial_layer_graph,
-    reflection_recovery,
     self_duality_test,
     validate_rotation_group,
     validate_string_cgroup,

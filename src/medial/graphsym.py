@@ -356,21 +356,21 @@ class Classification:
 
 
 def _max_arc_transitivity(G: BipartiteCubicGraph, aut: AutomorphismResult,
-                          jtype: int, tmax: int) -> tuple[int, list[int]]:
-    """Largest t <= tmax with one orbit on t-arcs from type-j vertices,
-    plus the prefix-stabilizer orders of the base (t+1)-arc for reuse."""
-    start = int(G.vertices_of_type(jtype)[0])
+                          jtypes: tuple[int, ...], tmax: int
+                          ) -> tuple[int, Arc, list[int]]:
+    """Largest t <= tmax with one orbit on the t-arcs that start at vertices
+    of the types ``jtypes``, with the probe (tmax+1)-arc from the first
+    type's first vertex and its prefix-stabilizer orders for reuse."""
+    start = int(G.vertices_of_type(jtypes[0])[0])
     probe = base_arc(G, start, tmax + 1)
     orders = aut.group.prefix_stabilizer_orders(probe.vertices)
     best = 0
     for t in range(1, tmax + 1):
         orbit_size = aut.order // orders[t + 1]
-        total = t_arc_count(G, jtype, t)
-        if orbit_size == total:
-            best = t
-        else:
+        if orbit_size != sum(t_arc_count(G, j, t) for j in jtypes):
             break
-    return best, orders
+        best = t
+    return best, probe, orders
 
 
 def stabilizer_sequence(G: BipartiteCubicGraph, aut: AutomorphismResult,
@@ -428,23 +428,16 @@ def classify(G: BipartiteCubicGraph,
                             type_order=type_order)
     if orbit_count == 1:
         # One vertex orbit: arcs from both types lie in one orbit family,
-        # so totals below count starts of both types.
-        start = int(G.vertices_of_type(1)[0])
-        probe = base_arc(G, start, MAX_SYMMETRIC_T + 1)
-        orders = aut.group.prefix_stabilizer_orders(probe.vertices)
-        t = 0
-        for r in range(1, MAX_SYMMETRIC_T + 1):
-            orbit_size = aut.order // orders[r + 1]
-            total = t_arc_count(G, 1, r) + t_arc_count(G, 2, r)
-            if orbit_size == total:
-                t = r
-            else:
-                break
+        # so totals count starts of both types.
+        t, probe, orders = _max_arc_transitivity(G, aut, (1, 2),
+                                                 MAX_SYMMETRIC_T)
         if t == 0:
             result.verdict = "not-edge-transitive"
             return result
         arc = Arc.check(G, probe.vertices[:t + 1])
-        seq = stabilizer_sequence(G, aut, arc)
+        # The tower of the arc, read off the probe's stabilizer chain: the
+        # arc is a prefix of the probe.
+        seq = [orders[t + 1 - j] for j in range(t + 1)]
         expected = [1] + [2 ** j for j in range(1, t)] + [3 * 2 ** (t - 1)]
         if seq != expected:
             raise InconsistencyError(
@@ -461,8 +454,8 @@ def classify(G: BipartiteCubicGraph,
         result.edge_orbit_count = 1
         return result
     if orbit_count == 2:
-        t1, _ = _max_arc_transitivity(G, aut, 1, MAX_SEMI_T)
-        t2, _ = _max_arc_transitivity(G, aut, 2, MAX_SEMI_T)
+        t1, _, _ = _max_arc_transitivity(G, aut, (1,), MAX_SEMI_T)
+        t2, _, _ = _max_arc_transitivity(G, aut, (2,), MAX_SEMI_T)
         if t1 >= 1 and t2 >= 1:
             result.verdict = "semisymmetric"
             result.t_pair = (t1, t2)

@@ -1,4 +1,4 @@
-"""2x2 matrix groups over Eisenstein residue rings, with Cayley actions.
+"""2x2 matrix groups over Eisenstein residue rings.
 
 For a modulus m of norm 3k (k > 1) the three frozen integral matrices
 SIGMA_TRIPLE below, reduced mod m, satisfy exactly (as integral matrices,
@@ -41,7 +41,7 @@ from .eisenstein import (
     ScalarGroup,
     format_eisenstein,
 )
-from .permgroup import Permutation, PermutationGroup, face_action, orbit
+from .permgroup import face_action, orbit
 
 #: Frozen integral generator triple (row-major 2x2 entries a + b*w).
 SIGMA_TRIPLE: tuple[tuple[EisensteinInt, ...], ...] = (
@@ -106,9 +106,6 @@ class ResidueMatrix:
     def det(self) -> EisensteinInt:
         a, b, c, d = self.entries
         return self.ring.reduce(a * d - b * c)
-
-    def trace(self) -> EisensteinInt:
-        return self.ring.reduce(self.entries[0] + self.entries[3])
 
     def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
         return ResidueMatrix(
@@ -250,9 +247,7 @@ class MatrixGroup:
     generator_codes: tuple[tuple[int, ...], ...]
     sigma_codes: tuple[tuple[int, ...], ...]
     arith: _Arith = field(repr=False)
-    _index: dict = field(default_factory=dict, repr=False)
     _scalar_rows: tuple[list[int], ...] = ()  # arith.mul rows of A's members
-    _cayley: PermutationGroup | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
@@ -282,25 +277,6 @@ class MatrixGroup:
         subgroup."""
         return face_action(self.identity_code(), gens, self.multiply,
                            stabilizer_gens)
-
-    def cayley_group(self) -> PermutationGroup:
-        """Right-regular permutation action of the generators (built on
-        demand; the stabilizer chain is only computed when queried)."""
-        if self._cayley is None:
-            perms = []
-            for g in self.generator_codes:
-                images = [self._index[self.multiply(x, g)]
-                          for x in self.elements]
-                perms.append(Permutation(images))
-            self._cayley = PermutationGroup(perms, degree=self.order)
-        return self._cayley
-
-    def sigma_permutations(self) -> list[Permutation]:
-        """Right-multiplication action of the rotation generators on the
-        group."""
-        return [Permutation(
-            [self._index[self.multiply(x, g)] for x in self.elements])
-            for g in self.sigma_codes]
 
 
 def generate_group(
@@ -344,7 +320,6 @@ def generate_group(
         raise OverflowResult(
             f"closure exceeded {max_elements} elements") from None
     group.elements = tuple(sorted(seen))
-    group._index = {code: i for i, code in enumerate(group.elements)}
     group.generator_codes = tuple(gen_codes)
     group.sigma_codes = tuple(sigma_codes)
     return group

@@ -239,9 +239,6 @@ class PermutationGroup:
             result *= len(lvl.orbit)
         return result
 
-    def base(self) -> list[int]:
-        return [lvl.base for lvl in self._build_chain()]
-
     def __contains__(self, g: Permutation) -> bool:
         return self.is_member(g)
 

@@ -38,11 +38,12 @@ from .fpgroup import (
     gen_word,
 )
 from .matgroup import MatrixGroup, OverflowResult, recover_reflection_codes
-from .permgroup import Permutation, PermutationGroup, face_action, orbit
+from .permgroup import Permutation, face_action, orbit
 
-# validate_string_cgroup, self_duality_test and generator_map_homomorphism
-# take group elements in whatever form the caller holds them: ``identity``
-# plus ``mul(x, g)``, the right product of an element x with a generator g.
+# The validation functions (validate_string_cgroup, validate_rotation_group,
+# self_duality_test, is_directly_regular, generator_map_homomorphism) take
+# group elements in whatever form the caller holds them: ``identity`` plus
+# ``mul(x, g)``, the right product of an element x with a generator g.
 # Library callers pass permutations, multiplied with ``*``; the pipeline
 # passes coset indices of a full enumeration, multiplied by table lookup, or
 # matrix-group element codes, multiplied by MatrixGroup.multiply, so no
@@ -66,10 +67,12 @@ class StringCGroup:
 
 @dataclass(frozen=True)
 class RotationGroup:
-    """Validated rotation generators sigma1..sigma3."""
+    """Validated rotation generators sigma1..sigma3, with the element form
+    (``identity``, ``mul``) they were validated in."""
 
-    sigmas: tuple[Permutation, Permutation, Permutation]
-    group: PermutationGroup
+    sigmas: tuple
+    identity: Hashable
+    mul: Callable
     schlafli: SchlafliType
 
 
@@ -113,81 +116,62 @@ def validate_string_cgroup(
             raise PolytopeValidationError(
                 f"(rho{i} rho{j})^2 != identity (commuting relation fails)")
     p1, p2, p3 = (_word_order(identity, rhos[j:j + 2], mul) for j in range(3))
-    _check_intersections(rhos, identity, mul)
+    # (C) only needs proper subsets: a full-index side intersects trivially.
+    subsets = [frozenset(c) for k in range(4)
+               for c in itertools.combinations(range(4), k)]
+    _check_intersections(rhos, [f"rho{i}" for i in range(4)],
+                         itertools.product(subsets, repeat=2), identity, mul)
     return StringCGroup(rhos, identity, mul, SchlafliType(p1, p2, p3))
 
 
-def _check_intersections(gens: tuple, identity, mul: Callable) -> None:
-    """Condition (C) over all pairs of proper index subsets."""
-    subsets = [frozenset(c) for k in range(len(gens))
-               for c in itertools.combinations(range(len(gens)), k)]
-    closures = {s: orbit([identity], [gens[i] for i in sorted(s)], mul)
-                for s in subsets}
-    for I in subsets:
-        for J in subsets:
-            inter = closures[I] & closures[J]
-            expected = closures[I & J]
-            if inter != expected:
-                raise PolytopeValidationError(
-                    f"intersection condition fails for I={sorted(I)},"
-                    f" J={sorted(J)}: |<I> ^ <J>| = {len(inter)},"
-                    f" |<I^J>| = {len(expected)}")
+def _check_intersections(gens: tuple, names: Sequence[str],
+                         pairs: Iterable[tuple[frozenset, frozenset]],
+                         identity, mul: Callable) -> None:
+    """<gens_I> ^ <gens_J> = <gens_(I^J)> for each index-set pair (I, J),
+    with every subgroup taken as the closure of the identity."""
+    closures: dict[frozenset, set] = {}
+
+    def closure(s: frozenset) -> set:
+        if s not in closures:
+            closures[s] = orbit([identity], [gens[i] for i in sorted(s)], mul)
+        return closures[s]
+
+    def span(s: frozenset) -> str:
+        return "<" + ",".join(names[i] for i in sorted(s)) + ">" if s else "1"
+
+    for I, J in pairs:
+        inter = closure(I) & closure(J)
+        expected = closure(I & J)
+        if inter != expected:
+            raise PolytopeValidationError(
+                f"intersection condition fails: {span(I)} ^ {span(J)} has"
+                f" order {len(inter)}, {span(I & J)} has order"
+                f" {len(expected)}")
 
 
-def validate_rotation_group(sigmas: Sequence[Permutation]) -> RotationGroup:
-    """Check relations (R') and intersections (C')."""
+def validate_rotation_group(
+        sigmas: Sequence, identity: Hashable | None = None,
+        mul: Callable = operator.mul) -> RotationGroup:
+    """Check relations (R') and intersections (C'), in the element form of
+    validate_string_cgroup (permutations with ``*`` by default)."""
     sigmas = tuple(sigmas)
     if len(sigmas) != 3:
         raise PolytopeValidationError(f"need 3 generators, got {len(sigmas)}")
-    ident = Permutation.identity(sigmas[0].degree)
+    if identity is None:
+        identity = Permutation.identity(sigmas[0].degree)
     s1, s2, s3 = sigmas
-    for name, w in (("(sigma1 sigma2)^2", s1 * s2),
-                    ("(sigma2 sigma3)^2", s2 * s3),
-                    ("(sigma1 sigma2 sigma3)^2", s1 * s2 * s3)):
-        if w * w != ident:
+    for name, word in (("(sigma1 sigma2)^2", (s1, s2)),
+                       ("(sigma2 sigma3)^2", (s2, s3)),
+                       ("(sigma1 sigma2 sigma3)^2", (s1, s2, s3))):
+        if _times(identity, word * 2, mul) != identity:
             raise PolytopeValidationError(f"{name} != identity")
-    p1, p2, p3 = (s.order() for s in sigmas)
-    c1, c2, c3, c12, c23 = (orbit([ident], gens, operator.mul) for gens in
-                            ((s1,), (s2,), (s3,), (s1, s2), (s2, s3)))
-    if c1 & c2 != {ident} or c2 & c3 != {ident}:
-        raise PolytopeValidationError(
-            "<sigma1> ^ <sigma2> or <sigma2> ^ <sigma3> is nontrivial")
-    if c12 & c23 != c2:
-        raise PolytopeValidationError(
-            f"<sigma1,sigma2> ^ <sigma2,sigma3> has order {len(c12 & c23)},"
-            f" expected |<sigma2>| = {len(c2)}")
-    return RotationGroup(sigmas, PermutationGroup(sigmas),
-                         SchlafliType(p1, p2, p3))
-
-
-def reflection_recovery(
-        R: RotationGroup,
-        candidates: Iterable[Permutation] | None = None) -> StringCGroup | None:
-    """Search for an involution r with r sigma1 r = sigma1^-1 and
-    r sigma2 r = sigma2^-1; when found, return the string C-group
-
-        rho1 = r,  rho0 = sigma1 r,  rho2 = r sigma2,  rho3 = r sigma2 sigma3
-
-    validated in full.  ``candidates`` widens the search beyond R.group
-    (needed when the reflection lies outside the rotation subgroup, e.g. in
-    a Cayley action of the full symmetry group); None means no recovery is
-    possible, which is the expected outcome for chiral instances.
-    """
-    s1, s2, s3 = R.sigmas
-    ident = Permutation.identity(s1.degree)
-    s1i, s2i = s1.inverse(), s2.inverse()
-    pool = candidates if candidates is not None else R.group.elements()
-    for r in pool:
-        if r * r != ident or r.is_identity():
-            continue
-        if r * s1 * r != s1i or r * s2 * r != s2i:
-            continue
-        rhos = (s1 * r, r, r * s2, r * s2 * s3)
-        try:
-            return validate_string_cgroup(rhos)
-        except PolytopeValidationError:
-            continue
-    return None
+    p1, p2, p3 = (_word_order(identity, (s,), mul) for s in sigmas)
+    # (C'): <s1> ^ <s2> = 1 = <s2> ^ <s3> and <s1,s2> ^ <s2,s3> = <s2>.
+    pairs = [(frozenset(I), frozenset(J))
+             for I, J in (((0,), (1,)), ((1,), (2,)), ((0, 1), (1, 2)))]
+    _check_intersections(sigmas, ("sigma1", "sigma2", "sigma3"), pairs,
+                         identity, mul)
+    return RotationGroup(sigmas, identity, mul, SchlafliType(p1, p2, p3))
 
 
 def generator_map_homomorphism(
@@ -222,21 +206,27 @@ def is_directly_regular(R: RotationGroup) -> bool:
 
     as an automorphism NOT induced by conjugation with a group element
     (an inner twist would not enlarge the symmetry group).
+
+    The twist images and the conjugating elements are multiplied as second
+    arguments of ``R.mul``, so it must multiply any two elements, as ``*``
+    on permutations and MatrixGroup.multiply on element codes do; coset
+    indices, multiplied only by generator letters, do not qualify.
     """
     s1, s2, s3 = R.sigmas
-    targets = [s1.inverse(), s1 * s1 * s2, s3]
-    mapping = generator_map_homomorphism(
-        R.sigmas, targets, Permutation.identity(s1.degree), operator.mul)
+    identity, mul = R.identity, R.mul
+    targets = [_times(identity, (s1,) * (R.schlafli.p1 - 1), mul),
+               _times(identity, (s1, s1, s2), mul), s3]
+    mapping = generator_map_homomorphism(R.sigmas, targets, identity, mul)
     if mapping is None or len(set(mapping.values())) != len(mapping):
         return False
     # Involutory: applying the twist to each target must give the generator.
     for s, t in zip(R.sigmas, targets):
         if mapping[t] != s:
             return False
-    # Inner check: conjugation by some group element realizing the twist.
+    # Inner check: conjugation by some group element realizing the twist,
+    # h^-1 s h = t, that is s h = h t.
     for h in mapping:
-        hi = h.inverse()
-        if all(hi * s * h == t for s, t in zip(R.sigmas, targets)):
+        if all(mul(s, h) == mul(h, t) for s, t in zip(R.sigmas, targets)):
             return False
     return True
 
@@ -272,8 +262,7 @@ class PolytopeHandle:
     group_order: int
     rank1_images: list[list[int]]
     rank2_images: list[list[int]]
-    validated: bool = False  # (R) and (C) checked in full
-    self_dual: bool | None = None
+    self_dual: bool | None = None  # regular kind only
 
     def __post_init__(self):
         n1, n2 = len(self.rank1_images[0]), len(self.rank2_images[0])
@@ -322,7 +311,9 @@ def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> Polyt
 
     Regular instances first recover the four reflections; failure to do so
     is an error (the full symmetry group would not be reachable from the
-    rotations alone).  Chiral instances use the rotation stabilizers.
+    rotations alone).  Chiral instances are checked for (R') and (C') and
+    must not be directly regular, which would contradict the arithmetic
+    ``chiral`` label; their faces are cosets of the rotation stabilizers.
     """
     if label is None:
         label = f"eisenstein m={mg.modulus}"
@@ -337,6 +328,12 @@ def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> Polyt
     else:
         cgroup = None
         s1, s2, s3 = gens = mg.sigma_codes
+        rotations = validate_rotation_group(gens, mg.identity_code(),
+                                            mg.multiply)
+        if is_directly_regular(rotations):
+            raise PolytopeValidationError(
+                f"{label}: labelled chiral, but its rotation group is"
+                " directly regular")
         s12, s23 = mg.multiply(s1, s2), mg.multiply(s2, s3)
         stabilizers = [(s2, s3), (s12, s3), (s1, s23), (s1, s2)]
     actions = [mg.coset_action(stab, gens) for stab in stabilizers]
@@ -352,7 +349,6 @@ def _checked_handle(label: str, kind: str, schlafli: SchlafliType,
     handle = PolytopeHandle(
         label=label, kind=kind, schlafli=schlafli, group_order=order,
         rank1_images=actions[1], rank2_images=actions[2],
-        validated=cgroup is not None,
         self_dual=None if cgroup is None else self_duality_test(cgroup))
     _diamond_check(actions, label)
     return handle

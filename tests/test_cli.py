@@ -5,12 +5,13 @@ import io
 
 import pytest
 
-from medial import graphsym
+from medial import graphsym, polytope
 from medial.cli import (
     CSV_COLUMNS,
     EXIT_BAD_INPUT,
     EXIT_OK,
     EXIT_OVERFLOW,
+    EXIT_VALIDATION,
     main,
     parse_eisenstein_product,
 )
@@ -58,6 +59,22 @@ def test_build_eisenstein_product_modulus(capsys):
     assert "kind: chiral" in out
     assert "group_order: 2016" in out
     assert "N: 672" in out
+
+
+def test_build_validates_chiral_instance(capsys):
+    code, out, _ = run(capsys, "build", "eisenstein:m=(1-w)*(1+3w):A=")
+    assert code == EXIT_OK
+    assert "validation: full" in out
+    assert "self_dual" not in out
+
+
+def test_build_directly_regular_chiral_exits_3(capsys, monkeypatch):
+    # A chiral label contradicted by the direct-regularity check is a
+    # validation failure.
+    monkeypatch.setattr(polytope, "is_directly_regular", lambda r: True)
+    code, out, err = run(capsys, "build", "eisenstein:m=(1-w)*(1+3w):A=")
+    assert code == EXIT_VALIDATION
+    assert "directly regular" in err
 
 
 def test_parse_eisenstein_product():

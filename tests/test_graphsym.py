@@ -27,6 +27,7 @@ from medial.graphsym import (
     validate,
 )
 from medial.matgroup import generate_group
+from medial.permgroup import PermutationGroup
 from medial.polytope import (
     handle_from_matrix_group,
     handle_from_presentation,
@@ -131,6 +132,28 @@ def test_stabilizer_sequence_k33():
     aut = automorphism_group(g)
     arc = base_arc(g, 0, 3)
     assert stabilizer_sequence(g, aut, arc) == [1, 2, 4, 12]
+
+
+def test_symmetric_classify_builds_one_chain_per_probe(monkeypatch):
+    # Row 1 of Table 1 is symmetric: its stabilizer tower is read from the
+    # chain of the probe arc, and equals stabilizer_sequence's own.
+    pres = universal_locally_toroidal(ToroidalParams(1, 1), ToroidalParams(1, 1))
+    g = medial_layer_graph(handle_from_presentation(pres, "row 1"))
+    aut = automorphism_group(g)
+    calls = []
+    original = PermutationGroup.prefix_stabilizer_orders
+
+    def counting(self, points):
+        calls.append(tuple(points))
+        return original(self, points)
+
+    monkeypatch.setattr(PermutationGroup, "prefix_stabilizer_orders", counting)
+    c = classify(g, aut)
+    assert c.verdict == "symmetric"
+    assert len(calls) == 1
+    monkeypatch.undo()
+    arc = Arc.check(g, calls[0][:c.t + 1])
+    assert c.stabilizer_orders == stabilizer_sequence(g, aut, arc)
 
 
 # -- arc counting -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """The frozen generator triple and the matrix-group closures: defining
 relations, order certificates at four moduli, regularity verdicts,
-canonicalization invariance, and the Cayley action."""
+canonicalization invariance, and the right-regular action on the
+elements."""
 
 import random
 
@@ -24,7 +25,7 @@ from medial.matgroup import (
     recover_reflection_codes,
     regularity_test,
 )
-from medial.permgroup import orbit
+from medial.permgroup import Permutation, PermutationGroup, orbit
 
 RNG = random.Random(11)
 
@@ -119,7 +120,11 @@ def test_order_matches_vertex_count_formula():
 def test_cayley_action_order_equals_element_count():
     for m in ("3", "2-2w"):
         g = generate_group(parse_eisenstein(m))
-        assert g.cayley_group().order() == g.order
+        # Right-regular action of the generators on the element list.
+        index = {code: i for i, code in enumerate(g.elements)}
+        perms = [Permutation([index[g.multiply(x, s)] for x in g.elements])
+                 for s in g.generator_codes]
+        assert PermutationGroup(perms, degree=g.order).order() == g.order
 
 
 def test_overflow_cap():

@@ -12,8 +12,8 @@ from medial.catalog import (
 )
 from medial.eisenstein import parse_eisenstein
 from medial.fpgroup import coset_enumeration, gen_word
-from medial.matgroup import generate_group
-from medial.permgroup import Permutation, PermutationGroup, face_action
+from medial.matgroup import generate_group, recover_reflection_codes
+from medial.permgroup import Permutation, PermutationGroup, face_action, orbit
 from medial.polytope import (
     PolytopeValidationError,
     _diamond_check,
@@ -22,7 +22,6 @@ from medial.polytope import (
     handle_from_presentation,
     is_directly_regular,
     medial_layer_graph,
-    reflection_recovery,
     self_duality_test,
     validate_rotation_group,
     validate_string_cgroup,
@@ -88,14 +87,15 @@ def simplex_sigmas():
 def test_simplex_rotation_group_valid():
     r = validate_rotation_group(simplex_sigmas())
     assert (r.schlafli.p1, r.schlafli.p2, r.schlafli.p3) == (3, 3, 3)
-    assert r.group.order() == 60
+    assert PermutationGroup(r.sigmas).order() == 60
 
 
 def test_eisenstein_sigmas_valid():
     for m, p in ((parse_eisenstein("3"), (3, 6, 3)),
                  (CHIRAL_M, (3, 6, 3))):
         mg = generate_group(m)
-        r = validate_rotation_group(mg.sigma_permutations())
+        r = validate_rotation_group(mg.sigma_codes, mg.identity_code(),
+                                    mg.multiply)
         assert (r.schlafli.p1, r.schlafli.p2, r.schlafli.p3) == p
 
 
@@ -108,17 +108,38 @@ def test_degenerate_rotation_input_rejected():
         validate_rotation_group((s1, s2, s3))
 
 
+def test_rotation_intersection_failure_detected():
+    # u = sigma2^3 is an involution, so (u, u, u) satisfies (R'), but
+    # <sigma1> ^ <sigma2> = <u> is not trivial.
+    mg = generate_group(parse_eisenstein("3"))
+    ident, mul = mg.identity_code(), mg.multiply
+    s2 = mg.sigma_codes[1]
+    u = mul(mul(s2, s2), s2)
+    assert u != ident and mul(u, u) == ident
+    with pytest.raises(PolytopeValidationError, match="intersection"):
+        validate_rotation_group((u, u, u), ident, mul)
+
+
 def test_reflection_recovery_in_full_cayley_group():
     mg = generate_group(parse_eisenstein("3"))
-    sigmas = mg.sigma_permutations()
-    r = validate_rotation_group(sigmas)
-    # The reflection lies outside the rotation subgroup; searching only
-    # there must fail, searching the full Cayley action must succeed.
-    assert reflection_recovery(r) is None
-    ambient = mg.cayley_group().elements(limit=400)
-    c = reflection_recovery(r, candidates=ambient)
-    assert c is not None
-    assert PermutationGroup(c.rhos).order() == 324
+    ident, mul = mg.identity_code(), mg.multiply
+    s1, s2, _ = mg.sigma_codes
+
+    def inverse(x):
+        return next(y for y in mg.elements if mul(x, y) == ident)
+
+    def reflects(r):
+        return (r != ident and mul(r, r) == ident
+                and mul(mul(r, s1), r) == inverse(s1)
+                and mul(mul(r, s2), r) == inverse(s2))
+
+    # The reflection lies outside the rotation subgroup (star 0); searching
+    # only there must fail, searching the full group must succeed.
+    assert not any(reflects(r) for r in mg.elements if not r[4])
+    rhos = recover_reflection_codes(mg)
+    assert rhos is not None and reflects(rhos[1])
+    c = validate_string_cgroup(rhos, ident, mul)
+    assert len(orbit([ident], c.rhos, mul)) == 324
     assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (3, 6, 3)
 
 
@@ -129,14 +150,23 @@ def test_directly_regular_simplex_true():
 def test_directly_regular_eisenstein_regular_true():
     # The reflection twist exists and is outer (conjugation-linear).
     mg = generate_group(parse_eisenstein("3"))
-    r = validate_rotation_group(mg.sigma_permutations())
+    r = validate_rotation_group(mg.sigma_codes, mg.identity_code(),
+                                mg.multiply)
     assert is_directly_regular(r) is True
 
 
 def test_directly_regular_chiral_false():
     mg = generate_group(CHIRAL_M)
-    r = validate_rotation_group(mg.sigma_permutations())
+    r = validate_rotation_group(mg.sigma_codes, mg.identity_code(),
+                                mg.multiply)
     assert is_directly_regular(r) is False
+
+
+def test_chiral_handle_rejects_directly_regular(monkeypatch):
+    mg = generate_group(CHIRAL_M)
+    monkeypatch.setattr(polytope, "is_directly_regular", lambda r: True)
+    with pytest.raises(PolytopeValidationError, match="directly regular"):
+        handle_from_matrix_group(mg)
 
 
 def test_self_duality():
