@@ -129,6 +129,19 @@ def validate(neighbors: Sequence[Iterable[int]],
 # Color refinement and individualization search
 # ---------------------------------------------------------------------------
 
+def _row_ranks(sig: np.ndarray) -> np.ndarray:
+    """Rank of each row among the distinct rows in lexicographic order: the
+    inverse of ``np.unique(sig, axis=0)``, by one lexsort instead of the
+    row-as-void sort that np.unique makes."""
+    order = np.lexsort(sig.T[::-1])
+    ordered = sig[order]
+    new = np.ones(len(sig), dtype=np.int64)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ranks = np.empty(len(sig), dtype=np.int64)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks
+
+
 def _refine_joint(adjA: np.ndarray, adjB: np.ndarray,
                   colA: np.ndarray, colB: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -142,8 +155,7 @@ def _refine_joint(adjA: np.ndarray, adjB: np.ndarray,
     while True:
         sigA = np.concatenate([colA[:, None], np.sort(colA[adjA], axis=1)], axis=1)
         sigB = np.concatenate([colB[:, None], np.sort(colB[adjB], axis=1)], axis=1)
-        _, inverse = np.unique(np.vstack([sigA, sigB]), axis=0,
-                               return_inverse=True)
+        inverse = _row_ranks(np.vstack([sigA, sigB]))
         colA, colB = inverse[:nA], inverse[nA:]
         distinct = int(inverse.max()) + 1
         cntA = np.bincount(colA, minlength=distinct)

@@ -11,6 +11,7 @@ from medial.eisenstein import parse_eisenstein
 from medial.graphsym import (
     Arc,
     GraphError,
+    _row_ranks,
     automorphism_group,
     base_arc,
     classify,
@@ -200,6 +201,15 @@ def test_vertex_cap_yields_undecided():
     c = classify(g, max_vertices=10)
     assert c.verdict == "undecided"
     assert c.label() == "undecided"
+
+
+def test_row_ranks_match_numpy_unique_rows():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n = int(rng.integers(1, 200))
+        sig = rng.integers(0, int(rng.integers(1, 12)), size=(n, 4))
+        _, inverse = np.unique(sig, axis=0, return_inverse=True)
+        assert np.array_equal(_row_ranks(sig), inverse.reshape(-1))
 
 
 def test_haar_graph_not_edge_transitive_branch_is_consistent():
