@@ -13,7 +13,7 @@ import re
 import time
 from dataclasses import dataclass, field
 
-from .permgroup import Permutation, PermutationGroup
+from .permgroup import Permutation
 
 Word = tuple[int, ...]
 
@@ -201,19 +201,6 @@ class CosetTable:
             Permutation([self.rows[c][2 * g] for c in range(self.num_cosets)])
             for g in range(self.presentation.ngens)
         ]
-
-    def permutation_representation(self) -> PermutationGroup:
-        return PermutationGroup(self.generator_permutations(), degree=self.num_cosets)
-
-
-def subgroup_order(table: CosetTable, full_order: int) -> int:
-    """Order of the enumerated subgroup inside a group of known order."""
-    if not table.is_complete:
-        raise RuntimeError("coset table is not complete")
-    if full_order % table.num_cosets != 0:
-        raise ArithmeticError(
-            f"index {table.num_cosets} does not divide order {full_order}")
-    return full_order // table.num_cosets
 
 
 class _Enumerator:

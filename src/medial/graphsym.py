@@ -14,9 +14,19 @@ classification of a graph as
   per-type maximal arc-transitivity levels.
 * NotEdgeTransitive otherwise, or Undecided past the configured caps.
 
+Arc transitivity is read off its definition: the Aut-orbit of one probe
+arc is enumerated with ``permgroup.orbit``, the orbit of each prefix
+probe[:k] is the set of k-prefixes of that orbit, and the graph is t-arc
+transitive when the t-prefix orbit holds all n_j * 3 * 2^(t-1) t-arcs.
+Orbit-stabilizer gives the stabilizer tower |Aut_{arc[:k]}| =
+|Aut| / |orbit of arc[:k]|.  The shunts and the reverser come from the
+same individualization search that computes Aut.  No stabilizer chain is
+built.
+
 Symmetric verdicts are cross-checked on the spot: |Aut| = 3 N 2^(t-1), the
 pointwise stabilizers of the base arc truncations have orders
-[1, 2, ..., 2^(t-1), 3*2^(t-1)], and exactly one sign identity holds.
+[1, 2, ..., 2^(t-1), 3*2^(t-1)], and exactly one sign identity holds.  Every
+orbit size must divide the order the search found.
 
 Also here: the 54-vertex cubelets-and-columns incidence graph (27 cells of
 the 3x3x3 cube vs. its 27 axis-aligned columns of 3), isomorphism testing
@@ -313,30 +323,11 @@ def base_arc(G: BipartiteCubicGraph, start: int, t: int) -> Arc:
 
 
 def t_arc_count(G: BipartiteCubicGraph, jtype: int, t: int) -> int:
-    """Number of t-arcs starting at type-j vertices, by enumeration of
-    non-backtracking walks over directed edges."""
+    """Number of t-arcs starting at type-j vertices: n_j * 3 * 2^(t-1), as a
+    non-backtracking walk in a cubic graph has 3 first steps and 2 after."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    heads = []
-    tails = []
-    for v in range(G.n):
-        for w in G.neighbors(v):
-            tails.append(v)
-            heads.append(w)
-    tails_a = np.asarray(tails)
-    heads_a = np.asarray(heads)
-    edge_id = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(tails, heads))}
-    succ = np.empty((len(tails), 2), dtype=np.int64)
-    for i, (a, b) in enumerate(zip(tails, heads)):
-        nxt = [edge_id[(b, c)] for c in G.neighbors(b) if c != a]
-        succ[i] = nxt
-    counts = (G.types[tails_a] == jtype).astype(object)
-    for _ in range(t - 1):
-        nxt = np.zeros(len(tails), dtype=object)
-        np.add.at(nxt, succ[:, 0], counts)
-        np.add.at(nxt, succ[:, 1], counts)
-        counts = nxt
-    return int(counts.sum())
+    return int((G.types == jtype).sum()) * 3 * 2 ** (t - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +358,39 @@ class Classification:
         return self.verdict
 
 
+def _prefix_orbit_sizes(aut: AutomorphismResult,
+                        vertices: Sequence[int]) -> list[int]:
+    """Sizes of the Aut-orbits of vertices[:k] for k = 0..len(vertices).
+
+    The orbit of a prefix is the set of prefixes of the orbit of the whole
+    tuple, so one tuple orbit gives them all.  By orbit-stabilizer each
+    size divides |Aut|, and |Aut_{vertices[:k]}| = |Aut| / size; a size
+    that does not divide contradicts the order the search found.
+    """
+    arcs = aut.group.orbit(vertices)
+    sizes = [len({a[:k] for a in arcs}) for k in range(len(vertices) + 1)]
+    for k, size in enumerate(sizes):
+        if aut.order % size:
+            raise InconsistencyError(
+                f"orbit of {size} {k}-tuples does not divide |Aut| = {aut.order}")
+    return sizes
+
+
 def _max_arc_transitivity(G: BipartiteCubicGraph, aut: AutomorphismResult,
                           jtypes: tuple[int, ...], tmax: int
                           ) -> tuple[int, Arc, list[int]]:
     """Largest t <= tmax with one orbit on the t-arcs that start at vertices
     of the types ``jtypes``, with the probe (tmax+1)-arc from the first
-    type's first vertex and its prefix-stabilizer orders for reuse."""
+    type's first vertex and its prefix orbit sizes for reuse."""
     start = int(G.vertices_of_type(jtypes[0])[0])
     probe = base_arc(G, start, tmax + 1)
-    orders = aut.group.prefix_stabilizer_orders(probe.vertices)
+    sizes = _prefix_orbit_sizes(aut, probe.vertices)
     best = 0
     for t in range(1, tmax + 1):
-        orbit_size = aut.order // orders[t + 1]
-        if orbit_size != sum(t_arc_count(G, j, t) for j in jtypes):
+        if sizes[t + 1] != sum(t_arc_count(G, j, t) for j in jtypes):
             break
         best = t
-    return best, probe, orders
+    return best, probe, sizes
 
 
 def stabilizer_sequence(G: BipartiteCubicGraph, aut: AutomorphismResult,
@@ -390,23 +398,37 @@ def stabilizer_sequence(G: BipartiteCubicGraph, aut: AutomorphismResult,
     """Orders |B_0|, ..., |B_t| where B_j fixes the first t-j+1 arc
     vertices pointwise (B_0 the whole arc, B_t only the start vertex)."""
     t = arc.t
-    prefix = aut.group.prefix_stabilizer_orders(arc.vertices)
-    return [prefix[t + 1 - j] for j in range(t + 1)]
+    sizes = _prefix_orbit_sizes(aut, arc.vertices)
+    return [aut.order // sizes[t + 1 - j] for j in range(t + 1)]
 
 
 def shunts_and_sign(G: BipartiteCubicGraph, aut: AutomorphismResult,
                     arc: Arc) -> tuple[Permutation, Permutation, Permutation, str]:
-    """The two shunts, the reverser, and the sign of a symmetric graph."""
+    """The two shunts, the reverser, and the sign of a symmetric graph.
+
+    Each is the automorphism carrying the arc onto a target arc, found by
+    one isomorphism search between colourings that individualize the two
+    arcs.  The base colouring ignores the vertex types, since a shunt
+    swaps them; the map is unique when the arc's stabilizer is trivial.
+    """
     vs = arc.vertices
+    plain = np.zeros(G.n, dtype=np.int64)
+    source = _individualized(plain, vs)
+
+    def carry(target: tuple[int, ...]) -> Permutation | None:
+        found = _search_mapping(G.adj, G.adj, source,
+                                _individualized(plain, target))
+        return None if found is None else Permutation(found)
+
     ys = sorted(w for w in G.neighbors(vs[-1]) if w != vs[-2])
     tau = []
     for y in ys:
-        g = aut.group.transporter(vs, vs[1:] + (y,))
+        g = carry(vs[1:] + (y,))
         if g is None:
             raise InconsistencyError("shunt does not exist; graph is not"
                                      f" {arc.t}-transitive")
         tau.append(g)
-    alpha = aut.group.transporter(vs, tuple(reversed(vs)))
+    alpha = carry(tuple(reversed(vs)))
     if alpha is None:
         raise InconsistencyError("arc reverser does not exist")
     ident = Permutation.identity(G.n)
@@ -441,15 +463,15 @@ def classify(G: BipartiteCubicGraph,
     if orbit_count == 1:
         # One vertex orbit: arcs from both types lie in one orbit family,
         # so totals count starts of both types.
-        t, probe, orders = _max_arc_transitivity(G, aut, (1, 2),
-                                                 MAX_SYMMETRIC_T)
+        t, probe, sizes = _max_arc_transitivity(G, aut, (1, 2),
+                                                MAX_SYMMETRIC_T)
         if t == 0:
             result.verdict = "not-edge-transitive"
             return result
         arc = Arc.check(G, probe.vertices[:t + 1])
-        # The tower of the arc, read off the probe's stabilizer chain: the
-        # arc is a prefix of the probe.
-        seq = [orders[t + 1 - j] for j in range(t + 1)]
+        # The tower of the arc, read off the probe's prefix orbits: the arc
+        # is a prefix of the probe.
+        seq = [aut.order // sizes[t + 1 - j] for j in range(t + 1)]
         expected = [1] + [2 ** j for j in range(1, t)] + [3 * 2 ** (t - 1)]
         if seq != expected:
             raise InconsistencyError(

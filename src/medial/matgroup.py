@@ -137,18 +137,6 @@ class ResidueMatrix:
         return f"[[{a}, {b}], [{c}, {d}]]"
 
 
-@dataclass(frozen=True)
-class ProjectiveElement:
-    """Canonical representative of a matrix class mod scalars, with an
-    entrywise-conjugation flag for the semilinear extension."""
-
-    matrix: ResidueMatrix
-    star: bool = False
-
-    def __str__(self) -> str:
-        return f"{self.matrix}{'*' if self.star else ''}"
-
-
 def identity_matrix(ring: ResidueRing) -> ResidueMatrix:
     one, zero = ring.one(), ring.reduce(EisensteinInt(0, 0))
     return ResidueMatrix(ring, (one, zero, zero, one))
@@ -214,9 +202,6 @@ class _Arith:
         return tuple(self.index[self.ring.reduce(e)]
                      for e in mat.entries)  # type: ignore[return-value]
 
-    def decode(self, code: Sequence[int], ring: ResidueRing) -> ResidueMatrix:
-        return ResidueMatrix(ring, tuple(self.elems[i] for i in code))
-
     def mat_mul(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         """Product of the matrices in the first four entries of x and y."""
         mul, add = self.mul, self.add
@@ -261,10 +246,6 @@ class MatrixGroup:
         arith = self.arith
         product = arith.mat_mul(x, arith.mat_conj(y) if x[4] else y)
         return self.canonical(product + (x[4] ^ y[4],))
-
-    def to_element(self, code: tuple[int, ...]) -> ProjectiveElement:
-        return ProjectiveElement(
-            self.arith.decode(code[:4], self.ring), bool(code[4]))
 
     def identity_code(self) -> tuple[int, ...]:
         return self.canonical(

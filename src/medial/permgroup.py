@@ -1,10 +1,15 @@
 """Permutation groups on finite domains.
 
-Backed by numpy image arrays and a deterministic Schreier-Sims stabilizer
-chain (base points chosen in ascending domain order, or as prescribed).
-Provides exact orders, membership, orbits on points and tuples, and
-pointwise stabilizers, plus ``orbit``, the package's one closure primitive,
-and ``face_action``, the one action on the cosets of a subgroup.
+Permutations are numpy image arrays.  Orbits on points and on tuples of
+points go through ``orbit``, the package's one closure primitive, and
+``face_action`` is the one action on the cosets of a subgroup; the
+pipeline needs nothing else from this module.
+
+A deterministic Schreier-Sims stabilizer chain (base points chosen in
+ascending domain order, or as prescribed) gives exact orders, membership,
+prefix-stabilizer orders and transporters.  No pipeline stage builds one:
+the chain is the independent oracle that the tests check orbit counts,
+closures and automorphism groups against.
 """
 
 from __future__ import annotations
@@ -55,9 +60,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.images, np.arange(len(self.images))))
-
-    def apply_tuple(self, points: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(int(self.images[p]) for p in points)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and np.array_equal(self.images, other.images)
@@ -176,7 +178,7 @@ class PermutationGroup:
         def next_base(current_gens: list[Permutation]) -> int | None:
             # Prescribed points become base points unconditionally and in
             # order, so a prescribed prefix maps onto a chain prefix (needed
-            # by pointwise_stabilizer and transporter).
+            # by prefix_stabilizer_orders and transporter).
             if prescribed:
                 return prescribed.pop(0)
             for b in range(n):
@@ -253,42 +255,21 @@ class PermutationGroup:
             h = h * lvl.transversal[img].inverse()
         return h.is_identity()
 
-    def orbit(self, seed) -> set:
-        """Orbit of a point or tuple of points under the group."""
-        if isinstance(seed, int) or isinstance(seed, np.integer):
-            return orbit([int(seed)], self.generators, lambda p, g: g(p))
-        return orbit([tuple(seed)], self.generators,
-                     lambda t, g: g.apply_tuple(t))
+    def orbit(self, points: Sequence[int]) -> set[tuple[int, ...]]:
+        """Orbit of a tuple of points under the group."""
+        images = [g.images.tolist() for g in self.generators]
+        return orbit([tuple(points)], images,
+                     lambda t, g: tuple([g[p] for p in t]))
 
     def point_orbits(self) -> list[set[int]]:
-        out = []
+        images = [g.images.tolist() for g in self.generators]
+        out: list[set[int]] = []
         covered: set[int] = set()
         for p in range(self.degree):
-            if p in covered:
-                continue
-            orb = self.orbit(p)
-            covered |= orb
-            out.append(orb)
+            if p not in covered:
+                out.append(orbit([p], images, lambda q, g: g[q]))
+                covered |= out[-1]
         return out
-
-    def pointwise_stabilizer(self, points: Sequence[int]) -> "PermutationGroup":
-        """Subgroup fixing each listed point."""
-        pts = list(points)
-        sub = PermutationGroup(self.generators, degree=self.degree, base=pts)
-        levels = sub._build_chain()
-        # Descend past the levels whose base points are among the fixed ones.
-        idx = 0
-        for lvl in levels:
-            if lvl.base in pts:
-                idx += 1
-            else:
-                break
-        if idx == len(levels):
-            gens: list[Permutation] = []
-        else:
-            gens = levels[idx].gens
-        stab = PermutationGroup(gens, degree=self.degree)
-        return stab
 
     def prefix_stabilizer_orders(self, points: Sequence[int]) -> list[int]:
         """Orders of the pointwise stabilizers of points[:k] for k = 0..len,
@@ -303,17 +284,6 @@ class PermutationGroup:
                 cur //= len(levels[k].orbit)
             orders.append(cur)
         return orders
-
-    def elements(self, limit: int = 100000) -> list[Permutation]:
-        """All elements, via the chain; raises when the order exceeds limit."""
-        if self.order() > limit:
-            raise ValueError(f"group order {self.order()} exceeds limit {limit}")
-        # g = s * t with s in the stabilizer (deeper levels) and t a
-        # transversal element of the current level, composing left-to-right.
-        result = [Permutation.identity(self.degree)]
-        for lvl in reversed(self._build_chain()):
-            result = [r * t for r in result for t in lvl.transversal.values()]
-        return result
 
     def transporter(self, src: tuple[int, ...], dst: tuple[int, ...]) -> Permutation | None:
         """Some g in the group with src[i]^g = dst[i] for all i, or None."""

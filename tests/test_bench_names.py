@@ -41,3 +41,16 @@ def test_build_validates_through_traced_names(tmp_path):
     called = {span.name for span in tracer.spans}
     assert {"polytope.validate_string_cgroup",
             "polytope.self_duality_test"} <= called
+
+
+def test_classify_traces_no_stabilizer_chain(capsys):
+    # classify still shows in the trace, and the chain layers no longer
+    # run: their per-layer calls read 0.
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        assert cli.main(["classify", "universal:3,6:1,1:1,1"]) == 0
+    called = {span.name for span in tracer.spans}
+    assert {"graphsym.classify", "graphsym.t_arc_count"} <= called
+    assert not called & {"permgroup.prefix_stabilizer_orders",
+                         "permgroup.transporter"}
+    assert "3+" in capsys.readouterr().out

@@ -10,9 +10,9 @@ from medial.fpgroup import (
     invert_word,
     parse_presentation,
     parse_word,
-    subgroup_order,
     word_power,
 )
+from medial.permgroup import PermutationGroup
 
 
 def s3_presentation():
@@ -42,12 +42,15 @@ def test_subgroup_index_and_order():
     pres = simplex_presentation()
     table = coset_enumeration(pres, [gen_word(1), gen_word(2), gen_word(3)])
     assert table.num_cosets == 5  # vertices of the 4-simplex
-    assert subgroup_order(table, 120) == 24
+    # The subgroup is the stabilizer of its own coset in the (faithful)
+    # action on the 5 cosets.
+    group = PermutationGroup(table.generator_permutations())
+    assert group.prefix_stabilizer_orders([0]) == [120, 24]
 
 
 def test_permutation_representation_faithful_for_trivial_subgroup():
     table = coset_enumeration(s3_presentation())
-    group = table.permutation_representation()
+    group = PermutationGroup(table.generator_permutations())
     assert group.order() == 6
 
 

@@ -2,6 +2,8 @@
 arc counting, symmetry classification, isomorphism, and exporters."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from medial.eisenstein import parse_eisenstein
 from medial.graphsym import (
     Arc,
     GraphError,
+    InconsistencyError,
+    _prefix_orbit_sizes,
     _row_ranks,
     automorphism_group,
     base_arc,
@@ -41,6 +45,34 @@ RNG = random.Random(7)
 def k33():
     nbrs = [[3, 4, 5]] * 3 + [[0, 1, 2]] * 3
     return validate(nbrs, [1, 1, 1, 2, 2, 2])
+
+
+def universal_row(s, t):
+    pres = universal_locally_toroidal(ToroidalParams(*s), ToroidalParams(*t))
+    return medial_layer_graph(handle_from_presentation(pres, f"{s}-{t}"))
+
+
+def eisenstein_graph(m):
+    return medial_layer_graph(handle_from_matrix_group(generate_group(m)))
+
+
+ROWS = {1: ((1, 1), (1, 1)), 2: ((1, 1), (3, 0)), 3: ((2, 0), (2, 0)),
+        4: ((2, 0), (2, 2)), 5: ((3, 0), (3, 0))}
+
+
+def walk_count(G, jtype, t):
+    """Non-backtracking t-walks from type-j vertices, counted per directed
+    edge by dynamic programming: the oracle for ``t_arc_count``."""
+    counts = Counter({(v, w): 1 for v in range(G.n) if G.types[v] == jtype
+                      for w in G.neighbors(v)})
+    for _ in range(t - 1):
+        nxt = Counter()
+        for (u, v), c in counts.items():
+            for w in G.neighbors(v):
+                if w != u:
+                    nxt[(v, w)] += c
+        counts = nxt
+    return sum(counts.values())
 
 
 def haar_27_013():
@@ -135,26 +167,63 @@ def test_stabilizer_sequence_k33():
     assert stabilizer_sequence(g, aut, arc) == [1, 2, 4, 12]
 
 
-def test_symmetric_classify_builds_one_chain_per_probe(monkeypatch):
-    # Row 1 of Table 1 is symmetric: its stabilizer tower is read from the
-    # chain of the probe arc, and equals stabilizer_sequence's own.
-    pres = universal_locally_toroidal(ToroidalParams(1, 1), ToroidalParams(1, 1))
-    g = medial_layer_graph(handle_from_presentation(pres, "row 1"))
+def test_classify_never_builds_a_stabilizer_chain(monkeypatch):
+    # Arc transitivity, the tower and the shunts come from arc orbits and
+    # the individualization search, never from Schreier-Sims.
+    def refuse(self):
+        raise AssertionError("classify built a stabilizer chain")
+
+    monkeypatch.setattr(PermutationGroup, "_build_chain", refuse)
+    assert classify(universal_row(*ROWS[1])).label() == "3+"
+    c = classify(k33())
+    assert (c.label(), c.aut_order, c.stabilizer_orders) == \
+        (f"3{c.sign}", 72, [1, 2, 4, 12])
+    assert classify(gray_oracle(), type_order="unordered").label() == \
+        "ss-(3,4)"
+
+
+def _oracle_graphs():
+    yield "K3,3", k33()
+    for row, (s, t) in ROWS.items():
+        yield f"row {row}", universal_row(s, t)
+    yield "m=3", eisenstein_graph(parse_eisenstein("3"))
+    yield "(1-w)*(1+3w)", eisenstein_graph(
+        parse_eisenstein("1-w") * parse_eisenstein("1+3w"))
+
+
+def test_arc_orbit_orders_match_stabilizer_chain():
+    # The longest probe classify takes (a semisymmetric 8-arc) from each
+    # type; the symmetric probe is one of its prefixes.
+    for name, g in _oracle_graphs():
+        aut = automorphism_group(g)
+        for jtype in (1, 2):
+            probe = base_arc(g, int(g.vertices_of_type(jtype)[0]), 8)
+            sizes = _prefix_orbit_sizes(aut, probe.vertices)
+            assert [aut.order // s for s in sizes] == \
+                aut.group.prefix_stabilizer_orders(probe.vertices), name
+
+
+def test_arc_orbit_rejects_order_it_does_not_divide():
+    g = k33()
     aut = automorphism_group(g)
-    calls = []
-    original = PermutationGroup.prefix_stabilizer_orders
+    with pytest.raises(InconsistencyError, match="does not divide"):
+        classify(g, replace(aut, order=aut.order + 1))
 
-    def counting(self, points):
-        calls.append(tuple(points))
-        return original(self, points)
 
-    monkeypatch.setattr(PermutationGroup, "prefix_stabilizer_orders", counting)
-    c = classify(g, aut)
-    assert c.verdict == "symmetric"
-    assert len(calls) == 1
-    monkeypatch.undo()
-    arc = Arc.check(g, calls[0][:c.t + 1])
-    assert c.stabilizer_orders == stabilizer_sequence(g, aut, arc)
+def test_shunts_and_reverser_match_chain_transporter():
+    for name, g in (("K3,3", k33()), ("row 1", universal_row(*ROWS[1])),
+                    ("row 3", universal_row(*ROWS[3])),
+                    ("row 5", universal_row(*ROWS[5]))):
+        aut = automorphism_group(g)
+        c = classify(g, aut)
+        arc = base_arc(g, int(g.vertices_of_type(1)[0]), c.t)
+        vs = arc.vertices
+        ys = sorted(w for w in g.neighbors(vs[-1]) if w != vs[-2])
+        expected = [aut.group.transporter(vs, vs[1:] + (y,)) for y in ys]
+        expected.append(aut.group.transporter(vs, tuple(reversed(vs))))
+        tau1, tau2, alpha, sign = shunts_and_sign(g, aut, arc)
+        assert [tau1, tau2, alpha] == expected, name
+        assert sign == c.sign
 
 
 # -- arc counting -----------------------------------------------------------
@@ -162,15 +231,16 @@ def test_symmetric_classify_builds_one_chain_per_probe(monkeypatch):
 def test_t_arc_counts_gray():
     g = gray_oracle()
     for t, expected in ((1, 81), (2, 162), (3, 324), (4, 648)):
-        assert t_arc_count(g, 1, t) == expected
-        assert t_arc_count(g, 2, t) == expected
+        assert t_arc_count(g, 1, t) == walk_count(g, 1, t) == expected
+        assert t_arc_count(g, 2, t) == walk_count(g, 2, t) == expected
 
 
 def test_arc_count_matches_cubic_formula():
     # In any cubic graph: (n_j * 3) * 2^(t-1) non-backtracking t-walks.
     g = haar_27_013()
     for t in (1, 2, 3, 5):
-        assert t_arc_count(g, 1, t) == 27 * 3 * 2 ** (t - 1)
+        assert t_arc_count(g, 1, t) == walk_count(g, 1, t) \
+            == 27 * 3 * 2 ** (t - 1)
 
 
 def test_arc_check_rejects_backtracking_and_nonedges():
