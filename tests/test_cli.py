@@ -118,6 +118,17 @@ def test_classify_graph_file(capsys, tmp_path):
     assert row[5] == "1296"
 
 
+@pytest.mark.slow
+def test_classify_row7_with_lifted_cap(capsys):
+    # Table 1 row 7, decided once the vertex cap admits its 40320 vertices:
+    # about 50 s and 400 MB on 2 cores, so outside the default run.
+    code, out, _ = run(capsys, "classify", "universal:3,6:3,0:4,0",
+                       "--max-vertices", "50000")
+    assert code == EXIT_OK
+    _, _, order, n, verdict, aut, _ = parse_csv(out)[1]
+    assert (order, n, verdict, aut) == ("241920", "40320", "ss-(3,3)", "241920")
+
+
 def test_classify_undecided_exit_code(capsys):
     code, out, _ = run(capsys, "classify", "universal:3,6:1,1:1,1",
                        "--max-vertices", "4")

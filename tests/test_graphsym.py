@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from medial import graphsym
 from medial.catalog import ToroidalParams, universal_locally_toroidal
 from medial.eisenstein import parse_eisenstein
 from medial.graphsym import (
@@ -282,6 +283,109 @@ def test_row_ranks_match_numpy_unique_rows():
         assert np.array_equal(_row_ranks(sig), inverse.reshape(-1))
 
 
+def count_refinements(monkeypatch):
+    """Count ``_refine_joint`` calls: all of them, and those made inside the
+    type-swap search, the one search whose first B colouring is its A
+    colouring (the vertex types) with the two type labels exchanged."""
+    counts = Counter()
+    inside = [0]
+    refine, search = graphsym._refine_joint, graphsym._search_mapping
+
+    def counted_refine(*args):
+        counts["all"] += 1
+        counts["swap"] += inside[0] > 0
+        return refine(*args)
+
+    def watched_search(adjA, adjB, colA, colB, *rest):
+        swap = inside[0] > 0 or (set(colA.tolist()) <= {1, 2}
+                                 and np.array_equal(colB, 3 - colA))
+        inside[0] += swap
+        try:
+            return search(adjA, adjB, colA, colB, *rest)
+        finally:
+            inside[0] -= swap
+
+    monkeypatch.setattr(graphsym, "_refine_joint", counted_refine)
+    monkeypatch.setattr(graphsym, "_search_mapping", watched_search)
+    return counts
+
+
+def test_swap_search_is_pruned_by_the_type_preserving_group(monkeypatch):
+    # Without pruning, proving that 3-3w has no type swap tries all 729
+    # vertices of the other type: 730 refinement calls.
+    counts = count_refinements(monkeypatch)
+    aut = automorphism_group(eisenstein_graph(parse_eisenstein("3-3w")))
+    assert aut.order == 34992
+    assert 0 < counts["swap"] <= 10
+
+
+def test_chiral_automorphism_search_work(monkeypatch):
+    # 350 refinement calls without pruning, 337 of them in the swap search.
+    counts = count_refinements(monkeypatch)
+    aut = automorphism_group(eisenstein_graph(
+        parse_eisenstein("1-w") * parse_eisenstein("1+3w")))
+    assert aut.order == 2016
+    assert counts["all"] <= 30
+
+
+def double_cover(nx, x):
+    return nx.tensor_product(x, nx.complete_graph(2))
+
+
+# Small connected bipartite cubic graphs.  The prisms have a type swap but
+# are not edge-transitive; the Frucht cover has |Aut| = 2 with no
+# type-preserving automorphism to prune the swap search by.
+NX_GRAPHS = {
+    "K3,3": lambda nx: nx.complete_bipartite_graph(3, 3),
+    "cube": lambda nx: nx.cubical_graph(),
+    "Heawood": lambda nx: nx.heawood_graph(),
+    "Moebius-Kantor": lambda nx: nx.moebius_kantor_graph(),
+    "Pappus": lambda nx: nx.pappus_graph(),
+    "Desargues": lambda nx: nx.desargues_graph(),
+    "hexagonal prism": lambda nx: nx.circular_ladder_graph(6),
+    "octagonal prism": lambda nx: nx.circular_ladder_graph(8),
+    "Frucht cover": lambda nx: double_cover(nx, nx.frucht_graph()),
+    "Petersen cover": lambda nx: double_cover(nx, nx.petersen_graph()),
+    "truncated tetrahedron cover":
+        lambda nx: double_cover(nx, nx.truncated_tetrahedron_graph()),
+    "dodecahedron cover":
+        lambda nx: double_cover(nx, nx.dodecahedral_graph()),
+}
+
+
+def from_networkx(nx, x):
+    """The graph as a BipartiteCubicGraph, typed by a 2-colouring."""
+    x = nx.convert_node_labels_to_integers(x)
+    color = nx.bipartite.color(x)
+    return validate([list(x[v]) for v in range(len(x))],
+                    [color[v] + 1 for v in range(len(x))])
+
+
+def to_networkx(nx, g):
+    x = nx.Graph()
+    x.add_nodes_from(range(g.n))
+    x.add_edges_from(g.edges())
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(NX_GRAPHS))
+def test_aut_order_matches_chain_and_networkx(name):
+    nx = pytest.importorskip("networkx")
+    x = nx.convert_node_labels_to_integers(NX_GRAPHS[name](nx))
+    g = from_networkx(nx, x)
+    aut = automorphism_group(g)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(x, x)
+    count = sum(1 for _ in matcher.isomorphisms_iter())
+    assert aut.order == aut.group.order() == count
+    if name == "Frucht cover":
+        assert aut.order == 2
+        [swap] = aut.generators
+        assert all(g.types[swap(v)] != g.types[v] for v in range(g.n))
+    if name.endswith("prism"):
+        assert len(aut.vertex_orbits) == 1
+        assert classify(g, aut).verdict == "not-edge-transitive"
+
+
 def test_haar_graph_not_edge_transitive_branch_is_consistent():
     c = classify(haar_27_013())
     # Whatever the verdict, the basic bookkeeping must hold.
@@ -308,6 +412,32 @@ def test_isomorphism_self_and_relabeled():
 
 def test_isomorphism_negative_same_size():
     assert is_isomorphic(gray_oracle(), haar_27_013()) == (False, None)
+
+
+def test_isomorphism_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    gray = gray_oracle()
+    perm = list(range(gray.n))
+    random.Random(11).shuffle(perm)
+    pairs = [
+        (from_networkx(nx, nx.desargues_graph()),
+         from_networkx(nx, double_cover(nx, nx.petersen_graph()))),
+        (gray, gray.relabeled(perm)),
+        (from_networkx(nx, nx.moebius_kantor_graph()),
+         from_networkx(nx, nx.circular_ladder_graph(8))),
+        (gray, haar_27_013()),
+    ]
+    verdicts = []
+    for g, h in pairs:
+        assert g.n == h.n
+        ok, witness = is_isomorphic(g, h)
+        assert ok == nx.is_isomorphic(to_networkx(nx, g), to_networkx(nx, h))
+        if ok:
+            image = sorted(tuple(sorted((witness[v], witness[w])))
+                           for v, w in g.edges())
+            assert image == sorted(h.edges())
+        verdicts.append(ok)
+    assert verdicts == [True, True, False, False]
 
 
 def test_isomorphism_negative_different_size():
@@ -345,11 +475,9 @@ def test_graph6_matches_networkx(source):
     else:
         g = medial_layer_graph(handle_from_matrix_group(
             generate_group(parse_eisenstein("3-3w"))))
-    ref = nx.Graph()
-    ref.add_nodes_from(range(g.n))
-    ref.add_edges_from(g.edges())
     text = to_graph6(g)
-    assert text.encode() == nx.to_graph6_bytes(ref, header=False).rstrip(b"\n")
+    assert text.encode() == \
+        nx.to_graph6_bytes(to_networkx(nx, g), header=False).rstrip(b"\n")
     assert sorted(from_graph6(text).edges()) == sorted(g.edges())
 
 
