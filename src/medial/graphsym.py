@@ -3,7 +3,7 @@
 Provides validated bipartite cubic graphs, automorphism groups computed by
 color refinement with individualization (orbit-stabilizer over a base of
 individualized vertices, then one search for a type swap that tries one
-candidate per orbit of the type-preserving group already found: the
+root candidate per orbit of the type-preserving group already found: the
 automorphism pruning of McKay & Piperno, Practical graph isomorphism II,
 J. Symb. Comput. 60 (2014), section 3), non-backtracking t-arc machinery,
 and the classification of a graph as
@@ -182,18 +182,14 @@ def _refine_joint(adjA: np.ndarray, adjB: np.ndarray,
 
 def _search_mapping(adjA: np.ndarray, adjB: np.ndarray,
                     colA: np.ndarray, colB: np.ndarray,
-                    _gens: Sequence[np.ndarray] = (),
-                    _base: Sequence[int] = ()) -> np.ndarray | None:
+                    _gens: Sequence[np.ndarray] = ()) -> np.ndarray | None:
     """Color-respecting isomorphism A -> B by individualization-refinement.
 
-    Optional pruning: ``_gens`` are automorphisms of B that preserve colB
-    and fix every B point individualized so far, and ``_base`` lists the
-    points they were found along, next point first.  The target cell is
-    cut to one candidate per ``_gens``-orbit, since two candidates in one
-    orbit root equivalent subtrees (McKay & Piperno, Practical graph
-    isomorphism II, J. Symb. Comput. 60 (2014), section 3).  The base
-    point stands for its own orbit, and below it the search prunes by the
-    generators that fix it; below any other candidate it runs unpruned.
+    Optional root pruning: ``_gens`` are automorphisms of B that preserve
+    colB.  The root target cell is cut to one candidate per ``_gens``-orbit,
+    since two candidates in one orbit root equivalent subtrees (McKay &
+    Piperno, Practical graph isomorphism II, J. Symb. Comput. 60 (2014),
+    section 3).  Below the root the search runs unpruned.
     """
     refined = _refine_joint(adjA, adjB, colA, colB)
     if refined is None:
@@ -213,22 +209,15 @@ def _search_mapping(adjA: np.ndarray, adjB: np.ndarray,
     u = int(np.flatnonzero(colA == c)[0])
     colA = colA.copy()
     colA[u] = fresh
-    cell = [int(v) for v in np.flatnonzero(colB == c)]
-    if _base and _base[0] in cell:
-        cell.remove(_base[0])
-        cell.insert(0, _base[0])
     covered: set[int] = set()
-    for v in cell:
+    for v in np.flatnonzero(colB == c):
+        v = int(v)
         if v in covered:
             continue
         covered |= orbit([v], _gens, _image)
         colB2 = colB.copy()
         colB2[v] = fresh
-        if _base and v == _base[0]:
-            found = _search_mapping(adjA, adjB, colA, colB2,
-                                    [g for g in _gens if g[v] == v], _base[1:])
-        else:
-            found = _search_mapping(adjA, adjB, colA, colB2)
+        found = _search_mapping(adjA, adjB, colA, colB2)
         if found is not None:
             return found
     return None
@@ -265,10 +254,9 @@ def automorphism_group(G: BipartiteCubicGraph,
     The type-preserving subgroup comes from orbit-stabilizer over
     individualized base vertices; one extra search then looks for a
     type-swapping automorphism (the subgroup has index at most 2).  That
-    search is pruned by the subgroup's generators along its base, so it
-    tries one candidate per orbit (McKay & Piperno 2014, section 3): to
-    prove that an edge-transitive graph has no swap it tries one vertex of
-    the other type, not all N/2.
+    search tries one root candidate per orbit of the subgroup (McKay &
+    Piperno 2014, section 3): to prove that an edge-transitive graph has no
+    swap it tries one vertex of the other type, not all N/2.
     """
     if G.n > max_vertices:
         return AutomorphismResult(
@@ -309,7 +297,7 @@ def automorphism_group(G: BipartiteCubicGraph,
     # pruned by the type-preserving group just found, which preserves the
     # swapped colouring too.
     swapped = np.where(G.types == 1, 2, 1).astype(np.int64)
-    swap = _search_mapping(adj, adj, base_colors, swapped, gens, fixed)
+    swap = _search_mapping(adj, adj, base_colors, swapped, gens)
     if swap is not None:
         gens.append(swap)
         order *= 2
