@@ -216,11 +216,17 @@ def cmd_build(spec: JobSpec, out) -> int:
 
 
 def _load_graph(path: str) -> BipartiteCubicGraph:
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".g6") or path.endswith(".graph6"):
-        return graphsym.from_graph6(text)
-    return graphsym.from_adjacency_text(text)
+    """Read a .g6/.graph6 or adjacency-text file.  Text that does not decode
+    is bad input; a decoded graph that fails validation raises GraphError."""
+    decode = (graphsym.from_graph6 if path.endswith((".g6", ".graph6"))
+              else graphsym.from_adjacency_text)
+    try:
+        with open(path) as fh:
+            return decode(fh.read())
+    except GraphError:
+        raise
+    except ValueError as exc:  # also a file that is not text
+        raise BadInput(f"{path}: {exc}") from None
 
 
 def cmd_classify(spec: JobSpec, out) -> int:

@@ -9,7 +9,6 @@ exception.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field
 
@@ -57,111 +56,6 @@ class Presentation:
     @property
     def ngens(self) -> int:
         return len(self.names)
-
-    def word_to_str(self, w: Word) -> str:
-        parts = []
-        for x in w:
-            name = self.names[x // 2]
-            parts.append(name if x % 2 == 0 else f"{name}^-1")
-        return " ".join(parts)
-
-    def parse_word(self, text: str) -> Word:
-        return parse_word(text, self.names)
-
-    def __str__(self) -> str:
-        rels = ", ".join(self.word_to_str(w) for w in self.relators)
-        return f"gens: {' '.join(self.names)}; rels: {rels}"
-
-
-# -- word / presentation parsing ---------------------------------------------
-
-
-class _Lexer:
-    def __init__(self, text: str, names: tuple[str, ...]):
-        self.text = text
-        self.pos = 0
-        # Greedy, longest-name-first matching lets single-letter names be
-        # juxtaposed (e.g. "(ab)^3") while multi-char names need spaces.
-        self.names = sorted(names, key=len, reverse=True)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take_name(self) -> str | None:
-        self.skip_ws()
-        for name in self.names:
-            if self.text.startswith(name, self.pos):
-                self.pos += len(name)
-                return name
-        return None
-
-    def take_int(self) -> int:
-        self.skip_ws()
-        m = re.match(r"[+-]?\d+", self.text[self.pos:])
-        if not m:
-            raise ValueError(f"expected integer at {self.text[self.pos:]!r}")
-        self.pos += m.end()
-        return int(m.group())
-
-
-def parse_word(text: str, names: tuple[str, ...] | list[str]) -> Word:
-    """Parse e.g. ``r0 r1 r2 r1^-1`` or ``(ab)^3 b^2``."""
-    names = tuple(names)
-    index = {n: i for i, n in enumerate(names)}
-    lx = _Lexer(text, names)
-
-    def word(depth: int) -> Word:
-        out: list[int] = []
-        while True:
-            ch = lx.peek()
-            if ch is None or ch == ")" or ch == ",":
-                break
-            if ch == "(":
-                lx.pos += 1
-                inner = word(depth + 1)
-                if lx.peek() != ")":
-                    raise ValueError(f"unbalanced parenthesis in {text!r}")
-                lx.pos += 1
-                out.extend(_exponent(lx, inner))
-            else:
-                name = lx.take_name()
-                if name is None:
-                    raise ValueError(f"unknown token at {lx.text[lx.pos:]!r} in {text!r}")
-                out.extend(_exponent(lx, (2 * index[name],)))
-        return tuple(out)
-
-    w = word(0)
-    lx.skip_ws()
-    if lx.pos != len(text.strip()) and lx.pos < len(lx.text):
-        remaining = lx.text[lx.pos:].strip()
-        if remaining:
-            raise ValueError(f"trailing input {remaining!r} in {text!r}")
-    return w
-
-
-def _exponent(lx: _Lexer, base: Word) -> Word:
-    if lx.peek() == "^":
-        lx.pos += 1
-        return word_power(base, lx.take_int())
-    return base
-
-
-def parse_presentation(text: str) -> Presentation:
-    """Parse ``gens: a b c; rels: a^2, (ab)^3, ...``."""
-    m = re.match(r"\s*gens\s*:\s*(.*?)\s*;\s*rels\s*:\s*(.*)\s*$", text, re.DOTALL)
-    if not m:
-        raise ValueError("presentation must look like 'gens: ...; rels: ...'")
-    names = tuple(m.group(1).split())
-    if len(set(names)) != len(names) or not names:
-        raise ValueError("generator names must be nonempty and distinct")
-    rel_texts = [r.strip() for r in m.group(2).split(",") if r.strip()]
-    relators = tuple(parse_word(r, names) for r in rel_texts)
-    return Presentation(names=names, relators=relators)
 
 
 # -- coset enumeration --------------------------------------------------------

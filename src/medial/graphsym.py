@@ -1,12 +1,13 @@
 """Symmetry analysis of bipartite cubic graphs.
 
 Provides validated bipartite cubic graphs, automorphism groups computed by
-color refinement with individualization (orbit-stabilizer over a base of
-individualized vertices, then one search for a type swap that tries one
-root candidate per orbit of the type-preserving group already found: the
-automorphism pruning of McKay & Piperno, Practical graph isomorphism II,
-J. Symb. Comput. 60 (2014), section 3), non-backtracking t-arc machinery,
-and the classification of a graph as
+color refinement with individualization (one orbit-stabilizer loop over a
+base of individualized vertices that ignores the vertex types, so a type
+swap is found like any other automorphism; each level skips the orbits of
+the base point and of failed candidates under the generators found so far,
+the automorphism pruning of McKay & Piperno, Practical graph isomorphism
+II, J. Symb. Comput. 60 (2014), section 3), non-backtracking t-arc
+machinery, and the classification of a graph as
 
 * Symmetric {t, sign}: one vertex orbit, transitive on t-arcs but not on
   (t+1)-arcs; the sign is read off the shunts tau1, tau2 (the unique
@@ -39,6 +40,7 @@ with explicit witness, and adjacency-list / DOT / graph6 exporters.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -99,6 +101,8 @@ def validate(neighbors: Sequence[Iterable[int]],
     form the bipartition, with equal halves).
     """
     n = len(neighbors)
+    if n == 0:
+        raise GraphError("graph has no vertices")
     if len(types) != n:
         raise GraphError(f"{len(types)} type labels for {n} vertices")
     t = np.asarray(types, dtype=np.int8)
@@ -181,16 +185,8 @@ def _refine_joint(adjA: np.ndarray, adjB: np.ndarray,
 
 
 def _search_mapping(adjA: np.ndarray, adjB: np.ndarray,
-                    colA: np.ndarray, colB: np.ndarray,
-                    _gens: Sequence[np.ndarray] = ()) -> np.ndarray | None:
-    """Color-respecting isomorphism A -> B by individualization-refinement.
-
-    Optional root pruning: ``_gens`` are automorphisms of B that preserve
-    colB.  The root target cell is cut to one candidate per ``_gens``-orbit,
-    since two candidates in one orbit root equivalent subtrees (McKay &
-    Piperno, Practical graph isomorphism II, J. Symb. Comput. 60 (2014),
-    section 3).  Below the root the search runs unpruned.
-    """
+                    colA: np.ndarray, colB: np.ndarray) -> np.ndarray | None:
+    """Color-respecting isomorphism A -> B by individualization-refinement."""
     refined = _refine_joint(adjA, adjB, colA, colB)
     if refined is None:
         return None
@@ -209,12 +205,7 @@ def _search_mapping(adjA: np.ndarray, adjB: np.ndarray,
     u = int(np.flatnonzero(colA == c)[0])
     colA = colA.copy()
     colA[u] = fresh
-    covered: set[int] = set()
     for v in np.flatnonzero(colB == c):
-        v = int(v)
-        if v in covered:
-            continue
-        covered |= orbit([v], _gens, _image)
         colB2 = colB.copy()
         colB2[v] = fresh
         found = _search_mapping(adjA, adjB, colA, colB2)
@@ -223,11 +214,11 @@ def _search_mapping(adjA: np.ndarray, adjB: np.ndarray,
     return None
 
 
-def _individualized(base: np.ndarray, fixed: Sequence[int]) -> np.ndarray:
-    col = base.astype(np.int64).copy()
-    start = int(base.max()) + 1
-    for i, v in enumerate(fixed):
-        col[v] = start + i
+def _individualized(n: int, fixed: Sequence[int]) -> np.ndarray:
+    """The colouring of n vertices that gives fixed[i] colour i + 1 and
+    every other vertex colour 0."""
+    col = np.zeros(n, dtype=np.int64)
+    col[list(fixed)] = np.arange(1, len(fixed) + 1)
     return col
 
 
@@ -249,26 +240,30 @@ class AutomorphismResult:
 
 def automorphism_group(G: BipartiteCubicGraph,
                        max_vertices: int = DEFAULT_VERTEX_CAP) -> AutomorphismResult:
-    """Generators and exact order of Aut(G).
+    """Generators and exact order of Aut(G), vertex types ignored.
 
-    The type-preserving subgroup comes from orbit-stabilizer over
-    individualized base vertices; one extra search then looks for a
-    type-swapping automorphism (the subgroup has index at most 2).  That
-    search tries one root candidate per orbit of the subgroup (McKay &
-    Piperno 2014, section 3): to prove that an edge-transitive graph has no
-    swap it tries one vertex of the other type, not all N/2.
+    Orbit-stabilizer over a base of individualized vertices: each level
+    finds the orbit of its base point b under the stabilizer of the earlier
+    base points by searching, for each candidate v in b's refined cell, for
+    an automorphism that fixes them and maps b to v.  The search starts
+    from the all-zero colouring, so the level-0 cell is the whole vertex
+    set and a type swap, if any, is an ordinary level-0 generator.
+
+    A candidate is skipped when it lies in the orbit of b or of a candidate
+    that already failed, under the generators found so far that fix the
+    base (McKay & Piperno 2014, section 3).  So once the generators are
+    transitive on the other type, one failed search rules out a type swap.
     """
     if G.n > max_vertices:
         return AutomorphismResult(
             "undecided",
             reason=f"{G.n} vertices exceed the cap {max_vertices}")
     adj = G.adj
-    base_colors = G.types.astype(np.int64)
     gens: list[np.ndarray] = []
     order = 1
     fixed: list[int] = []
     while True:
-        col = _individualized(base_colors, fixed)
+        col = _individualized(G.n, fixed)
         refined = _refine_joint(adj, adj, col, col)
         assert refined is not None
         col, _ = refined
@@ -280,27 +275,23 @@ def automorphism_group(G: BipartiteCubicGraph,
         cell = [int(v) for v in np.flatnonzero(col == c)]
         b = cell[0]
         level_gens = [g for g in gens if all(g[f] == f for f in fixed)]
-        b_orbit = orbit([b], level_gens, _image)
-        colA = _individualized(base_colors, fixed + [b])
+        failed: list[int] = []
+        covered = orbit([b], level_gens, _image)
+        colA = _individualized(G.n, fixed + [b])
         for v in cell[1:]:
-            if v in b_orbit:
+            if v in covered:
                 continue
-            colB = _individualized(base_colors, fixed + [v])
-            found = _search_mapping(adj, adj, colA, colB)
-            if found is not None:
+            found = _search_mapping(adj, adj, colA,
+                                    _individualized(G.n, fixed + [v]))
+            if found is None:
+                failed.append(v)
+                covered |= orbit([v], level_gens, _image)
+            else:
                 gens.append(found)
                 level_gens.append(found)
-                b_orbit = orbit([b], level_gens, _image)
-        order *= len(b_orbit)
+                covered = orbit([b] + failed, level_gens, _image)
+        order *= len(orbit([b], level_gens, _image))
         fixed.append(b)
-    # Type-swapping coset: search with the type roles exchanged on one side,
-    # pruned by the type-preserving group just found, which preserves the
-    # swapped colouring too.
-    swapped = np.where(G.types == 1, 2, 1).astype(np.int64)
-    swap = _search_mapping(adj, adj, base_colors, swapped, gens)
-    if swap is not None:
-        gens.append(swap)
-        order *= 2
     perms = [Permutation(g) for g in gens]
     group = PermutationGroup(perms, degree=G.n)
     orbits = group.point_orbits()
@@ -433,12 +424,11 @@ def shunts_and_sign(G: BipartiteCubicGraph, aut: AutomorphismResult,
     swaps them; the map is unique when the arc's stabilizer is trivial.
     """
     vs = arc.vertices
-    plain = np.zeros(G.n, dtype=np.int64)
-    source = _individualized(plain, vs)
+    source = _individualized(G.n, vs)
 
     def carry(target: tuple[int, ...]) -> Permutation | None:
         found = _search_mapping(G.adj, G.adj, source,
-                                _individualized(plain, target))
+                                _individualized(G.n, target))
         return None if found is None else Permutation(found)
 
     ys = sorted(w for w in G.neighbors(vs[-1]) if w != vs[-2])
@@ -527,18 +517,17 @@ def is_isomorphic(G: BipartiteCubicGraph, H: BipartiteCubicGraph
                   ) -> tuple[bool, list[int] | None]:
     """Isomorphism test with an explicit vertex bijection witness.
 
-    Both pairings of the type classes are attempted, so type labels do not
-    have to agree between the two inputs.
+    The search ignores the type labels, which therefore need not agree
+    between the two inputs: a witness maps each type class of G onto one
+    type class of H.
     """
     if G.n != H.n:
         return False, None
-    for hcolors in (H.types.astype(np.int64),
-                    np.where(H.types == 1, 2, 1).astype(np.int64)):
-        mapping = _search_mapping(G.adj, H.adj, G.types.astype(np.int64),
-                                  hcolors)
-        if mapping is not None:
-            return True, [int(x) for x in mapping]
-    return False, None
+    plain = _individualized(G.n, ())
+    mapping = _search_mapping(G.adj, H.adj, plain, plain)
+    if mapping is None:
+        return False, None
+    return True, [int(x) for x in mapping]
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +566,26 @@ def to_adjacency_text(G: BipartiteCubicGraph) -> str:
 
 
 def from_adjacency_text(text: str) -> BipartiteCubicGraph:
+    """Decode lines ``VERTEX TYPE: NEIGHBOR ...``, skipping blank lines and
+    lines that start with '#'.  Raises ValueError on a line it cannot read
+    and GraphError on a graph that fails ``validate``."""
     neighbors = {}
     types = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        head, _, rest = line.partition(":")
-        vid, vtype = head.split()
-        neighbors[int(vid)] = [int(x) for x in rest.split()]
-        types[int(vid)] = int(vtype)
+        head, colon, rest = line.partition(":")
+        try:
+            vid, vtype = (int(x) for x in head.split())
+            if not colon or vid in neighbors:
+                raise ValueError
+            neighbors[vid] = [int(x) for x in rest.split()]
+        except ValueError:
+            raise ValueError(f"line {lineno}: {line!r} is not"
+                             " 'VERTEX TYPE: NEIGHBOR ...' with a new"
+                             " vertex id") from None
+        types[vid] = vtype
     n = len(neighbors)
     if sorted(neighbors) != list(range(n)):
         raise GraphError("vertex ids must be 0..n-1")
@@ -635,21 +634,32 @@ def from_graph6(text: str, types: Sequence[int] | None = None
     vertex 0 becomes type 1), flagged as convention, not provenance.
 
     Only the set bits are decoded: bit k of the upper triangle is the edge
-    {i, j} with j(j-1)/2 <= k = j(j-1)/2 + i < j(j+1)/2.
+    {i, j} with j(j-1)/2 <= k = j(j-1)/2 + i < j(j+1)/2.  Raises ValueError
+    on text that is not graph6 and GraphError on a graph that fails
+    ``validate``.
     """
     text = text.strip()
     if text.startswith(">>graph6<<"):
         text = text[10:]
-    if text[0] == chr(126):
+    if not text:
+        raise ValueError("graph6 text is empty")
+    if not re.fullmatch("[?-~]*", text):
+        raise ValueError("graph6 text has a character outside '?'..'~'")
+    if text[0] != "~":
+        n, body = ord(text[0]) - 63, text[1:]
+    elif len(text) >= 4 and text[1] != "~":
         n = ((ord(text[1]) - 63) << 12) | ((ord(text[2]) - 63) << 6) \
             | (ord(text[3]) - 63)
         body = text[4:]
     else:
-        n = ord(text[0]) - 63
-        body = text[1:]
-    neighbors: list[list[int]] = [[] for _ in range(n)]
+        raise ValueError("graph6 header is truncated or beyond"
+                         " 258047 vertices")
     nbits = n * (n - 1) // 2
-    for pos in range((nbits + 5) // 6):
+    if len(body) != (nbits + 5) // 6:
+        raise ValueError(f"graph6 body has {len(body)} characters; {n}"
+                         f" vertices need {(nbits + 5) // 6}")
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for pos in range(len(body)):
         val = ord(body[pos]) - 63
         if not val:
             continue
@@ -661,13 +671,16 @@ def from_graph6(text: str, types: Sequence[int] | None = None
                 neighbors[j].append(i)
     if types is None:
         color = [0] * n
-        color[0] = 1
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for w in neighbors[v]:
-                if color[w] == 0:
-                    color[w] = 3 - color[v]
-                    frontier.append(w)
+        for start in range(n):  # every component, so validate can say why
+            if color[start]:
+                continue
+            color[start] = 1
+            frontier = [start]
+            while frontier:
+                v = frontier.pop()
+                for w in neighbors[v]:
+                    if color[w] == 0:
+                        color[w] = 3 - color[v]
+                        frontier.append(w)
         types = color
     return validate(neighbors, types)

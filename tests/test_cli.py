@@ -158,6 +158,34 @@ def test_missing_graph_file_exit_code(capsys):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("name, text, reason", [
+    ("empty.g6", "", "empty"),
+    ("truncated.g6", "A", "body has 0 characters"),
+    ("short.g6", "E??", "body has 2 characters"),
+    ("header.g6", "~??", "header"),
+    ("two-fields.adj", "0: 1 2 3\n", "line 1"),
+    ("repeated.adj", "0 1: 1 2 3\n0 1: 1 2 3\n", "line 2"),
+])
+def test_malformed_graph_file_exit_code(capsys, tmp_path, name, text,
+                                        reason):
+    path = tmp_path / name
+    path.write_text(text)
+    code, _, err = run(capsys, "classify", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error:") and reason in err
+
+
+@pytest.mark.parametrize("name, text", [("k4.g6", "C~"), ("none.g6", "?")])
+def test_invalid_graph_file_exit_code(capsys, tmp_path, name, text):
+    # Decodable, but K4 is not bipartite and "?" has no vertices: a
+    # validation failure, not bad input.
+    path = tmp_path / name
+    path.write_text(text)
+    code, _, err = run(capsys, "classify", str(path))
+    assert code == EXIT_VALIDATION
+    assert "validation failure" in err
+
+
 def test_bad_limit_exit_code(capsys):
     code, _, _ = run(capsys, "build", "universal:3,6:1,1:1,1",
                      "--max-cosets", "0")

@@ -1,5 +1,5 @@
-"""Coset enumeration against known group orders, subgroup indices, and the
-word/presentation parsers."""
+"""Coset enumeration against known group orders and subgroup indices, and
+the word helpers."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from medial.fpgroup import (
     coset_enumeration,
     gen_word,
     invert_word,
-    parse_presentation,
-    parse_word,
     word_power,
 )
 from medial.permgroup import PermutationGroup
@@ -71,18 +69,8 @@ def test_overflow_result():
     assert table.status == "overflow"
 
 
-def test_parse_word_inverses_and_powers():
-    names = ("a", "b")
-    assert parse_word("a b", names) == (0, 2)
-    assert parse_word("a^-1", names) == (1,)
-    assert parse_word("(a b)^2", names) == (0, 2, 0, 2)
-    assert invert_word(parse_word("a b", names)) == (3, 1)
-
-
-def test_parse_presentation_roundtrip():
-    pres = parse_presentation("gens: a b; rels: a^2, b^2, (a b)^3")
-    table = coset_enumeration(pres)
-    assert table.num_cosets == 6
+def test_invert_word_reverses_and_inverts_letters():
+    assert invert_word(gen_word(0, 1)) == (3, 1)
 
 
 def test_bad_subgroup_word_rejected():

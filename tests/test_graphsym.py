@@ -284,43 +284,37 @@ def test_row_ranks_match_numpy_unique_rows():
 
 
 def count_refinements(monkeypatch):
-    """Count ``_refine_joint`` calls: all of them, and those made inside the
-    type-swap search, the one search whose first B colouring is its A
-    colouring (the vertex types) with the two type labels exchanged."""
+    """Count the ``_refine_joint`` calls made from here on."""
     counts = Counter()
-    inside = [0]
-    refine, search = graphsym._refine_joint, graphsym._search_mapping
+    refine = graphsym._refine_joint
 
     def counted_refine(*args):
         counts["all"] += 1
-        counts["swap"] += inside[0] > 0
         return refine(*args)
 
-    def watched_search(adjA, adjB, colA, colB, *rest):
-        swap = inside[0] > 0 or (set(colA.tolist()) <= {1, 2}
-                                 and np.array_equal(colB, 3 - colA))
-        inside[0] += swap
-        try:
-            return search(adjA, adjB, colA, colB, *rest)
-        finally:
-            inside[0] -= swap
-
     monkeypatch.setattr(graphsym, "_refine_joint", counted_refine)
-    monkeypatch.setattr(graphsym, "_search_mapping", watched_search)
     return counts
 
 
-def test_swap_search_is_pruned_by_the_type_preserving_group(monkeypatch):
-    # Without pruning, proving that 3-3w has no type swap tries all 729
-    # vertices of the other type: 730 refinement calls.
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_automorphism_search_is_pruned_by_the_group_found(monkeypatch, seed):
+    # Level 0 tries every vertex as the image of the first base point.
+    # Without skipping the orbits of failed candidates, proving that 3-3w
+    # has no type swap tries all 729 vertices of the other type.
+    g = eisenstein_graph(parse_eisenstein("3-3w"))
+    if seed is not None:
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        g = g.relabeled(perm)
     counts = count_refinements(monkeypatch)
-    aut = automorphism_group(eisenstein_graph(parse_eisenstein("3-3w")))
+    aut = automorphism_group(g)
     assert aut.order == 34992
-    assert 0 < counts["swap"] <= 10
+    assert len(aut.vertex_orbits) == 2
+    assert counts["all"] <= 60
 
 
 def test_chiral_automorphism_search_work(monkeypatch):
-    # 350 refinement calls without pruning, 337 of them in the swap search.
+    # About 350 refinement calls without pruning.
     counts = count_refinements(monkeypatch)
     aut = automorphism_group(eisenstein_graph(
         parse_eisenstein("1-w") * parse_eisenstein("1+3w")))
@@ -333,8 +327,8 @@ def double_cover(nx, x):
 
 
 # Small connected bipartite cubic graphs.  The prisms have a type swap but
-# are not edge-transitive; the Frucht cover has |Aut| = 2 with no
-# type-preserving automorphism to prune the swap search by.
+# are not edge-transitive; the Frucht cover has |Aut| = 2 and its one
+# non-trivial automorphism swaps the types.
 NX_GRAPHS = {
     "K3,3": lambda nx: nx.complete_bipartite_graph(3, 3),
     "cube": lambda nx: nx.cubical_graph(),
@@ -408,6 +402,21 @@ def test_isomorphism_self_and_relabeled():
     for v in range(g.n):
         image = {witness[w] for w in g.neighbors(v)}
         assert image == set(int(x) for x in h.neighbors(witness[v]))
+
+
+def test_isomorphism_ignores_type_labels():
+    # H is the Gray graph with its type labels exchanged and its vertices
+    # renamed.  Every automorphism of the Gray graph preserves the types,
+    # so a witness must carry type 1 of G onto type 2 of H.
+    g = gray_oracle()
+    perm = list(range(g.n))
+    random.Random(5).shuffle(perm)
+    h = replace(g, types=3 - g.types).relabeled(perm)
+    ok, witness = is_isomorphic(g, h)
+    assert ok
+    assert sorted(tuple(sorted((witness[v], witness[w])))
+                  for v, w in g.edges()) == sorted(h.edges())
+    assert all(h.types[witness[v]] == 3 - g.types[v] for v in range(g.n))
 
 
 def test_isomorphism_negative_same_size():
