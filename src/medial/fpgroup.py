@@ -5,6 +5,15 @@ inverse.  Enumeration follows the HLT strategy (relator scanning with
 fill), with in-place coincidence processing and a single lookahead pass
 when the coset limit is reached.  Overflow is a first-class result, not an
 exception.
+
+A generator with the relator ``x x`` is an involution and gets a single
+table column, its own inverse, as in the standard enumerators (Holt, Eick
+& O'Brien, *Handbook of Computational Group Theory*, ch. 5); its ``x x``
+relators are then not scanned.  Every other generator has a column for
+itself and one for its inverse.  On the Table 1 presentations, whose four
+generators are all involutions, this about halves the enumeration time.
+The finished table is expanded back to one entry per letter, so an
+involution's two letters read the same images.
 """
 
 from __future__ import annotations
@@ -31,6 +40,11 @@ def word_power(w: Word, n: int) -> Word:
     if n < 0:
         return invert_word(w) * (-n)
     return w * n
+
+
+def _is_square(w: Word) -> bool:
+    """True for a relator ``x x``, which makes x an involution."""
+    return len(w) == 2 and w[0] == w[1]
 
 
 def gen_word(*gens: int) -> Word:
@@ -98,13 +112,34 @@ class CosetTable:
 
 
 class _Enumerator:
-    """HLT coset enumerator (single use)."""
+    """HLT coset enumerator (single use).
+
+    Table entries are indexed by column: ``col`` maps each letter to its
+    column and ``inv`` each column to its inverse column (one self-inverse
+    column per involution, as the module docstring says).
+    """
 
     def __init__(self, pres: Presentation, subgens: tuple[Word, ...],
                  max_cosets: int, deadline: float | None):
         self.pres = pres
         self.subgens = subgens
-        self.width = 2 * pres.ngens
+        involutions = {w[0] >> 1 for w in pres.relators if _is_square(w)}
+        col: list[int] = []
+        inv: list[int] = []
+        for g in range(pres.ngens):
+            c = len(inv)
+            if g in involutions:
+                col += (c, c)
+                inv.append(c)
+            else:
+                col += (c, c + 1)
+                inv += (c + 1, c)
+        self.col = col
+        self.inv = inv
+        self.width = len(inv)
+        self.relators = [tuple(col[x] for x in w) for w in pres.relators
+                         if not _is_square(w)]
+        self.sub_columns = [tuple(col[x] for x in w) for w in subgens]
         self.max_cosets = max_cosets
         self.deadline = deadline
         self.table: list[list[int]] = [[-1] * self.width]
@@ -130,7 +165,7 @@ class _Enumerator:
         self.p.append(beta)
         self.n_live += 1
         self.table[alpha][x] = beta
-        self.table[beta][inv_letter(x)] = alpha
+        self.table[beta][self.inv[x]] = alpha
         return beta
 
     def merge(self, k: int, lam: int):
@@ -143,6 +178,7 @@ class _Enumerator:
 
     def coincidence(self, alpha: int, beta: int):
         table = self.table
+        inv = self.inv
         self.merge(alpha, beta)
         while self.queue:
             gamma = self.queue.pop()
@@ -150,31 +186,33 @@ class _Enumerator:
                 delta = table[gamma][x]
                 if delta == -1:
                     continue
-                table[delta][inv_letter(x)] = -1
+                xi = inv[x]
+                table[delta][xi] = -1
                 mu = self.rep(gamma)
                 nu = self.rep(delta)
                 if table[mu][x] != -1:
                     self.merge(nu, table[mu][x])
-                elif table[nu][inv_letter(x)] != -1:
-                    self.merge(mu, table[nu][inv_letter(x)])
+                elif table[nu][xi] != -1:
+                    self.merge(mu, table[nu][xi])
                 else:
                     table[mu][x] = nu
-                    table[nu][inv_letter(x)] = mu
+                    table[nu][xi] = mu
 
     def scan(self, alpha: int, w: Word, fill: bool):
         table = self.table
+        inv = self.inv
         f, i = alpha, 0
         b, j = alpha, len(w) - 1
         while True:
-            while i <= j and table[f][w[i]] != -1:
-                f = table[f][w[i]]
+            while i <= j and (nxt := table[f][w[i]]) != -1:
+                f = nxt
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and table[b][inv_letter(w[j])] != -1:
-                b = table[b][inv_letter(w[j])]
+            while j >= i and (nxt := table[b][inv[w[j]]]) != -1:
+                b = nxt
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
@@ -182,7 +220,7 @@ class _Enumerator:
             if j == i:
                 # deduction closing the gap
                 table[f][w[i]] = b
-                table[b][inv_letter(w[i])] = f
+                table[b][inv[w[i]]] = f
                 return
             if not fill:
                 return
@@ -202,26 +240,38 @@ class _Enumerator:
         alpha = 0
         while alpha < len(self.table):
             if self.p[alpha] == alpha:
-                for w in self.pres.relators:
+                for w in self.relators:
                     self.scan(alpha, w, fill=False)
                     if self.p[alpha] != alpha:
                         break
             alpha += 1
 
     def compact(self) -> tuple[list[list[int]], int]:
-        live = [c for c in range(len(self.table)) if self.p[c] == c]
-        remap = {c: i for i, c in enumerate(live)}
+        """Renumber the live cosets 0, 1, ... and expand columns to letters.
+
+        Raises RuntimeError on an entry that is undefined or points at a
+        dead coset: both map to -1, since ``remap[-1]`` is its spare last
+        slot.
+        """
+        p = self.p
+        live = [c for c in range(len(self.table)) if p[c] == c]
+        remap = [-1] * (len(self.table) + 1)
+        for i, c in enumerate(live):
+            remap[c] = i
+        col = self.col
         rows = []
         for c in live:
-            rows.append([
-                -1 if v == -1 else remap[self.rep(v)] for v in self.table[c]
-            ])
+            row = self.table[c]
+            out = [remap[row[k]] for k in col]
+            if -1 in out:
+                raise RuntimeError(f"coset table is not closed at coset {c}")
+            rows.append(out)
         return rows, len(live)
 
     def run(self) -> CosetTable:
-        for w in self.subgens:
+        for w in self.sub_columns:
             self.scan(0, w, fill=True)
-        relators = self.pres.relators
+        relators = self.relators
         alpha = 0
         did_lookahead = False
         overflow = False
@@ -256,7 +306,6 @@ class _Enumerator:
                 status="overflow", num_cosets=self.n_live, rows=[],
                 reason=reason, cosets_defined=len(self.table))
         rows, n = self.compact()
-        assert all(v != -1 for row in rows for v in row)
         return CosetTable(
             presentation=self.pres, subgroup_words=self.subgens,
             status="complete", num_cosets=n, rows=rows,

@@ -634,7 +634,9 @@ def from_graph6(text: str, types: Sequence[int] | None = None
     vertex 0 becomes type 1), flagged as convention, not provenance.
 
     Only the set bits are decoded: bit k of the upper triangle is the edge
-    {i, j} with j(j-1)/2 <= k = j(j-1)/2 + i < j(j+1)/2.  Raises ValueError
+    {i, j} with j(j-1)/2 <= k = j(j-1)/2 + i < j(j+1)/2.  One regex scan
+    finds the body characters other than "?" (no bit set), so the Python
+    loop is linear in the edges, as in ``to_graph6``.  Raises ValueError
     on text that is not graph6 and GraphError on a graph that fails
     ``validate``.
     """
@@ -659,10 +661,9 @@ def from_graph6(text: str, types: Sequence[int] | None = None
         raise ValueError(f"graph6 body has {len(body)} characters; {n}"
                          f" vertices need {(nbits + 5) // 6}")
     neighbors: list[list[int]] = [[] for _ in range(n)]
-    for pos in range(len(body)):
-        val = ord(body[pos]) - 63
-        if not val:
-            continue
+    for match in re.finditer("[^?]", body):
+        pos = match.start()
+        val = ord(match.group()) - 63
         for k in range(6 * pos, min(6 * pos + 6, nbits)):
             if val & (32 >> (k - 6 * pos)):
                 j = (1 + math.isqrt(1 + 8 * k)) // 2

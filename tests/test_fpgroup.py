@@ -3,8 +3,10 @@ the word helpers."""
 
 import pytest
 
+from medial.catalog import ToroidalParams, universal_locally_toroidal
 from medial.fpgroup import (
     Presentation,
+    _Enumerator,
     coset_enumeration,
     gen_word,
     invert_word,
@@ -76,3 +78,34 @@ def test_invert_word_reverses_and_inverts_letters():
 def test_bad_subgroup_word_rejected():
     with pytest.raises(ValueError):
         coset_enumeration(s3_presentation(), [(99,)])
+
+
+def test_involution_columns_cut_row5_work():
+    # Each involution has one table column, so universal row 5 (|G| = 2916)
+    # defines 13,709 cosets; with two columns per generator it took 19,581.
+    pres = universal_locally_toroidal(ToroidalParams(3, 0),
+                                      ToroidalParams(3, 0))
+    table = coset_enumeration(pres)
+    assert table.num_cosets == 2916
+    assert table.cosets_defined <= 15000
+
+
+def test_table_keeps_callers_letters():
+    # Subgroup words stay as passed, inverse letters included, and an
+    # involution's inverse letter reads the same images as the letter.
+    words = ((3,), gen_word(2), (7,))
+    table = coset_enumeration(simplex_presentation(), words)
+    assert table.subgroup_words == words
+    assert table.num_cosets == 5
+    for row in table.rows:
+        assert all(row[2 * g + 1] == row[2 * g] for g in range(4))
+
+
+def test_compact_rejects_an_unclosed_table():
+    enum = _Enumerator(s3_presentation(), (), 100, None)
+    with pytest.raises(RuntimeError):
+        enum.compact()  # coset 0 has no images yet
+    enum.table = [[1, 1], [0, 0]]  # both S3 generators are involutions
+    enum.p = [0, 0]  # coset 1 is dead, yet coset 0 still points at it
+    with pytest.raises(RuntimeError):
+        enum.compact()
