@@ -141,7 +141,8 @@ def build_instance(spec: JobSpec) -> InstanceReport:
         gens = [parse_eisenstein(g) for g in parts[2][2:].split(",") if g]
         ring = ResidueRing(m)
         A = ScalarGroup(ring, gens)
-        mg = generate_group(m, A, max_elements=spec.max_elements)
+        mg = generate_group(m, A, max_elements=spec.max_elements,
+                            time_budget=spec.time_budget)
         handle = handle_from_matrix_group(mg, spec.key)
         scalars = ",".join(format_eisenstein(x) for x in A.members)
         params = f"m={format_eisenstein(m)} A={{{scalars}}}"
@@ -315,7 +316,8 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-cosets", type=int)
     common.add_argument("--max-elements", type=int)
     common.add_argument("--time-budget", type=float,
-                        help="per-enumeration budget in seconds")
+                        help="budget in seconds for building the group:"
+                             " Todd-Coxeter or matrix closure")
     common.add_argument("--max-vertices", type=int,
                         help="automorphism search cap")
     common.add_argument("--format", dest="fmt", choices=FORMATS)

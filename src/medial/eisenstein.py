@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .permgroup import orbit
 
 
@@ -330,12 +332,29 @@ class ResidueRing:
             v1, v2 = v2, (v1[0] - q * v2[0], v1[1] - q * v2[1])
         d1, d2 = abs(v1[0]), abs(v2[1])
         assert d1 * d2 == m.norm()
+        # (d1, q) and (0, d2) span the ideal, so a + b*w is congruent to
+        # (a mod d1) + ((b - (a // d1) q) mod d2) w; _hermite_index maps
+        # the key of that representative to its class.
+        self._hermite = (d1, v1[1] * (1 if v1[0] > 0 else -1), d2)
         seen: dict[EisensteinInt, None] = {}
         for a in range(d1):
             for b in range(d2):
                 seen.setdefault(self.reduce(EisensteinInt(a, b)), None)
         self.elements = sorted(seen, key=lambda x: (x.norm(), x.a, x.b))
         self.index = {x: i for i, x in enumerate(self.elements)}
+        self._hermite_index = np.empty(d1 * d2, dtype=np.int64)
+        self._hermite_index[self._hermite_key(
+            np.array([x.a for x in self.elements]),
+            np.array([x.b for x in self.elements]))] = np.arange(d1 * d2)
+
+    def _hermite_key(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        d1, q, d2 = self._hermite
+        return a % d1 * d2 + (b - a // d1 * q) % d2
+
+    def class_index(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Position in ``elements`` of the class of each a + b*w, for
+        integer arrays a and b: ``reduce`` on whole arrays at once."""
+        return self._hermite_index[self._hermite_key(a, b)]
 
     # -- arithmetic on canonical representatives ----------------------------
 

@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .permgroup import Permutation, PermutationGroup, orbit
+from .permgroup import Permutation, PermutationGroup, code_orbit, orbit
 
 MAX_SYMMETRIC_T = 5   # Tutte's bound for cubic symmetric graphs
 MAX_SEMI_T = 7        # bound for per-type arc transitivity
@@ -92,13 +92,16 @@ class BipartiteCubicGraph:
         return BipartiteCubicGraph(types, adj)
 
 
-def validate(neighbors: Sequence[Iterable[int]],
+def validate(neighbors: Sequence[Iterable[int]] | np.ndarray,
              types: Sequence[int]) -> BipartiteCubicGraph:
     """Validate raw adjacency into a BipartiteCubicGraph.
 
     Checks: degree 3, simple (no loops/multi-edges), symmetric adjacency,
     connected, and edges only between the two type classes (which therefore
-    form the bipartition, with equal halves).
+    form the bipartition, with equal halves).  ``neighbors`` may also be an
+    (n, 3) array.  Each check runs on all vertices at once; a failure names
+    the first vertex, in vertex order, that a vertex-by-vertex pass would
+    have stopped at.
     """
     n = len(neighbors)
     if n == 0:
@@ -108,38 +111,42 @@ def validate(neighbors: Sequence[Iterable[int]],
     t = np.asarray(types, dtype=np.int8)
     if not set(np.unique(t)) <= {1, 2}:
         raise GraphError("vertex types must be 1 or 2")
-    rows = []
-    for v, nbrs in enumerate(neighbors):
-        row = sorted(int(x) for x in nbrs)
-        if len(row) != 3:
-            raise GraphError(f"vertex {v} has degree {len(row)}, not 3")
-        if len(set(row)) != 3 or v in row:
+    if isinstance(neighbors, np.ndarray) and neighbors.shape == (n, 3):
+        adj = np.sort(neighbors.astype(np.int64), axis=1)
+        degree = np.full(n, 3)
+    else:
+        rows = [[int(x) for x in nbrs] for nbrs in neighbors]
+        degree = np.array([len(row) for row in rows])
+        adj = np.zeros((n, 3), dtype=np.int64)
+        if (degree == 3).any():
+            adj[degree == 3] = np.sort(
+                [row for row in rows if len(row) == 3], axis=1)
+    three = degree == 3
+    repeated = three & ((adj[:, 1:] == adj[:, :-1]).any(axis=1)
+                        | (adj == np.arange(n)[:, None]).any(axis=1))
+    outside = three & ((adj < 0) | (adj >= n)).any(axis=1)
+    bad = np.flatnonzero(~three | repeated | outside)
+    if len(bad):
+        v = int(bad[0])
+        if not three[v]:
+            raise GraphError(f"vertex {v} has degree {degree[v]}, not 3")
+        if repeated[v]:
             raise GraphError(f"vertex {v} has a loop or repeated edge")
-        if any(x < 0 or x >= n for x in row):
-            raise GraphError(f"vertex {v} has a neighbor out of range")
-        rows.append(row)
-    adj = np.asarray(rows, dtype=np.int32)
-    for v in range(n):
-        for w in adj[v]:
-            if v not in adj[w]:
-                raise GraphError(f"edge {v}-{w} is not symmetric")
-            if t[v] == t[w]:
-                raise GraphError(
-                    f"edge {v}-{w} joins two vertices of type {t[v]}")
-    # Connectivity by BFS.
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = adj[frontier].ravel()
-        fresh = nxt[~seen[nxt]]
-        seen[fresh] = True
-        frontier = list(set(int(x) for x in fresh))
-    if not seen.all():
+        raise GraphError(f"vertex {v} has a neighbor out of range")
+    symmetric = (adj[adj] == np.arange(n)[:, None, None]).any(axis=2)
+    same_type = t[adj] == t[:, None]
+    bad = np.flatnonzero((~symmetric | same_type).ravel())
+    if len(bad):
+        v, k = divmod(int(bad[0]), 3)
+        w = adj[v, k]
+        if not symmetric[v, k]:
+            raise GraphError(f"edge {v}-{w} is not symmetric")
+        raise GraphError(f"edge {v}-{w} joins two vertices of type {t[v]}")
+    if len(code_orbit([0], lambda vertices: adj[vertices].ravel())) != n:
         raise GraphError("graph is disconnected")
     if int((t == 1).sum()) != int((t == 2).sum()):
         raise GraphError("type classes have unequal sizes")
-    return BipartiteCubicGraph(t, adj)
+    return BipartiteCubicGraph(t, adj.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,24 @@ reproduces it); its validation certificate is the order table
     m = (1-w)(1+3w):    linear 2016 (chiral; no conjugation extension)
 
 checked in the test suite together with the defining relations.
+
+An element (M, star) is coded as the tuple (e0, e1, e2, e3, star) of its
+entry indices in the ring, modulo scalars: the canonical code is the least
+over the scalar multiples.  The closure runs on the same codes packed into
+mixed-radix int64 integers, whose order is the tuple order, one
+breadth-first level at a time with every product of a level taken at once
+in numpy; ``cayley_table`` gives the group's right multiplication by any
+generators in the same way.  ``multiply`` keeps the element-at-a-time
+product for validation.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .eisenstein import (
     EisensteinInt,
@@ -41,7 +53,7 @@ from .eisenstein import (
     ScalarGroup,
     format_eisenstein,
 )
-from .permgroup import face_action, orbit
+from .permgroup import code_orbit, face_action
 
 #: Frozen integral generator triple (row-major 2x2 entries a + b*w).
 SIGMA_TRIPLE: tuple[tuple[EisensteinInt, ...], ...] = (
@@ -183,20 +195,33 @@ def regularity_test(m: EisensteinInt, A: ScalarGroup) -> str:
 
 
 class _Arith:
-    """Index-table arithmetic for one residue ring (rings here are tiny)."""
+    """Index-table arithmetic for one residue ring (rings here are tiny).
+
+    The tables are built at once on arrays of (a, b) pairs; ``arrays``
+    holds them as numpy arrays, ``mul``, ``add`` and ``conj`` as lists for
+    element-at-a-time products.
+    """
 
     def __init__(self, ring: ResidueRing):
         self.ring = ring
         self.elems: list[EisensteinInt] = sorted(
             ring.elements, key=lambda z: (z.a, z.b))
         self.index = {z: i for i, z in enumerate(self.elems)}
-        n = len(self.elems)
-        self.mul = [[self.index[ring.mul(x, y)] for y in self.elems]
-                    for x in self.elems]
-        self.add = [[self.index[ring.add(x, y)] for y in self.elems]
-                    for x in self.elems]
-        self.conj = [self.index[ring.reduce(x.conjugate())]
-                     for x in self.elems]
+        position = np.empty(len(self.elems), dtype=np.int64)
+        position[[ring.index[z] for z in self.elems]] = np.arange(
+            len(self.elems))
+
+        def classes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return position[ring.class_index(a, b)]
+
+        a = np.array([z.a for z in self.elems])
+        b = np.array([z.b for z in self.elems])
+        x, y = a[:, None], b[:, None]
+        self.arrays = (classes(x * a - y * b, x * b + y * a - y * b),
+                       classes(x + a, y + b), classes(a - b, -b))
+        self.mul, self.add, self.conj = (t.tolist() for t in self.arrays)
+        # Place values of (e0, e1, e2, e3) in a packed code; star is bit 0.
+        self.place = 2 * len(self.elems) ** np.arange(3, -1, -1)
 
     def encode(self, mat: ResidueMatrix) -> tuple[int, int, int, int]:
         return tuple(self.index[self.ring.reduce(e)]
@@ -221,7 +246,9 @@ class MatrixGroup:
 
     ``elements`` lists every group element as an encoded tuple
     (e0, e1, e2, e3, star) in a fixed sorted order; ``generators`` indexes
-    the images of the defining generators inside that list.
+    the images of the defining generators inside that list.  The same
+    elements, packed into int64 codes (``_pack``), are ``codes``: code
+    order is tuple order, so ``codes[i]`` is ``elements[i]``.
     """
 
     modulus: EisensteinInt
@@ -233,6 +260,7 @@ class MatrixGroup:
     sigma_codes: tuple[tuple[int, ...], ...]
     arith: _Arith = field(repr=False)
     _scalar_rows: tuple[list[int], ...] = ()  # arith.mul rows of A's members
+    codes: np.ndarray | None = field(repr=False, compare=False, default=None)
 
     @property
     def order(self) -> int:
@@ -251,13 +279,59 @@ class MatrixGroup:
         return self.canonical(
             self.arith.encode(identity_matrix(self.ring)) + (0,))
 
+    # -- the same arithmetic on arrays of int64 codes --------------------
+
+    def _pack(self, entries: np.ndarray, star) -> np.ndarray:
+        """Mixed-radix code of each row (e0, e1, e2, e3) with its flag."""
+        return entries @ self.arith.place + star
+
+    def _unpack(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n = len(self.arith.elems)
+        return codes[..., None] // self.arith.place % n, codes & 1
+
+    def _times(self, codes: np.ndarray, y: tuple[int, ...]) -> np.ndarray:
+        """Canonical codes of each coded element times the element y: the
+        ``multiply`` of every entry of ``codes`` at once."""
+        mul, add, conj = self.arith.arrays
+        entries, star = self._unpack(codes)
+        a, b, c, d = entries.T
+        plain = np.array(y[:4])
+        e, f, g, h = np.where(star[:, None] == 1, conj[plain], plain).T
+        product = np.stack([add[mul[a, e], mul[b, g]], add[mul[a, f], mul[b, h]],
+                            add[mul[c, e], mul[d, g]], add[mul[c, f], mul[d, h]]],
+                           axis=-1)
+        # The canonical form is the least code over the scalar multiples.
+        scalars = np.array(self._scalar_rows)
+        return self._pack(scalars[:, product], star ^ y[4]).min(axis=0)
+
+    def index(self, code: tuple[int, ...]) -> int:
+        """Position of an element code in ``elements``."""
+        packed = self._pack(np.array(code[:4]), code[4])
+        i = int(np.searchsorted(self.codes, packed))
+        if i == self.order or self.codes[i] != packed:
+            raise KeyError(f"{code} is not an element of the group")
+        return i
+
+    def cayley_table(self, gens: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """``right[i, j]``: the index of ``elements[i]`` times ``gens[j]``,
+        one vectorized product per column."""
+        right = np.empty((self.order, len(gens)), dtype=np.int64)
+        for j, y in enumerate(gens):
+            product = self._times(self.codes, y)
+            if not np.isin(product, self.codes).all():
+                raise ValueError(f"generator {y} is not in the group")
+            right[:, j] = np.searchsorted(self.codes, product)
+        return right
+
     def coset_action(self, stabilizer_gens: Sequence[tuple[int, ...]],
                      gens: Sequence[tuple[int, ...]]) -> list[list[int]]:
         """Right multiplication by ``gens`` on the right cosets of
         <stabilizer_gens>, one image list per generator; coset 0 is the
         subgroup."""
-        return face_action(self.identity_code(), gens, self.multiply,
-                           stabilizer_gens)
+        k = len(gens)
+        right = self.cayley_table(list(gens) + list(stabilizer_gens))
+        return face_action(right, self.index(self.identity_code()), range(k),
+                           range(k, k + len(stabilizer_gens))).tolist()
 
 
 def generate_group(
@@ -265,13 +339,17 @@ def generate_group(
         A: ScalarGroup | None = None,
         gens: Sequence[ResidueMatrix] | None = None,
         max_elements: int = DEFAULT_MAX_ELEMENTS,
+        time_budget: float | None = None,
 ) -> MatrixGroup:
-    """BFS closure of the generators modulo scalars in A.
+    """Breadth-first closure of the generators modulo scalars in A, one
+    level at a time on int64 element codes.
 
     For regular (m, A) the entrywise-conjugation element is adjoined, so the
     result is the full polytope symmetry group; for chiral (m, A) it is the
-    rotation group.  Raises OverflowResult past ``max_elements``.
+    rotation group.  Raises OverflowResult past ``max_elements``, or when a
+    level starts after ``time_budget`` seconds.
     """
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     sigmas = tuple(gens) if gens is not None else find_generators(m)
     ring = sigmas[0].ring
     if A is None:
@@ -294,13 +372,21 @@ def generate_group(
         gen_codes.append(group.canonical(
             arith.encode(identity_matrix(ring)) + (1,)))
 
+    identity = group.identity_code()
     try:
-        seen = orbit([group.identity_code()], gen_codes, group.multiply,
-                     max_elements)
+        codes = code_orbit(
+            [group._pack(np.array(identity[:4]), identity[4])],
+            lambda x: np.concatenate([group._times(x, g) for g in gen_codes]),
+            max_elements, deadline)
     except ValueError:
         raise OverflowResult(
             f"closure exceeded {max_elements} elements") from None
-    group.elements = tuple(sorted(seen))
+    except TimeoutError:
+        raise OverflowResult("time budget exceeded") from None
+    entries, star = group._unpack(codes)
+    group.codes = codes
+    group.elements = tuple(map(tuple, np.column_stack([entries, star])
+                               .tolist()))
     group.generator_codes = tuple(gen_codes)
     group.sigma_codes = tuple(sigma_codes)
     return group

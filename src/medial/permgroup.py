@@ -1,9 +1,13 @@
 """Permutation groups on finite domains.
 
 Permutations are numpy image arrays.  Orbits on points and on tuples of
-points go through ``orbit``, the package's one closure primitive, and
-``face_action`` is the one action on the cosets of a subgroup; the
-pipeline needs nothing else from this module.
+points go through ``orbit``, the package's one closure primitive, or, for
+points coded as integers, through its array form ``code_orbit``, one
+breadth-first level per numpy pass.  ``face_action`` is the one action on
+the cosets of a subgroup: both construction routes end in an integer
+Cayley table, ``right[g, j]`` = element g times generator j, and every
+face action of either route is computed on such a table.  The pipeline
+needs nothing else from this module.
 
 A deterministic Schreier-Sims stabilizer chain (base points chosen in
 ascending domain order, or as prescribed) gives exact orders, membership,
@@ -14,6 +18,7 @@ closures and automorphism groups against.
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -336,30 +341,70 @@ def orbit(seeds: Iterable[Hashable], gens: Sequence, act: Callable,
     return seen
 
 
-def face_action(identity: Hashable, gens: Sequence, mul: Callable,
-                stabilizer_gens: Sequence) -> list[list[int]]:
-    """Right multiplication by each of ``gens`` on the right cosets of
-    <stabilizer_gens>, as one image list per generator.
+def code_orbit(seeds: Sequence[int], step: Callable[[np.ndarray], np.ndarray],
+               limit: int | None = None,
+               deadline: float | None = None) -> np.ndarray:
+    """``orbit`` for points coded as integers, one breadth-first level at a
+    time in numpy; returns the orbit as a sorted int64 array.
 
-    The elements take the form of ``orbit``'s closure: an ``identity`` and
-    ``mul(x, g)``, the right product with a generator.  Coset 0 is the
-    subgroup itself; every further coset is first met as the block of an
-    earlier coset multiplied by a generator, so the whole group is visited
-    once and no coset table is enumerated.
+    ``step`` maps an array of codes to the codes of their images under
+    every generator, in any order and with repeats.  Raises ValueError once
+    the orbit would exceed ``limit`` points, as ``orbit`` does, and
+    TimeoutError when a level starts past ``deadline`` (a
+    ``time.monotonic()`` value).
     """
-    blocks = [list(orbit([identity], stabilizer_gens, mul))]
-    coset_of = dict.fromkeys(blocks[0], 0)
-    images: list[list[int]] = [[] for _ in gens]
-    for block in blocks:
-        for row, g in zip(images, gens):
-            target = coset_of.get(mul(block[0], g))
-            if target is None:
-                target = len(blocks)
-                moved = [mul(x, g) for x in block]
-                coset_of.update(dict.fromkeys(moved, target))
-                blocks.append(moved)
-            row.append(target)
-    return images
+    seen = np.unique(np.asarray(seeds, dtype=np.int64))
+    frontier = seen
+    while len(frontier):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("time budget exceeded")
+        images = np.unique(step(frontier))
+        at = np.searchsorted(seen, images)
+        known = at < len(seen)
+        known[known] = seen[at[known]] == images[known]
+        frontier = images[~known]
+        if limit is not None and len(seen) + len(frontier) > limit:
+            raise ValueError(f"orbit exceeds limit {limit}")
+        # Both parts are sorted, so the stable sort is a linear merge.
+        seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
+    return seen
+
+
+def face_action(right: np.ndarray, identity: int, gens: Sequence[int],
+                stabilizer: Sequence[int]) -> np.ndarray:
+    """Right multiplication by the columns ``gens`` of the Cayley table
+    ``right`` on the right cosets of the subgroup generated by the columns
+    ``stabilizer``, as one row of images per generator.
+
+    ``right[x, j]`` is the element x times generator j, elements being the
+    row indices and ``identity`` the row of the identity.  Coset 0 is the
+    subgroup itself.  The cosets are found level by level from it, each as
+    the block of an earlier coset multiplied by a generator, so the whole
+    group is visited once and no coset table is enumerated; new cosets are
+    numbered in the order of the (coset, generator) pair that first reaches
+    them.
+    """
+    right = np.asarray(right)
+    gens = list(gens)
+    stabilizer = list(stabilizer)
+    block = code_orbit([identity],
+                       lambda x: right[x][:, stabilizer].ravel())
+    coset_of = np.full(len(right), -1, dtype=np.int64)
+    coset_of[block] = 0
+    levels = [block[None, :]]
+    count = 1
+    while len(levels[-1]):
+        # moved[p * len(gens) + j] is block p of the level times gens[j].
+        moved = right[levels[-1]][:, :, gens].transpose(0, 2, 1)
+        moved = moved.reshape(-1, len(block))
+        moved = moved[coset_of[moved[:, 0]] < 0]
+        _, first = np.unique(moved.min(axis=1), return_index=True)
+        fresh = moved[np.sort(first)]
+        coset_of[fresh] = np.arange(count, count + len(fresh))[:, None]
+        count += len(fresh)
+        levels.append(fresh)
+    representatives = np.concatenate(levels)[:, 0]
+    return coset_of[right[representatives][:, gens]].T
 
 
 def naive_closure(generators: Sequence[Permutation], limit: int = 2000000) -> list[Permutation]:

@@ -20,15 +20,23 @@ The medial layer graph has the 1-faces and 2-faces as vertices and
 face incidence as adjacency; faces are realized as cosets of the standard
 stabilizer subgroups and incidence as the orbit of the base coset pair
 under simultaneous right multiplication by the group generators.
+
+Both construction routes end in one integer Cayley table of the group,
+``right[g, j]`` = element g times generator j: the generator columns of
+the Todd-Coxeter table, or one vectorized product per generator of the
+matrix group.  From there one path (``_checked_handle``) computes the four
+face actions, the incidences and the diamond check as numpy array
+operations, and ``medial_layer_graph`` extracts the graph the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
+
+import numpy as np
 
 from .catalog import SchlafliType
 from .fpgroup import (
@@ -38,7 +46,7 @@ from .fpgroup import (
     gen_word,
 )
 from .matgroup import MatrixGroup, OverflowResult, recover_reflection_codes
-from .permgroup import Permutation, face_action, orbit
+from .permgroup import Permutation, code_orbit, face_action, orbit
 
 # The validation functions (validate_string_cgroup, validate_rotation_group,
 # self_duality_test, is_directly_regular, generator_map_homomorphism) take
@@ -246,22 +254,26 @@ def self_duality_test(C: StringCGroup) -> bool:
 #: the base j-face omits rho_j.
 _PARABOLIC = {0: (1, 2, 3), 1: (0, 2, 3), 2: (0, 1, 3), 3: (0, 1, 2)}
 
+#: Chiral face stabilizers, as columns of the Cayley table of s1, s2, s3,
+#: s1 s2 and s2 s3: <s2, s3>, <s1 s2, s3>, <s1, s2 s3> and <s1, s2>.
+_CHIRAL_STABILIZERS = {0: (1, 2), 1: (3, 2), 2: (0, 4), 3: (0, 1)}
+
 
 @dataclass
 class PolytopeHandle:
     """Coset actions of the symmetry group on 1-faces and 2-faces.
 
-    ``rank1_images``/``rank2_images`` hold, per group generator, the image
-    list of the corresponding face-coset action; the base faces are coset 0
-    of each action and are incident by construction.
+    ``rank1_images``/``rank2_images`` hold, per group generator, a row of
+    images of the corresponding face-coset action; the base faces are coset
+    0 of each action and are incident by construction.
     """
 
     label: str
     kind: str  # "regular" | "chiral"
     schlafli: SchlafliType
     group_order: int
-    rank1_images: list[list[int]]
-    rank2_images: list[list[int]]
+    rank1_images: np.ndarray  # shape (generators, 1-faces)
+    rank2_images: np.ndarray  # shape (generators, 2-faces)
     self_dual: bool | None = None  # regular kind only
 
     def __post_init__(self):
@@ -284,8 +296,8 @@ def handle_from_presentation(
 
     Coset 0 of the full enumeration is the identity, and a generator letter
     multiplies a coset by a lookup in the table.  In that form the group is
-    validated, tested for self-duality and acts on the faces of each rank,
-    the cosets of the parabolic subgroups.
+    validated and tested for self-duality; the table's generator columns
+    are the Cayley table the face actions are computed on.
     """
     full = coset_enumeration(pres, (), max_cosets=max_cosets,
                              time_budget=time_budget)
@@ -299,21 +311,21 @@ def handle_from_presentation(
         return rows[coset][letter]
 
     cgroup = validate_string_cgroup(letters, 0, mul)
-    actions = [face_action(0, letters, mul,
-                           [letters[i] for i in _PARABOLIC[rank]])
-               for rank in range(4)]
-    return _checked_handle(label, "regular", cgroup.schlafli,
-                           full.num_cosets, actions, cgroup)
+    right = np.array(rows, dtype=np.int32)[:, 0::2]  # letter 2g is rho_g
+    return _checked_handle(label, "regular", cgroup.schlafli, right, 0,
+                           range(4), _PARABOLIC, cgroup)
 
 
 def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> PolytopeHandle:
-    """Eisenstein route: face-coset actions computed on matrix elements.
+    """Eisenstein route: validation on matrix elements, face actions on the
+    Cayley table of the generators.
 
     Regular instances first recover the four reflections; failure to do so
     is an error (the full symmetry group would not be reachable from the
     rotations alone).  Chiral instances are checked for (R') and (C') and
     must not be directly regular, which would contradict the arithmetic
-    ``chiral`` label; their faces are cosets of the rotation stabilizers.
+    ``chiral`` label; their faces are cosets of the rotation stabilizers,
+    generated by the table columns s1, s2, s3, s1 s2 and s2 s3.
     """
     if label is None:
         label = f"eisenstein m={mg.modulus}"
@@ -323,8 +335,7 @@ def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> Polyt
             raise PolytopeValidationError(
                 f"{label}: no reflection recovery in a regular instance")
         cgroup = validate_string_cgroup(gens, mg.identity_code(), mg.multiply)
-        stabilizers = [[gens[i] for i in _PARABOLIC[rank]]
-                       for rank in range(4)]
+        columns, acting, stabilizers = gens, range(4), _PARABOLIC
     else:
         cgroup = None
         s1, s2, s3 = gens = mg.sigma_codes
@@ -334,60 +345,86 @@ def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> Polyt
             raise PolytopeValidationError(
                 f"{label}: labelled chiral, but its rotation group is"
                 " directly regular")
-        s12, s23 = mg.multiply(s1, s2), mg.multiply(s2, s3)
-        stabilizers = [(s2, s3), (s12, s3), (s1, s23), (s1, s2)]
-    actions = [mg.coset_action(stab, gens) for stab in stabilizers]
-    return _checked_handle(label, mg.kind, SchlafliType(3, 6, 3), mg.order,
-                           actions, cgroup)
+        columns = (s1, s2, s3, mg.multiply(s1, s2), mg.multiply(s2, s3))
+        acting, stabilizers = range(3), _CHIRAL_STABILIZERS
+    return _checked_handle(label, mg.kind, SchlafliType(3, 6, 3),
+                           mg.cayley_table(columns),
+                           mg.index(mg.identity_code()), acting, stabilizers,
+                           cgroup)
 
 
 def _checked_handle(label: str, kind: str, schlafli: SchlafliType,
-                    order: int, actions: list[list[list[int]]],
+                    right: np.ndarray, identity: int, acting: Sequence[int],
+                    stabilizers: dict[int, tuple[int, ...]],
                     cgroup: StringCGroup | None) -> PolytopeHandle:
-    """The handle on the rank-1 and rank-2 actions of ``actions`` (one per
-    rank), once its face counts and the diamond condition hold."""
+    """The one path of both routes from the Cayley table ``right`` of the
+    group (its identity row ``identity``): the face action of the columns
+    ``acting`` on the cosets of the columns ``stabilizers[rank]``, for each
+    rank, and the handle on the rank-1 and rank-2 actions once the face
+    counts and the diamond condition hold."""
+    actions = [face_action(right, identity, acting, stabilizers[rank])
+               for rank in range(4)]
     handle = PolytopeHandle(
-        label=label, kind=kind, schlafli=schlafli, group_order=order,
+        label=label, kind=kind, schlafli=schlafli, group_order=len(right),
         rank1_images=actions[1], rank2_images=actions[2],
         self_dual=None if cgroup is None else self_duality_test(cgroup))
     _diamond_check(actions, label)
     return handle
 
 
-def _diamond_check(actions: Sequence[list[list[int]]], label: str) -> None:
+def _diamond_check(actions: Sequence[np.ndarray], label: str) -> None:
     """Between any two incident faces two ranks apart there are exactly 2
     intermediate faces, and every 1-face (2-face) lies in exactly 2
     vertices (cells, respectively).  ``actions[r]`` acts on the r-faces."""
     inc = {(a, b): _pair_orbit(actions[a], actions[b])
            for a, b in ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3))}
     for low, mid, high in ((0, 1, 2), (1, 2, 3)):
-        below: dict[int, list[int]] = defaultdict(list)
-        for f, g in inc[(low, mid)]:
-            below[g].append(f)
-        above: dict[int, list[int]] = defaultdict(list)
-        for g, h in inc[(mid, high)]:
-            above[g].append(h)
-        middles = Counter((f, h) for g, fs in below.items()
-                          for f in fs for h in above[g])
-        for pair in inc[(low, high)]:
-            if middles[pair] != 2:
-                raise PolytopeValidationError(
-                    f"{label}: diamond condition fails between ranks"
-                    f" {low} and {high}: {middles[pair]} middle faces")
-    for rank, neighbor, counts in (
-            (1, 0, Counter(g for _, g in inc[(0, 1)])),
-            (2, 3, Counter(f for f, _ in inc[(2, 3)]))):
-        if set(counts.values()) != {2}:
+        width = len(actions[high][0])
+        # One (f, h) per middle face g with f below g and h above it.
+        below, above = _join(inc[(low, mid)], inc[(mid, high)])
+        middles = np.sort(below * width + above)
+        pairs = inc[(low, high)] @ np.array([width, 1])
+        found = (np.searchsorted(middles, pairs, "right")
+                 - np.searchsorted(middles, pairs, "left"))
+        wrong = np.flatnonzero(found != 2)
+        if len(wrong):
+            raise PolytopeValidationError(
+                f"{label}: diamond condition fails between ranks"
+                f" {low} and {high}: {found[wrong[0]]} middle faces")
+    for rank, neighbor, faces in ((1, 0, inc[(0, 1)][:, 1]),
+                                  (2, 3, inc[(2, 3)][:, 0])):
+        if set(np.unique(faces, return_counts=True)[1].tolist()) != {2}:
             raise PolytopeValidationError(
                 f"{label}: rank-{rank} faces do not have exactly 2 incident"
                 f" rank-{neighbor} faces")
 
 
+def _join(left: np.ndarray, right: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """For the pair arrays left = (f, g) and right = (g, h), the (f, h) of
+    every pair of rows that share g."""
+    right = right[np.argsort(right[:, 0], kind="stable")]
+    start = np.searchsorted(right[:, 0], left[:, 1], "left")
+    stop = np.searchsorted(right[:, 0], left[:, 1], "right")
+    counts = stop - start
+    rows = np.repeat(np.arange(len(left)), counts)
+    offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+    return left[rows, 0], right[start[rows] + offsets, 1]
+
+
 def _pair_orbit(images1: Sequence[Sequence[int]],
-                images2: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
-    """Orbit of the pair of base faces under simultaneous generator action."""
-    return orbit([(0, 0)], list(zip(images1, images2)),
-                 lambda pair, g: (g[0][pair[0]], g[1][pair[1]]))
+                images2: Sequence[Sequence[int]]) -> np.ndarray:
+    """Orbit of the pair of base faces under simultaneous generator action,
+    as the rows (face1, face2) of an array in ascending order."""
+    images1, images2 = np.asarray(images1), np.asarray(images2)
+    width = images2.shape[1]
+
+    def step(codes: np.ndarray) -> np.ndarray:
+        first, second = np.divmod(codes, width)
+        return (images1[:, first] * width + images2[:, second]).ravel()
+
+    return np.stack(np.divmod(code_orbit([0], step), width), axis=1)
 
 
 def medial_layer_graph(handle: PolytopeHandle):
@@ -397,11 +434,14 @@ def medial_layer_graph(handle: PolytopeHandle):
 
     n1 = len(handle.rank1_images[0])
     n2 = len(handle.rank2_images[0])
-    pairs = _pair_orbit(handle.rank1_images, handle.rank2_images)
-    neighbors: list[list[int]] = [[] for _ in range(n1 + n2)]
-    for x, y in pairs:
-        neighbors[x].append(n1 + y)
-        neighbors[n1 + y].append(x)
+    x, y = _pair_orbit(handle.rank1_images, handle.rank2_images).T
+    ends = np.concatenate([x, n1 + y])
+    others = np.concatenate([n1 + y, x])[np.argsort(ends, kind="stable")]
+    degrees = np.bincount(ends, minlength=n1 + n2)
+    if (degrees == 3).all():
+        neighbors = others.reshape(-1, 3)
+    else:
+        neighbors = np.split(others, np.cumsum(degrees)[:-1])
     types = [1] * n1 + [2] * n2
     try:
         graph = graphsym.validate(neighbors, types)

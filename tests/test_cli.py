@@ -199,6 +199,13 @@ def test_overflow_exit_code(capsys):
     assert "overflow" in err
 
 
+def test_time_budget_bounds_matrix_closure(capsys):
+    code, _, err = run(capsys, "build", "eisenstein:m=4-4w:A=",
+                       "--time-budget", "0.001")
+    assert code == EXIT_OVERFLOW
+    assert "time budget exceeded" in err
+
+
 def test_table1_overflow_rows_fast(capsys):
     # With a tiny coset cap every row degrades to an overflow marker, which
     # exercises the table plumbing without the heavy computations.

@@ -3,6 +3,7 @@ formula, checked against brute-force oracles."""
 
 import random
 
+import numpy as np
 import pytest
 
 from medial.eisenstein import (
@@ -102,10 +103,12 @@ def test_residue_ring_cardinality_is_norm(m):
     assert len(ring.elements) == m.norm()
     # Oracle: count distinct reductions over a box larger than the modulus.
     bound = abs(m.a) + abs(m.b) + 2
-    classes = {ring.reduce(EisensteinInt(a, b))
-               for a in range(-bound, bound + 1)
-               for b in range(-bound, bound + 1)}
-    assert classes == set(ring.elements)
+    box = [(a, b) for a in range(-bound, bound + 1)
+           for b in range(-bound, bound + 1)]
+    reduced = [ring.reduce(EisensteinInt(a, b)) for a, b in box]
+    assert set(reduced) == set(ring.elements)
+    a, b = np.array(box).T
+    assert ring.class_index(a, b).tolist() == [ring.index[x] for x in reduced]
 
 
 def test_residue_ring_arithmetic_well_defined():

@@ -423,6 +423,22 @@ def test_isomorphism_negative_same_size():
     assert is_isomorphic(gray_oracle(), haar_27_013()) == (False, None)
 
 
+def bipartite_two_switch(g):
+    """g with the edges a1-b1 and a2-b2 replaced by a1-b2 and a2-b1, for
+    the first type-1 vertices a1 < a2 and neighbours b1, b2 where neither
+    new edge is present; still cubic and bipartite, and validate checks
+    that it is still connected."""
+    adj = [list(g.neighbors(v)) for v in range(g.n)]
+    a1 = int(g.vertices_of_type(1)[0])
+    b1 = adj[a1][0]
+    a2, b2 = next((int(a), b) for a in g.vertices_of_type(1) if a > a1
+                  for b in adj[a] if b not in adj[a1] and b1 not in adj[a])
+    for v, old, new in ((a1, b1, b2), (b1, a1, a2), (a2, b2, b1),
+                        (b2, a2, a1)):
+        adj[v][adj[v].index(old)] = new
+    return validate(adj, g.types)
+
+
 def test_isomorphism_matches_networkx():
     nx = pytest.importorskip("networkx")
     gray = gray_oracle()
@@ -435,6 +451,8 @@ def test_isomorphism_matches_networkx():
         (from_networkx(nx, nx.moebius_kantor_graph()),
          from_networkx(nx, nx.circular_ladder_graph(8))),
         (gray, haar_27_013()),
+        (universal_row(*ROWS[2]), eisenstein_graph(parse_eisenstein("3"))),
+        (gray, bipartite_two_switch(gray.relabeled(perm))),
     ]
     verdicts = []
     for g, h in pairs:
@@ -446,7 +464,7 @@ def test_isomorphism_matches_networkx():
                            for v, w in g.edges())
             assert image == sorted(h.edges())
         verdicts.append(ok)
-    assert verdicts == [True, True, False, False]
+    assert verdicts == [True, True, False, False, True, False]
 
 
 def test_isomorphism_negative_different_size():

@@ -124,7 +124,20 @@ def test_cayley_action_order_equals_element_count():
         index = {code: i for i, code in enumerate(g.elements)}
         perms = [Permutation([index[g.multiply(x, s)] for x in g.elements])
                  for s in g.generator_codes]
+        right = g.cayley_table(g.generator_codes)
+        assert right.T.tolist() == [p.images.tolist() for p in perms]
         assert PermutationGroup(perms, degree=g.order).order() == g.order
+
+
+@pytest.mark.parametrize("m", [parse_eisenstein("3"),
+                               parse_eisenstein("2-2w"), CHIRAL_M])
+def test_closure_matches_element_at_a_time_orbit(m):
+    g = generate_group(m)
+    oracle = orbit([g.identity_code()], g.generator_codes, g.multiply)
+    assert list(g.elements) == sorted(oracle)
+    with pytest.raises(OverflowResult):
+        generate_group(m, max_elements=g.order - 1)
+    assert generate_group(m, max_elements=g.order).order == g.order
 
 
 def test_overflow_cap():

@@ -1,6 +1,7 @@
 """String C-group / rotation-group validation, reflection recovery,
 direct regularity, self-duality, and medial-graph construction."""
 
+import numpy as np
 import pytest
 
 from medial import polytope
@@ -230,14 +231,79 @@ def test_two_pipelines_agree_on_54_vertex_graph():
     assert ok and witness is not None
 
 
+def naive_face_action(identity, gens, mul, stabilizer_gens):
+    """The element-at-a-time face action, the reference for
+    ``permgroup.face_action``: each new coset is first met as the block of
+    an earlier coset times a generator, in (coset, generator) order."""
+    blocks = [list(orbit([identity], stabilizer_gens, mul))]
+    coset_of = dict.fromkeys(blocks[0], 0)
+    images = [[] for _ in gens]
+    for block in blocks:
+        for row, g in zip(images, gens):
+            target = coset_of.get(mul(block[0], g))
+            if target is None:
+                target = len(blocks)
+                moved = [mul(x, g) for x in block]
+                coset_of.update(dict.fromkeys(moved, target))
+                blocks.append(moved)
+            row.append(target)
+    return images
+
+
+def naive_pair_orbit(images1, images2):
+    return orbit([(0, 0)], list(zip(images1, images2)),
+                 lambda pair, g: (g[0][pair[0]], g[1][pair[1]]))
+
+
 def face_actions(pres):
     """The four face actions, as the presentation route derives them from
-    the one full coset table."""
+    the generator columns of the one full coset table."""
+    right = np.array(coset_enumeration(pres).rows)[:, 0::2]
+    return [face_action(right, 0, range(4),
+                        [i for i in range(4) if i != rank])
+            for rank in range(4)]
+
+
+INCIDENT_RANKS = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3))
+
+
+@pytest.mark.parametrize("s,t", TABLE1_ROWS[:5])
+def test_face_action_matches_reference_on_presentations(s, t):
+    pres = universal_locally_toroidal(ToroidalParams(*s), ToroidalParams(*t))
     rows = coset_enumeration(pres).rows
     letters = gen_word(0, 1, 2, 3)
-    return [face_action(0, letters, lambda c, x: rows[c][x],
-                        [letters[i] for i in range(4) if i != rank])
-            for rank in range(4)]
+    actions = face_actions(pres)
+    for rank, action in enumerate(actions):
+        assert action.tolist() == naive_face_action(
+            0, letters, lambda c, x: rows[c][x],
+            [letters[i] for i in range(4) if i != rank])
+    for a, b in INCIDENT_RANKS:
+        assert set(map(tuple, _pair_orbit(actions[a], actions[b]).tolist())) \
+            == naive_pair_orbit(actions[a].tolist(), actions[b].tolist())
+
+
+@pytest.mark.parametrize("m", [parse_eisenstein("3"), CHIRAL_M])
+def test_face_action_matches_reference_on_matrix_groups(m):
+    mg = generate_group(m)
+    ident, mul = mg.identity_code(), mg.multiply
+    if mg.kind == "regular":
+        gens = recover_reflection_codes(mg)
+        stabilizers = [[gens[i] for i in range(4) if i != rank]
+                       for rank in range(4)]
+    else:
+        s1, s2, s3 = gens = mg.sigma_codes
+        stabilizers = [(s2, s3), (mul(s1, s2), s3), (s1, mul(s2, s3)),
+                       (s1, s2)]
+    reference = [naive_face_action(ident, gens, mul, stab)
+                 for stab in stabilizers]
+    assert [mg.coset_action(stab, gens) for stab in stabilizers] == reference
+    handle = handle_from_matrix_group(mg)
+    assert handle.rank1_images.tolist() == reference[1]
+    assert handle.rank2_images.tolist() == reference[2]
+    for a, b in INCIDENT_RANKS:
+        assert set(map(tuple, _pair_orbit(reference[a],
+                                          reference[b]).tolist())) \
+            == naive_pair_orbit(reference[a], reference[b])
 
 
 @pytest.mark.parametrize("s,t", TABLE1_ROWS[:4])
