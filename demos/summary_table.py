@@ -2,14 +2,15 @@
 universal polytopes of type {{3,6}_(s), {6,3}_(t)}.
 
 Each row names a pair of toroidal parameters (facet and vertex-figure),
-builds the universal polytope by coset enumeration, extracts the trivalent
-medial layer graph on its 1- and 2-faces, and classifies its symmetry:
+builds the universal polytope from its presentation (coset enumeration
+over the stabilizer of a 1-face), extracts the trivalent medial layer
+graph on its 1- and 2-faces, and classifies its symmetry:
 
     symmetric graphs get a label t^+ / t^- (arc-transitivity + sign),
     semisymmetric graphs a per-type pair ss-(t1, t2).
 
 The first five rows take seconds.  Pass --extended to also attempt the
-6912-vertex row (several minutes).  The last row (N = 40320) is built but
+6912-vertex row (a few seconds more).  The last row (N = 40320) is built but
 its classification exceeds the default search cap, so it reports
 "undecided" — matching the known computational limit for that instance.
 

@@ -128,7 +128,7 @@ def build_instance(spec: JobSpec) -> InstanceReport:
         pres = universal_locally_toroidal(s, t)
         handle = handle_from_presentation(
             pres, spec.key, max_cosets=spec.max_cosets,
-            time_budget=spec.time_budget)
+            max_elements=spec.max_elements, time_budget=spec.time_budget)
         params = f"s=({s.s},{s.t}) t=({t.s},{t.t})"
     elif parts[0] == "eisenstein":
         if len(parts) != 3 or not parts[1].startswith("m=") \
@@ -317,7 +317,8 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-elements", type=int)
     common.add_argument("--time-budget", type=float,
                         help="budget in seconds for building the group:"
-                             " Todd-Coxeter or matrix closure")
+                             " Todd-Coxeter and the base orbit, or matrix"
+                             " closure")
     common.add_argument("--max-vertices", type=int,
                         help="automorphism search cap")
     common.add_argument("--format", dest="fmt", choices=FORMATS)

@@ -14,6 +14,12 @@ itself and one for its inverse.  On the Table 1 presentations, whose four
 generators are all involutions, this about halves the enumeration time.
 The finished table is expanded back to one entry per letter, so an
 involution's two letters read the same images.
+
+The polytope pipeline does not enumerate the whole group.  It enumerates
+the cosets of the stabilizer of the base 1-face (index |G| / 12 on the
+Table 1 presentations) and the group that the stabilizer's own relators
+present (order 12 there), which bounds the stabilizer's order; see
+``polytope._certified_cayley_table``.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ from .eisenstein import (
     ScalarGroup,
     format_eisenstein,
 )
-from .permgroup import code_orbit, face_action
+from .permgroup import code_cayley_table, code_orbit, face_action
 
 #: Frozen integral generator triple (row-major 2x2 entries a + b*w).
 SIGMA_TRIPLE: tuple[tuple[EisensteinInt, ...], ...] = (
@@ -289,24 +289,30 @@ class MatrixGroup:
         n = len(self.arith.elems)
         return codes[..., None] // self.arith.place % n, codes & 1
 
-    def _times(self, codes: np.ndarray, y: tuple[int, ...]) -> np.ndarray:
-        """Canonical codes of each coded element times the element y: the
-        ``multiply`` of every entry of ``codes`` at once."""
+    def _code(self, element: tuple[int, ...]) -> np.int64:
+        """The packed code of an element tuple."""
+        return self._pack(np.array(element[:4]), element[4])
+
+    def _product(self, x: np.ndarray, y) -> np.ndarray:
+        """Canonical codes of the products of the coded elements x and y,
+        entry by entry (either may be a single code): ``multiply`` on
+        arrays."""
         mul, add, conj = self.arith.arrays
-        entries, star = self._unpack(codes)
-        a, b, c, d = entries.T
-        plain = np.array(y[:4])
-        e, f, g, h = np.where(star[:, None] == 1, conj[plain], plain).T
+        (x_entries, x_star), (y_entries, y_star) = map(
+            self._unpack, (np.asarray(x), np.asarray(y)))
+        a, b, c, d = np.moveaxis(x_entries, -1, 0)
+        e, f, g, h = np.moveaxis(
+            np.where(x_star[..., None] == 1, conj[y_entries], y_entries), -1, 0)
         product = np.stack([add[mul[a, e], mul[b, g]], add[mul[a, f], mul[b, h]],
                             add[mul[c, e], mul[d, g]], add[mul[c, f], mul[d, h]]],
                            axis=-1)
         # The canonical form is the least code over the scalar multiples.
         scalars = np.array(self._scalar_rows)
-        return self._pack(scalars[:, product], star ^ y[4]).min(axis=0)
+        return self._pack(scalars[:, product], x_star ^ y_star).min(axis=0)
 
     def index(self, code: tuple[int, ...]) -> int:
         """Position of an element code in ``elements``."""
-        packed = self._pack(np.array(code[:4]), code[4])
+        packed = self._code(code)
         i = int(np.searchsorted(self.codes, packed))
         if i == self.order or self.codes[i] != packed:
             raise KeyError(f"{code} is not an element of the group")
@@ -315,13 +321,9 @@ class MatrixGroup:
     def cayley_table(self, gens: Sequence[tuple[int, ...]]) -> np.ndarray:
         """``right[i, j]``: the index of ``elements[i]`` times ``gens[j]``,
         one vectorized product per column."""
-        right = np.empty((self.order, len(gens)), dtype=np.int64)
-        for j, y in enumerate(gens):
-            product = self._times(self.codes, y)
-            if not np.isin(product, self.codes).all():
-                raise ValueError(f"generator {y} is not in the group")
-            right[:, j] = np.searchsorted(self.codes, product)
-        return right
+        return code_cayley_table(
+            self.codes, [lambda x, y=self._code(y): self._product(x, y)
+                         for y in gens])
 
     def coset_action(self, stabilizer_gens: Sequence[tuple[int, ...]],
                      gens: Sequence[tuple[int, ...]]) -> list[list[int]]:
@@ -372,11 +374,11 @@ def generate_group(
         gen_codes.append(group.canonical(
             arith.encode(identity_matrix(ring)) + (1,)))
 
-    identity = group.identity_code()
+    packed = [group._code(g) for g in gen_codes]
     try:
         codes = code_orbit(
-            [group._pack(np.array(identity[:4]), identity[4])],
-            lambda x: np.concatenate([group._times(x, g) for g in gen_codes]),
+            [group._code(group.identity_code())],
+            lambda x: np.concatenate([group._product(x, g) for g in packed]),
             max_elements, deadline)
     except ValueError:
         raise OverflowResult(
@@ -399,33 +401,29 @@ def recover_reflection_codes(group: MatrixGroup) -> tuple[tuple[int, ...], ...] 
 
     Only regular instances admit such an r; for chiral ones this returns
     None (the search domain is the conjugation-flagged coset, empty there).
+    Given r^2 = 1, r s r = s^-1 holds exactly when (r s)^2 = 1, and each
+    of the four generators squares to 1 exactly when r, r sigma1, r sigma2
+    or r sigma2 sigma3 does.  So the search squares every flagged element
+    at once, then the products of its involutions with sigma1, sigma2 and
+    sigma2 sigma3, and r is the first involution whose three products
+    square to 1.
     """
     s1, s2, s3 = group.sigma_codes
-    ident = group.identity_code()
+    identity = group._code(group.identity_code())
 
-    def inv(code: tuple[int, ...]) -> tuple[int, ...]:
-        # Small element orders here; repeated multiplication suffices.
-        acc, prev = code, ident
-        while acc != ident:
-            prev = acc
-            acc = group.multiply(acc, code)
-        return prev
+    def square_one(x: np.ndarray) -> np.ndarray:
+        return group._product(x, x) == identity
 
-    s1i, s2i = inv(s1), inv(s2)
-    for r in group.elements:
-        if not r[4]:
-            continue
-        if group.multiply(r, r) != ident:
-            continue
-        if group.multiply(group.multiply(r, s1), r) != s1i:
-            continue
-        if group.multiply(group.multiply(r, s2), r) != s2i:
-            continue
-        rho1 = r
-        rho0 = group.multiply(s1, r)
-        rho2 = group.multiply(r, s2)
-        rho3 = group.multiply(rho2, s3)
-        rhos = (rho0, rho1, rho2, rho3)
-        if all(group.multiply(x, x) == ident for x in rhos):
-            return rhos
-    return None
+    flagged = group.codes[group.codes & 1 == 1]
+    involutions = flagged[square_one(flagged)]
+    times_s2 = group._product(involutions, group._code(s2))
+    found = np.flatnonzero(
+        square_one(group._product(involutions, group._code(s1)))
+        & square_one(times_s2)
+        & square_one(group._product(times_s2, group._code(s3))))
+    if not len(found):
+        return None
+    r = group.elements[int(np.searchsorted(group.codes,
+                                           involutions[found[0]]))]
+    rho2 = group.multiply(r, s2)
+    return (group.multiply(s1, r), r, rho2, group.multiply(rho2, s3))

@@ -3,9 +3,10 @@
 Permutations are numpy image arrays.  Orbits on points and on tuples of
 points go through ``orbit``, the package's one closure primitive, or, for
 points coded as integers, through its array form ``code_orbit``, one
-breadth-first level per numpy pass.  ``face_action`` is the one action on
-the cosets of a subgroup: both construction routes end in an integer
-Cayley table, ``right[g, j]`` = element g times generator j, and every
+breadth-first level per numpy pass.  ``code_cayley_table`` reads the
+Cayley table, ``right[g, j]`` = element g times generator j, off such an
+orbit when it is a whole group; both construction routes end in one.
+``face_action`` is the one action on the cosets of a subgroup, and every
 face action of either route is computed on such a table.  The pipeline
 needs nothing else from this module.
 
@@ -353,12 +354,12 @@ def code_orbit(seeds: Sequence[int], step: Callable[[np.ndarray], np.ndarray],
     TimeoutError when a level starts past ``deadline`` (a
     ``time.monotonic()`` value).
     """
-    seen = np.unique(np.asarray(seeds, dtype=np.int64))
+    seen = _sorted_distinct(np.asarray(seeds, dtype=np.int64))
     frontier = seen
     while len(frontier):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("time budget exceeded")
-        images = np.unique(step(frontier))
+        images = _sorted_distinct(step(frontier))
         at = np.searchsorted(seen, images)
         known = at < len(seen)
         known[known] = seen[at[known]] == images[known]
@@ -368,6 +369,32 @@ def code_orbit(seeds: Sequence[int], step: Callable[[np.ndarray], np.ndarray],
         # Both parts are sorted, so the stable sort is a linear merge.
         seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
     return seen
+
+
+def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array, by one sort: numpy's hash-based
+    unique is many times slower on codes spread over a wide range."""
+    codes = np.sort(codes)
+    return codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
+
+
+def code_cayley_table(codes: np.ndarray,
+                      steps: Sequence[Callable[[np.ndarray], np.ndarray]]
+                      ) -> np.ndarray:
+    """The Cayley table of a group whose elements are the sorted int64
+    ``codes``: ``right[i, j]`` is the index in ``codes`` of
+    ``steps[j](codes)[i]``, element i times generator j.
+
+    Raises ValueError when a step maps an element outside ``codes``.
+    """
+    right = np.empty((len(codes), len(steps)), dtype=np.int64)
+    for j, step in enumerate(steps):
+        images = step(codes)
+        at = np.minimum(np.searchsorted(codes, images), len(codes) - 1)
+        if (codes[at] != images).any():
+            raise ValueError(f"generator {j} maps an element outside the group")
+        right[:, j] = at
+    return right
 
 
 def face_action(right: np.ndarray, identity: int, gens: Sequence[int],

@@ -22,19 +22,24 @@ stabilizer subgroups and incidence as the orbit of the base coset pair
 under simultaneous right multiplication by the group generators.
 
 Both construction routes end in one integer Cayley table of the group,
-``right[g, j]`` = element g times generator j: the generator columns of
-the Todd-Coxeter table, or one vectorized product per generator of the
-matrix group.  From there one path (``_checked_handle``) computes the four
-face actions, the incidences and the diamond check as numpy array
-operations, and ``medial_layer_graph`` extracts the graph the same way.
+``right[g, j]`` = element g times generator j.  The presentation route
+enumerates the cosets of the base 1-face stabilizer, not of the trivial
+subgroup, and reads the table off the orbit of a tuple of those cosets,
+once the orbit's size proves that the group acts on it regularly
+(``_certified_cayley_table``).  The matrix route takes one vectorized
+product per generator.  From there one path (``_checked_handle``) computes
+the four face actions, the incidences and the diamond check as numpy
+array operations, and ``medial_layer_graph`` extracts the graph the same
+way.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import time
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,17 +50,28 @@ from .fpgroup import (
     coset_enumeration,
     gen_word,
 )
-from .matgroup import MatrixGroup, OverflowResult, recover_reflection_codes
-from .permgroup import Permutation, code_orbit, face_action, orbit
+from .matgroup import (
+    DEFAULT_MAX_ELEMENTS,
+    MatrixGroup,
+    OverflowResult,
+    recover_reflection_codes,
+)
+from .permgroup import (
+    Permutation,
+    code_cayley_table,
+    code_orbit,
+    face_action,
+    orbit,
+)
 
 # The validation functions (validate_string_cgroup, validate_rotation_group,
 # self_duality_test, is_directly_regular, generator_map_homomorphism) take
 # group elements in whatever form the caller holds them: ``identity`` plus
 # ``mul(x, g)``, the right product of an element x with a generator g.
 # Library callers pass permutations, multiplied with ``*``; the pipeline
-# passes coset indices of a full enumeration, multiplied by table lookup, or
-# matrix-group element codes, multiplied by MatrixGroup.multiply, so no
-# element becomes a permutation of degree |G|.
+# passes rows of the presentation route's Cayley table, multiplied by table
+# lookup, or matrix-group element codes, multiplied by MatrixGroup.multiply,
+# so no element becomes a permutation of degree |G|.
 
 
 class PolytopeValidationError(ValueError):
@@ -286,34 +302,153 @@ class PolytopeHandle:
                 f" group order {self.group_order} and stabilizer order {stab}")
 
 
+#: The subgroups whose cosets the regular route enumerates, in turn: the
+#: stabilizer of the base 1-face, then the trivial subgroup, whose
+#: certificate always holds.
+_ENUMERATED_SUBGROUPS = (_PARABOLIC[1], ())
+
+
 def handle_from_presentation(
         pres: Presentation,
         label: str,
         max_cosets: int = DEFAULT_MAX_COSETS,
+        max_elements: int = DEFAULT_MAX_ELEMENTS,
         time_budget: float | None = None) -> PolytopeHandle:
-    """Regular route: one enumeration of the group, then everything on its
-    cosets.
+    """Regular route: the Cayley table of the group read off a certified
+    orbit of base cosets (``_certified_cayley_table``), then everything on
+    the table.
 
-    Coset 0 of the full enumeration is the identity, and a generator letter
-    multiplies a coset by a lookup in the table.  In that form the group is
-    validated and tested for self-duality; the table's generator columns
-    are the Cayley table the face actions are computed on.
+    The cosets of the base 1-face stabilizer are enumerated first; when
+    their certificate fails, those of the trivial subgroup, whose single
+    base coset always certifies.  Elements are the rows of the table, a
+    generator multiplies an element by a lookup, and in that form the group
+    is validated and tested for self-duality.  ``max_cosets`` bounds each
+    enumeration, ``max_elements`` each base orbit, and ``time_budget`` all
+    of them together.
     """
-    full = coset_enumeration(pres, (), max_cosets=max_cosets,
-                             time_budget=time_budget)
-    if not full.is_complete:
-        raise OverflowResult(f"{label}: group enumeration overflow"
-                             f" ({full.reason})")
-    rows = full.rows
-    letters = gen_word(0, 1, 2, 3)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    for subgroup in _ENUMERATED_SUBGROUPS:
+        table = _certified_cayley_table(pres, subgroup, label, max_cosets,
+                                        max_elements, deadline)
+        if table is not None:
+            break
+    else:
+        # The trivial subgroup's certificate fails only past the deadline.
+        raise OverflowResult(f"{label}: time budget exceeded")
+    right, identity = table
+    rows = right.tolist()
 
-    def mul(coset: int, letter: int) -> int:
-        return rows[coset][letter]
+    def mul(element: int, generator: int) -> int:
+        return rows[element][generator]
 
-    cgroup = validate_string_cgroup(letters, 0, mul)
-    right = np.array(rows, dtype=np.int32)[:, 0::2]  # letter 2g is rho_g
-    return _checked_handle(label, "regular", cgroup.schlafli, right, 0,
+    cgroup = validate_string_cgroup(range(4), identity, mul)
+    return _checked_handle(label, "regular", cgroup.schlafli, right, identity,
                            range(4), _PARABOLIC, cgroup)
+
+
+def _certified_cayley_table(
+        pres: Presentation, subgroup: tuple[int, ...], label: str,
+        max_cosets: int, max_elements: int, deadline: float | None
+) -> tuple[np.ndarray, int] | None:
+    """The Cayley table of the group of ``pres`` on its generators, and the
+    row of the identity, from the cosets of the subgroup H generated by
+    the generators ``subgroup``; None when the certificate fails.
+
+    The relators in H's generators alone present a group that H is a
+    quotient of, so its order, from a small enumeration, bounds |H|, and
+    bound * index bounds |G|.  The orbit of a tuple of cosets has at most
+    |G| elements, so an orbit with bound * index elements proves that G
+    acts on it regularly: its points are the group elements.  The tuple
+    starts at coset 0 and grows along coset 0 times r1, r1 r2, r1 r2 r3,
+    r1 r2 r3 r0, ..., one new coset at a time while its mixed-radix codes
+    fit in int64.  For the trivial subgroup the bound is 1 and coset 0
+    alone certifies.
+    """
+    cosets = coset_enumeration(pres, [gen_word(g) for g in subgroup],
+                               max_cosets=max_cosets,
+                               time_budget=_remaining(deadline))
+    if not cosets.is_complete:
+        raise OverflowResult(f"{label}: coset enumeration overflow"
+                             f" ({cosets.reason})")
+    # columns[g] is the action of generator g, letter 2g, on the cosets.
+    columns = np.array(cosets.rows, dtype=np.int64)[:, 0::2].T.copy()
+    ngens, index = columns.shape
+    # A bound above max_elements // index could only certify an orbit
+    # past max_elements, so its enumeration stops there.
+    bound = _subgroup_order_bound(
+        pres, subgroup, min(max_cosets, max(1, max_elements // index)),
+        deadline)
+    if bound is None:
+        return None
+
+    def stepper(place: np.ndarray, generators: Iterable[int]) -> Callable:
+        """Images of tuple codes with digit places ``place`` under each of
+        ``generators``."""
+        def step(codes: np.ndarray) -> np.ndarray:
+            digits = codes[:, None] // place % index
+            return np.concatenate([columns[g][digits] @ place
+                                   for g in generators])
+        return step
+
+    base, fresh = [0], _base_walk(columns)
+    while True:
+        place = index ** np.arange(len(base) - 1, -1, -1, dtype=np.int64)
+        try:
+            elements = code_orbit([np.array(base) @ place],
+                                  stepper(place, range(ngens)),
+                                  max_elements, deadline)
+        except ValueError:
+            raise OverflowResult(f"{label}: base orbit exceeded"
+                                 f" {max_elements} elements") from None
+        except TimeoutError:
+            raise OverflowResult(f"{label}: time budget exceeded") from None
+        if len(elements) == bound * index:
+            break
+        coset = next(fresh, None)
+        if coset is None or index ** (len(base) + 1) > 2 ** 63:
+            return None
+        base.append(coset)
+    identity = int(np.searchsorted(elements, np.array(base) @ place))
+    return (code_cayley_table(elements, [stepper(place, (g,))
+                                         for g in range(ngens)]),
+            identity)
+
+
+def _base_walk(columns: np.ndarray) -> Iterator[int]:
+    """The cosets 0 times r1, r1 r2, r1 r2 r3, r1 r2 r3 r0, ... other than
+    0, each at its first appearance, until the walk repeats a step."""
+    ngens = len(columns)
+    coset, seen, steps = 0, {0}, set()
+    for g in itertools.cycle([*range(1, ngens), 0]):
+        if (coset, g) in steps:
+            return
+        steps.add((coset, g))
+        coset = int(columns[g, coset])
+        if coset not in seen:
+            seen.add(coset)
+            yield coset
+
+
+def _subgroup_order_bound(pres: Presentation, subgroup: tuple[int, ...],
+                          max_cosets: int, deadline: float | None
+                          ) -> int | None:
+    """The order of the group presented by the generators ``subgroup`` and
+    the relators of ``pres`` in them alone, or None when its enumeration
+    overflows."""
+    position = {g: i for i, g in enumerate(subgroup)}
+    relators = tuple(tuple(2 * position[x >> 1] + (x & 1) for x in w)
+                     for w in pres.relators
+                     if all(x >> 1 in position for x in w))
+    names = tuple(pres.names[g] for g in subgroup)
+    table = coset_enumeration(Presentation(names, relators), (),
+                              max_cosets=max_cosets,
+                              time_budget=_remaining(deadline))
+    return table.num_cosets if table.is_complete else None
+
+
+def _remaining(deadline: float | None) -> float | None:
+    """Seconds left until ``deadline``, a ``time.monotonic()`` value."""
+    return None if deadline is None else deadline - time.monotonic()
 
 
 def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> PolytopeHandle:

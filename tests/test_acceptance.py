@@ -1,8 +1,8 @@
 """End-to-end acceptance run: every primary criterion, one pass/fail line
-each.  Criteria 2 and 4 include the long-running instances (about 16 s for
-criterion 2 on 2 cores, most of it the coset enumeration of the row-7
-group) and are still run by default; the whole module is sized for a
-single laptop session."""
+each.  Criteria 2 and 4 include the long-running instances (about 5–7 s
+for criterion 2 on 2 cores, most of it the automorphism search and
+classification of row 6) and are still run by default; the whole module
+is sized for a single laptop session."""
 
 import random
 

@@ -193,8 +193,9 @@ def test_bad_limit_exit_code(capsys):
 
 
 def test_overflow_exit_code(capsys):
+    # Row 2 has 27 cosets of its 1-face stabilizer.
     code, _, err = run(capsys, "build", "universal:3,6:1,1:3,0",
-                       "--max-cosets", "50")
+                       "--max-cosets", "20")
     assert code == EXIT_OVERFLOW
     assert "overflow" in err
 
@@ -206,10 +207,30 @@ def test_time_budget_bounds_matrix_closure(capsys):
     assert "time budget exceeded" in err
 
 
+def test_time_budget_bounds_presentation_route(capsys):
+    code, _, err = run(capsys, "build", "universal:3,6:3,0:2,2",
+                       "--time-budget", "0.001")
+    assert code == EXIT_OVERFLOW
+    assert "time budget exceeded" in err
+
+
+def test_max_elements_bounds_presentation_route(capsys):
+    # Row 4 has 720 elements.
+    code, _, err = run(capsys, "build", "universal:3,6:2,0:2,2",
+                       "--max-elements", "719")
+    assert code == EXIT_OVERFLOW
+    assert "base orbit exceeded 719 elements" in err
+    code, out, _ = run(capsys, "build", "universal:3,6:2,0:2,2",
+                       "--max-elements", "720")
+    assert code == EXIT_OK
+    assert "group_order: 720" in out
+
+
 def test_table1_overflow_rows_fast(capsys):
     # With a tiny coset cap every row degrades to an overflow marker, which
-    # exercises the table plumbing without the heavy computations.
-    code, out, _ = run(capsys, "table1", "--max-cosets", "20")
+    # exercises the table plumbing without the heavy computations.  Row 1,
+    # the smallest, has 9 cosets of its 1-face stabilizer.
+    code, out, _ = run(capsys, "table1", "--max-cosets", "5")
     assert code == EXIT_OK
     rows = parse_csv(out)
     assert rows[0] == CSV_COLUMNS

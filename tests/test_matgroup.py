@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from medial.cli import parse_eisenstein_product
 from medial.eisenstein import (
     EisensteinInt,
     ResidueRing,
@@ -153,6 +154,40 @@ def test_reflection_recovery_regular_only():
     for code in rhos:
         assert g3.multiply(code, code) == ident
     assert recover_reflection_codes(generate_group(CHIRAL_M)) is None
+
+
+def naive_recover_reflection_codes(group):
+    """The element-at-a-time reflection search, the reference for
+    ``recover_reflection_codes``: the first conjugation-flagged involution
+    r inverting sigma1 and sigma2 by conjugation whose four generators are
+    involutions."""
+    s1, s2, s3 = group.sigma_codes
+    ident = group.identity_code()
+    mul = group.multiply
+
+    def inv(code):
+        return next(y for y in group.elements if mul(code, y) == ident)
+
+    s1i, s2i = inv(s1), inv(s2)
+    for r in group.elements:
+        if (not r[4] or mul(r, r) != ident or mul(mul(r, s1), r) != s1i
+                or mul(mul(r, s2), r) != s2i):
+            continue
+        rhos = (mul(s1, r), r, mul(r, s2), mul(mul(r, s2), s3))
+        if all(mul(x, x) == ident for x in rhos):
+            return rhos
+    return None
+
+
+@pytest.mark.parametrize("m,scalars", [
+    ("3", ()), ("2-2w", ()), ("3-3w", ()), ("3-3w", ("w",)), ("6", ()),
+    ("(1-w)*(1+3w)", ()),
+])
+def test_reflection_recovery_matches_element_search(m, scalars):
+    m = parse_eisenstein_product(m)
+    A = ScalarGroup(ResidueRing(m), [parse_eisenstein(a) for a in scalars])
+    g = generate_group(m, A)
+    assert recover_reflection_codes(g) == naive_recover_reflection_codes(g)
 
 
 def test_residue_matrix_requires_unit_determinant():

@@ -4,9 +4,14 @@ pipeline's orbit computations are tested against."""
 
 import random
 
+import numpy as np
+import pytest
+
 from medial.permgroup import (
     Permutation,
     PermutationGroup,
+    code_cayley_table,
+    code_orbit,
     naive_closure,
 )
 
@@ -110,3 +115,17 @@ def test_elements_listing_matches_order():
     elems = naive_closure(gens)
     assert len(elems) == group.order()
     assert len(set(elems)) == len(elems)
+
+
+def test_cayley_table_from_coded_orbit():
+    # Z12 generated by 3 and 4, element k coded as 10 k.
+    steps = [lambda x: (x + 30) % 120, lambda x: (x + 40) % 120]
+    codes = code_orbit([0], lambda x: np.concatenate([f(x) for f in steps]))
+    assert codes.tolist() == list(range(0, 120, 10))
+    right = code_cayley_table(codes, steps)
+    assert right.T.tolist() == [[(k + 3) % 12 for k in range(12)],
+                                [(k + 4) % 12 for k in range(12)]]
+    with pytest.raises(ValueError, match="generator 1"):
+        code_cayley_table(codes, [steps[0], lambda x: x + 5])
+    with pytest.raises(ValueError, match="generator 0"):
+        code_cayley_table(codes, [lambda x: x + 10])

@@ -12,8 +12,18 @@ from medial.catalog import (
     universal_locally_toroidal,
 )
 from medial.eisenstein import parse_eisenstein
-from medial.fpgroup import coset_enumeration, gen_word
-from medial.matgroup import generate_group, recover_reflection_codes
+from medial.fpgroup import (
+    DEFAULT_MAX_COSETS,
+    Presentation,
+    coset_enumeration,
+    gen_word,
+)
+from medial.graphsym import to_graph6
+from medial.matgroup import (
+    OverflowResult,
+    generate_group,
+    recover_reflection_codes,
+)
 from medial.permgroup import Permutation, PermutationGroup, face_action, orbit
 from medial.polytope import (
     PolytopeValidationError,
@@ -330,7 +340,105 @@ def test_presentation_route_enumerates_once(monkeypatch):
     monkeypatch.setattr(polytope, "coset_enumeration", counting)
     pres = universal_locally_toroidal(ToroidalParams(2, 0), ToroidalParams(2, 2))
     assert handle_from_presentation(pres, "row 4").group_order == 720
-    assert len(calls) == 1
+    # The group is enumerated once, over the base 1-face stabilizer, and
+    # never over the trivial subgroup; the only other enumeration is the
+    # stabilizer's own 12-element bound.
+    on_pres = [args for args in calls if args[0] is pres]
+    assert on_pres == [(pres, [gen_word(i) for i in polytope._PARABOLIC[1]])]
+    assert [coset_enumeration(*args).num_cosets for args in calls
+            if args[0] is not pres] == [12]
+
+
+def handle_summary(handle):
+    """Everything a handle carries, and the graph6 export of its graph."""
+    return (handle.group_order, str(handle.schlafli), handle.self_dual,
+            handle.rank1_images.tolist(), handle.rank2_images.tolist(),
+            to_graph6(medial_layer_graph(handle)))
+
+
+def trivial_subgroup_handle(monkeypatch, pres, label):
+    """The handle when the route enumerates the trivial subgroup only."""
+    with monkeypatch.context() as m:
+        m.setattr(polytope, "_ENUMERATED_SUBGROUPS", ((),))
+        return handle_from_presentation(pres, label)
+
+
+PRESENTATIONS = {
+    **{f"row {i + 1}": universal_locally_toroidal(ToroidalParams(*s),
+                                                  ToroidalParams(*t))
+       for i, (s, t) in enumerate(TABLE1_ROWS[:6])},
+    "[3,3,3]": coxeter_string(3, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_certified_stabilizer_route_matches_trivial_subgroup(monkeypatch,
+                                                             name):
+    pres = PRESENTATIONS[name]
+    assert handle_summary(handle_from_presentation(pres, name)) \
+        == handle_summary(trivial_subgroup_handle(monkeypatch, pres, name))
+
+
+@pytest.mark.slow
+def test_certified_stabilizer_route_matches_trivial_subgroup_row_7(
+        monkeypatch):
+    s, t = TABLE1_ROWS[6]
+    pres = universal_locally_toroidal(ToroidalParams(*s), ToroidalParams(*t))
+    handle = handle_from_presentation(pres, "row 7")
+    assert handle.group_order == 241920
+    assert handle_summary(handle) \
+        == handle_summary(trivial_subgroup_handle(monkeypatch, pres, "row 7"))
+
+
+def plain_enumeration_route(pres, label):
+    """The handle the way a single enumeration of the whole group gives
+    it: coset indices as elements, the table's generator columns as the
+    Cayley table."""
+    rows = coset_enumeration(pres).rows
+    cgroup = validate_string_cgroup(range(4), 0, lambda c, g: rows[c][2 * g])
+    right = np.array(rows)[:, 0::2]
+    return polytope._checked_handle(label, "regular", cgroup.schlafli, right,
+                                    0, range(4), polytope._PARABOLIC, cgroup)
+
+
+def outcome(route, pres, label):
+    try:
+        return handle_summary(route(pres, label))
+    except PolytopeValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("extra", [gen_word(0, 1), gen_word(0, 2, 3, 1)])
+def test_collapsed_stabilizer_falls_back_to_trivial_subgroup(monkeypatch,
+                                                             extra):
+    # rho0 = rho1 (or rho0 rho2 rho3 = rho1) puts the whole group in
+    # <rho0, rho2, rho3>: one coset, which no base tuple certifies.
+    row4 = universal_locally_toroidal(ToroidalParams(2, 0),
+                                      ToroidalParams(2, 2))
+    pres = Presentation(row4.names, row4.relators + (extra,))
+    subgroups = []
+
+    def recording(p, subgens=(), **kwargs):
+        if p is pres:
+            subgroups.append(list(subgens))
+        return coset_enumeration(p, subgens, **kwargs)
+
+    monkeypatch.setattr(polytope, "coset_enumeration", recording)
+    got = outcome(handle_from_presentation, pres, "collapsed")
+    assert subgroups == [[gen_word(i) for i in polytope._PARABOLIC[1]], []]
+    monkeypatch.undo()
+    assert got == outcome(plain_enumeration_route, pres, "collapsed")
+
+
+def test_time_budget_bounds_base_orbit(monkeypatch):
+    # Enumerations that ignore the deadline leave it to the base orbit.
+    monkeypatch.setattr(
+        polytope, "coset_enumeration",
+        lambda p, subgens=(), max_cosets=DEFAULT_MAX_COSETS,
+        time_budget=None: coset_enumeration(p, subgens, max_cosets))
+    pres = universal_locally_toroidal(ToroidalParams(3, 0), ToroidalParams(3, 0))
+    with pytest.raises(OverflowResult, match="time budget exceeded"):
+        handle_from_presentation(pres, "row 5", time_budget=0)
 
 
 def test_diamond_check_rejects_broken_action():
