@@ -19,9 +19,10 @@ machinery, and the classification of a graph as
 * NotEdgeTransitive otherwise, or Undecided past the configured caps.
 
 Arc transitivity is read off its definition: the Aut-orbit of one probe
-arc is enumerated with ``permgroup.orbit``, the orbit of each prefix
-probe[:k] is the set of k-prefixes of that orbit, and the graph is t-arc
-transitive when the t-prefix orbit holds all n_j * 3 * 2^(t-1) t-arcs.
+arc is enumerated with ``permgroup.code_orbit`` on integer arc codes, the
+orbit of each prefix probe[:k] is the set of k-prefixes of that orbit, and
+the graph is t-arc transitive when the t-prefix orbit holds all
+n_j * 3 * 2^(t-1) t-arcs.
 Orbit-stabilizer gives the stabilizer tower |Aut_{arc[:k]}| =
 |Aut| / |orbit of arc[:k]|.  The shunts and the reverser come from the
 same individualization search that computes Aut.  No stabilizer chain is
@@ -46,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .permgroup import Permutation, PermutationGroup, code_orbit, orbit
+from .permgroup import Permutation, PermutationGroup, code_orbit
 
 MAX_SYMMETRIC_T = 5   # Tutte's bound for cubic symmetric graphs
 MAX_SEMI_T = 7        # bound for per-type arc transitivity
@@ -153,16 +154,31 @@ def validate(neighbors: Sequence[Iterable[int]] | np.ndarray,
 # Color refinement and individualization search
 # ---------------------------------------------------------------------------
 
+def _dense_ranks(keys: np.ndarray) -> np.ndarray:
+    """Rank of each key among the distinct keys in ascending order."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.zeros(len(keys), dtype=np.int64)
+    new[1:] = ordered[1:] != ordered[:-1]
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[order] = np.cumsum(new)
+    return ranks
+
+
 def _row_ranks(sig: np.ndarray) -> np.ndarray:
     """Rank of each row among the distinct rows in lexicographic order: the
-    inverse of ``np.unique(sig, axis=0)``, by one lexsort instead of the
-    row-as-void sort that np.unique makes."""
-    order = np.lexsort(sig.T[::-1])
-    ordered = sig[order]
-    new = np.ones(len(sig), dtype=np.int64)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ranks = np.empty(len(sig), dtype=np.int64)
-    ranks[order] = np.cumsum(new) - 1
+    inverse of ``np.unique(sig, axis=0)``, for rows of two or more colours
+    in 0..D-1, D = sig.max() + 1.
+
+    The first two columns are ranked by the 1-D key col * D + n0, and each
+    further column by rank * D + n.  The first key is below D**2 and, as a
+    rank is below len(sig), every later one below len(sig) * D: all exact
+    in int64 for any graph in memory, with no lexsort over the columns.
+    """
+    d = int(sig.max()) + 1
+    ranks = sig[:, 0]
+    for column in sig.T[1:]:
+        ranks = _dense_ranks(ranks * d + column)
     return ranks
 
 
@@ -172,20 +188,27 @@ def _refine_joint(adjA: np.ndarray, adjB: np.ndarray,
     """Stable joint refinement of both colorings in a shared color space.
 
     Returns None as soon as the per-color counts of the two sides diverge
-    (no isomorphism compatible with the colorings can exist).
+    (no isomorphism compatible with the colorings can exist).  The two
+    sides are refined as one disjoint union; given the same graph and
+    colouring twice, as the level refinements of the automorphism search
+    are, one copy stands for both, since it has the same distinct rows.
     """
     nA = len(colA)
+    same = adjA is adjB and colA is colB
+    adj = adjA if same else np.concatenate([adjA, adjB + nA])
+    col = colA if same else np.concatenate([colA, colB])
     prev = -1
     while True:
-        sigA = np.concatenate([colA[:, None], np.sort(colA[adjA], axis=1)], axis=1)
-        sigB = np.concatenate([colB[:, None], np.sort(colB[adjB], axis=1)], axis=1)
-        inverse = _row_ranks(np.vstack([sigA, sigB]))
-        colA, colB = inverse[:nA], inverse[nA:]
-        distinct = int(inverse.max()) + 1
-        cntA = np.bincount(colA, minlength=distinct)
-        cntB = np.bincount(colB, minlength=distinct)
-        if not np.array_equal(cntA, cntB):
-            return None
+        col = _row_ranks(np.concatenate(
+            [col[:, None], np.sort(col[adj], axis=1)], axis=1))
+        distinct = int(col.max()) + 1
+        if same:
+            colA = colB = col
+        else:
+            colA, colB = col[:nA], col[nA:]
+            if not np.array_equal(np.bincount(colA, minlength=distinct),
+                                  np.bincount(colB, minlength=distinct)):
+                return None
         if distinct == prev:
             return colA, colB
         prev = distinct
@@ -229,10 +252,6 @@ def _individualized(n: int, fixed: Sequence[int]) -> np.ndarray:
     return col
 
 
-def _image(x: int, g: np.ndarray) -> int:
-    return int(g[x])
-
-
 @dataclass
 class AutomorphismResult:
     """Automorphism group of a graph, or an explicit undecided marker."""
@@ -243,6 +262,7 @@ class AutomorphismResult:
     generators: list[Permutation] = field(default_factory=list)
     vertex_orbits: list[set[int]] = field(default_factory=list)
     reason: str = ""
+    adj: np.ndarray | None = None  # the graph the generators act on
 
 
 def automorphism_group(G: BipartiteCubicGraph,
@@ -260,6 +280,8 @@ def automorphism_group(G: BipartiteCubicGraph,
     that already failed, under the generators found so far that fix the
     base (McKay & Piperno 2014, section 3).  So once the generators are
     transitive on the other type, one failed search rules out a type swap.
+    Those orbits are ``code_orbit`` closures over the generators' image
+    arrays, and the skipped candidates a boolean mask.
     """
     if G.n > max_vertices:
         return AutomorphismResult(
@@ -281,29 +303,37 @@ def automorphism_group(G: BipartiteCubicGraph,
         c = min((int(x) for x in branch), key=lambda c: (counts[c], c))
         cell = [int(v) for v in np.flatnonzero(col == c)]
         b = cell[0]
-        level_gens = [g for g in gens if all(g[f] == f for f in fixed)]
+        # The generators that fix the base so far, one image array a row.
+        level = np.array([g for g in gens if (g[fixed] == fixed).all()],
+                         dtype=np.int64).reshape(-1, G.n)
+
+        def orbit_of(seeds: list[int]) -> np.ndarray:
+            return code_orbit(seeds, lambda x: level[:, x].ravel())
+
         failed: list[int] = []
-        covered = orbit([b], level_gens, _image)
+        covered = np.zeros(G.n, dtype=bool)
+        covered[orbit_of([b])] = True
         colA = _individualized(G.n, fixed + [b])
         for v in cell[1:]:
-            if v in covered:
+            if covered[v]:
                 continue
             found = _search_mapping(adj, adj, colA,
                                     _individualized(G.n, fixed + [v]))
             if found is None:
                 failed.append(v)
-                covered |= orbit([v], level_gens, _image)
+                covered[orbit_of([v])] = True
             else:
                 gens.append(found)
-                level_gens.append(found)
-                covered = orbit([b] + failed, level_gens, _image)
-        order *= len(orbit([b], level_gens, _image))
+                level = np.vstack([level, found])
+                covered[orbit_of([b] + failed)] = True
+        order *= len(orbit_of([b]))
         fixed.append(b)
     perms = [Permutation(g) for g in gens]
     group = PermutationGroup(perms, degree=G.n)
     orbits = group.point_orbits()
     return AutomorphismResult("ok", order=order, group=group,
-                              generators=perms, vertex_orbits=orbits)
+                              generators=perms, vertex_orbits=orbits,
+                              adj=adj)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +379,44 @@ def t_arc_count(G: BipartiteCubicGraph, jtype: int, t: int) -> int:
     return int((G.types == jtype).sum()) * 3 * 2 ** (t - 1)
 
 
+def _arc_codes(adj: np.ndarray, arcs: np.ndarray) -> np.ndarray:
+    """The integer code of each row of ``arcs``, a non-backtracking walk
+    v0, ..., v_{L-1} with L >= 2: ((v0*3 + i1)*2 + b2)*2 + ... + b_{L-1},
+    where i1 is the position of v1 in adj[v0] and b_k is 1 when v_k is the
+    larger of its two choices, the neighbours of v_{k-1} other than
+    v_{k-2}.
+
+    The walks of L vertices get the codes 0 .. 3N*2^(L-2) - 1, in their
+    lexicographic order, and the k-prefix of a walk has the code
+    code >> (L - k) for k >= 2.
+    """
+    arcs = np.asarray(arcs, dtype=np.int64)
+    sums = adj.sum(axis=1, dtype=np.int64)
+    codes = arcs[:, 0] * 3 + (adj[arcs[:, 0]] < arcs[:, 1:2]).sum(axis=1)
+    for k in range(2, arcs.shape[1]):
+        other = sums[arcs[:, k - 1]] - arcs[:, k - 2] - arcs[:, k]
+        codes = codes * 2 + (arcs[:, k] > other)
+    return codes
+
+
+def _arc_vertices(adj: np.ndarray, codes: np.ndarray,
+                  length: int) -> np.ndarray:
+    """The walks of ``length`` vertices with the ``_arc_codes`` ``codes``,
+    one a row."""
+    arcs = np.empty((len(codes), length), dtype=np.int64)
+    head = codes >> (length - 2)
+    arcs[:, 0] = head // 3
+    arcs[:, 1] = adj[arcs[:, 0], head % 3]
+    for k in range(2, length):
+        row = adj[arcs[:, k - 1]]
+        back = arcs[:, k - 2]
+        lower = np.where(row[:, 0] == back, row[:, 1], row[:, 0])
+        upper = np.where(row[:, 2] == back, row[:, 1], row[:, 2])
+        larger = (codes >> (length - 1 - k)) & 1
+        arcs[:, k] = np.where(larger == 1, upper, lower)
+    return arcs
+
+
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -379,15 +447,35 @@ class Classification:
 
 def _prefix_orbit_sizes(aut: AutomorphismResult,
                         vertices: Sequence[int]) -> list[int]:
-    """Sizes of the Aut-orbits of vertices[:k] for k = 0..len(vertices).
+    """Sizes of the Aut-orbits of vertices[:k] for k = 0..len(vertices), for
+    a non-backtracking walk of two or more vertices.
 
     The orbit of a prefix is the set of prefixes of the orbit of the whole
-    tuple, so one tuple orbit gives them all.  By orbit-stabilizer each
-    size divides |Aut|, and |Aut_{vertices[:k]}| = |Aut| / size; a size
-    that does not divide contradicts the order the search found.
+    walk, so one orbit gives them all.  It is enumerated on arc codes
+    (``_arc_codes``): each step decodes a frontier, maps its vertices
+    through every generator and encodes the images.  The orbit comes back
+    sorted, and so do the prefix codes of its members, so each size is one
+    more than the number of changes along them.
+
+    By orbit-stabilizer each size divides |Aut|, and |Aut_{vertices[:k]}|
+    = |Aut| / size; a size that does not divide contradicts the order the
+    search found.  The whole walk's orbit is enumerated even when a
+    shorter prefix's orbit already has |Aut| members, since an order that
+    is too small may show only on the longer prefixes.
     """
-    arcs = aut.group.orbit(vertices)
-    sizes = [len({a[:k] for a in arcs}) for k in range(len(vertices) + 1)]
+    adj, length = aut.adj, len(vertices)
+
+    def step(codes: np.ndarray) -> np.ndarray:
+        arcs = _arc_vertices(adj, codes, length)
+        return np.array([_arc_codes(adj, g.images[arcs])
+                         for g in aut.group.generators],
+                        dtype=np.int64).ravel()
+
+    codes = code_orbit(_arc_codes(adj, np.array([vertices])), step)
+    heads = codes >> (length - 2)
+    prefixes = [heads // 3] + [codes >> (length - k)
+                               for k in range(2, length + 1)]
+    sizes = [1] + [1 + int(np.count_nonzero(np.diff(p))) for p in prefixes]
     for k, size in enumerate(sizes):
         if aut.order % size:
             raise InconsistencyError(

@@ -1,14 +1,15 @@
 """Permutation groups on finite domains.
 
-Permutations are numpy image arrays.  Orbits on points and on tuples of
-points go through ``orbit``, the package's one closure primitive, or, for
-points coded as integers, through its array form ``code_orbit``, one
-breadth-first level per numpy pass.  ``code_cayley_table`` reads the
-Cayley table, ``right[g, j]`` = element g times generator j, off such an
-orbit when it is a whole group; both construction routes end in one.
-``face_action`` is the one action on the cosets of a subgroup, and every
-face action of either route is computed on such a table.  The pipeline
-needs nothing else from this module.
+Permutations are numpy image arrays.  Closures go through ``orbit``, the
+package's one closure primitive, or, for points coded as integers, through
+its array form ``code_orbit``, one breadth-first level per numpy pass: the
+point orbits of a group, and in ``graphsym`` its orbits on arcs, are
+``code_orbit`` over the generators' image arrays.  ``code_cayley_table``
+reads the Cayley table, ``right[g, j]`` = element g times generator j,
+off such an orbit when it is a whole group; both construction routes end
+in one.  ``face_action`` is the one action on the cosets of a subgroup,
+and every face action of either route is computed on such a table.  The
+pipeline needs nothing else from this module.
 
 A deterministic Schreier-Sims stabilizer chain (base points chosen in
 ascending domain order, or as prescribed) gives exact orders, membership,
@@ -261,20 +262,17 @@ class PermutationGroup:
             h = h * lvl.transversal[img].inverse()
         return h.is_identity()
 
-    def orbit(self, points: Sequence[int]) -> set[tuple[int, ...]]:
-        """Orbit of a tuple of points under the group."""
-        images = [g.images.tolist() for g in self.generators]
-        return orbit([tuple(points)], images,
-                     lambda t, g: tuple([g[p] for p in t]))
-
     def point_orbits(self) -> list[set[int]]:
-        images = [g.images.tolist() for g in self.generators]
+        """The orbits on points, in the order of their least points."""
+        images = np.array([g.images for g in self.generators],
+                          dtype=np.int64).reshape(-1, self.degree)
         out: list[set[int]] = []
-        covered: set[int] = set()
+        covered = np.zeros(self.degree, dtype=bool)
         for p in range(self.degree):
-            if p not in covered:
-                out.append(orbit([p], images, lambda q, g: g[q]))
-                covered |= out[-1]
+            if not covered[p]:
+                points = code_orbit([p], lambda x: images[:, x].ravel())
+                covered[points] = True
+                out.append(set(points.tolist()))
         return out
 
     def prefix_stabilizer_orders(self, points: Sequence[int]) -> list[int]:
@@ -375,6 +373,8 @@ def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
     """``np.unique`` of a 1-D array, by one sort: numpy's hash-based
     unique is many times slower on codes spread over a wide range."""
     codes = np.sort(codes)
+    if len(codes) == 0:  # a step with no generators yields no images
+        return codes
     return codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
 
 

@@ -121,7 +121,7 @@ def test_classify_graph_file(capsys, tmp_path):
 @pytest.mark.slow
 def test_classify_row7_with_lifted_cap(capsys):
     # Table 1 row 7, decided once the vertex cap admits its 40320 vertices:
-    # about 50 s and 400 MB on 2 cores, so outside the default run.
+    # about 13 s and 125 MB on 2 cores, so outside the default run.
     code, out, _ = run(capsys, "classify", "universal:3,6:3,0:4,0",
                        "--max-vertices", "50000")
     assert code == EXIT_OK

@@ -15,6 +15,9 @@ from medial.graphsym import (
     Arc,
     GraphError,
     InconsistencyError,
+    MAX_SEMI_T,
+    _arc_codes,
+    _arc_vertices,
     _prefix_orbit_sizes,
     _row_ranks,
     automorphism_group,
@@ -33,7 +36,7 @@ from medial.graphsym import (
     validate,
 )
 from medial.matgroup import generate_group
-from medial.permgroup import PermutationGroup
+from medial.permgroup import PermutationGroup, orbit
 from medial.polytope import (
     handle_from_matrix_group,
     handle_from_presentation,
@@ -204,6 +207,65 @@ def test_arc_orbit_orders_match_stabilizer_chain():
                 aut.group.prefix_stabilizer_orders(probe.vertices), name
 
 
+def naive_prefix_orbit_sizes(aut, vertices):
+    """Sizes of the Aut-orbits of vertices[:k] for k = 0..len(vertices),
+    from the Python orbit of the whole walk as a tuple: the reference for
+    the orbit on arc codes in ``_prefix_orbit_sizes``."""
+    images = [g.images.tolist() for g in aut.group.generators]
+    walks = orbit([tuple(vertices)], images,
+                  lambda walk, g: tuple([g[v] for v in walk]))
+    return [len({w[:k] for w in walks}) for k in range(len(vertices) + 1)]
+
+
+def test_arc_code_orbits_match_tuple_orbits():
+    # The probes classify takes for a semisymmetric verdict, from each
+    # type.  On 3-3w the whole probe has a stabilizer of order 2, so the
+    # sizes end at |Aut| / 2 rather than |Aut|.
+    graphs = [(f"row {row}", universal_row(*ROWS[row])) for row in ROWS]
+    graphs += [("3", eisenstein_graph(parse_eisenstein("3"))),
+               ("(1-w)*(1+3w)", eisenstein_graph(
+                   parse_eisenstein("1-w") * parse_eisenstein("1+3w"))),
+               ("3-3w", eisenstein_graph(parse_eisenstein("3-3w")))]
+    for name, g in graphs:
+        aut = automorphism_group(g)
+        for jtype in (1, 2):
+            probe = base_arc(g, int(g.vertices_of_type(jtype)[0]),
+                             MAX_SEMI_T + 1)
+            sizes = _prefix_orbit_sizes(aut, probe.vertices)
+            assert sizes == naive_prefix_orbit_sizes(aut, probe.vertices), \
+                (name, jtype)
+            if name == "3-3w":
+                assert sizes[-1] == aut.order // 2
+    # With no generators each orbit is the walk itself.
+    trivial = replace(aut, group=PermutationGroup([], degree=g.n))
+    assert _prefix_orbit_sizes(trivial, probe.vertices) == [1] * 10
+
+
+def nonbacktracking_walks(g, length):
+    """Every non-backtracking walk of ``length`` vertices, in
+    lexicographic order."""
+    walks = [(v,) for v in range(g.n)]
+    for _ in range(length - 1):
+        walks = [w + (x,) for w in walks for x in g.neighbors(w[-1])
+                 if len(w) < 2 or x != w[-2]]
+    return np.array(walks)
+
+
+def test_arc_codes_number_the_walks_in_order():
+    # Encoding is a bijection onto range(N * 3 * 2^(L-2)) that keeps the
+    # lexicographic order and takes prefixes to shifts; decoding inverts it.
+    for g in (k33(), gray_oracle()):
+        for length in range(2, 10):
+            walks = nonbacktracking_walks(g, length)
+            codes = _arc_codes(g.adj, walks)
+            assert np.array_equal(codes,
+                                  np.arange(g.n * 3 * 2 ** (length - 2)))
+            assert np.array_equal(_arc_vertices(g.adj, codes, length), walks)
+            for k in range(2, length):
+                assert np.array_equal(_arc_codes(g.adj, walks[:, :k]),
+                                      codes >> (length - k))
+
+
 def test_arc_orbit_rejects_order_it_does_not_divide():
     g = k33()
     aut = automorphism_group(g)
@@ -274,13 +336,40 @@ def test_vertex_cap_yields_undecided():
     assert c.label() == "undecided"
 
 
+def lexsort_row_ranks(sig):
+    """``_row_ranks`` by one lexsort of the columns: the reference for the
+    chained 1-D rank keys."""
+    order = np.lexsort(sig.T[::-1])
+    ordered = sig[order]
+    new = np.ones(len(sig), dtype=np.int64)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ranks = np.empty(len(sig), dtype=np.int64)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks
+
+
 def test_row_ranks_match_numpy_unique_rows():
+    # Few colours, and up to about 2n, as many as a joint refinement of two
+    # n-vertex colourings has; rows repeat, drawn from a pool.
     rng = np.random.default_rng(3)
-    for _ in range(50):
+    for trial in range(100):
         n = int(rng.integers(1, 200))
-        sig = rng.integers(0, int(rng.integers(1, 12)), size=(n, 4))
+        d = int(rng.integers(1, 12) if trial % 2 else
+                rng.integers(max(1, 2 * n - 10), 2 * n + 2))
+        pool = rng.integers(0, d, size=(int(rng.integers(1, n + 1)), 4))
+        sig = pool[rng.integers(0, len(pool), size=n)]
         _, inverse = np.unique(sig, axis=0, return_inverse=True)
         assert np.array_equal(_row_ranks(sig), inverse.reshape(-1))
+        assert np.array_equal(lexsort_row_ranks(sig), inverse.reshape(-1))
+
+
+def test_rank_keys_find_the_generators_of_the_lexsort(monkeypatch):
+    graphs = [universal_row(*ROWS[4]), universal_row(*ROWS[5]),
+              eisenstein_graph(parse_eisenstein("3-3w"))]
+    found = [automorphism_group(g).generators for g in graphs]
+    monkeypatch.setattr(graphsym, "_row_ranks", lexsort_row_ranks)
+    for g, generators in zip(graphs, found):
+        assert automorphism_group(g).generators == generators
 
 
 def count_refinements(monkeypatch):

@@ -105,8 +105,9 @@ def test_transporter_found_and_absent():
 def test_orbits():
     g = PermutationGroup([Permutation.from_cycles(6, [(0, 1, 2)]),
                           Permutation.from_cycles(6, [(3, 4)])])
-    orbits = {frozenset(o) for o in g.point_orbits()}
-    assert orbits == {frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({5})}
+    assert g.point_orbits() == [{0, 1, 2}, {3, 4}, {5}]
+    # No generators: every closure step yields no images.
+    assert PermutationGroup([], degree=3).point_orbits() == [{0}, {1}, {2}]
 
 
 def test_elements_listing_matches_order():
