@@ -87,8 +87,12 @@ class JobSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.max_cosets < 1 or self.max_elements < 1 or self.jobs < 1:
+        if min(self.max_cosets, self.max_elements, self.max_vertices,
+               self.jobs) < 1:
             raise BadInput("limits must be positive")
+        # Written so that nan, which compares false, is rejected too.
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise BadInput("time budget must be positive")
         if self.fmt not in FORMATS:
             raise BadInput(f"unknown format {self.fmt!r}")
 
@@ -228,6 +232,8 @@ def _load_graph(path: str) -> BipartiteCubicGraph:
         raise
     except ValueError as exc:  # also a file that is not text
         raise BadInput(f"{path}: {exc}") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise BadInput(str(exc)) from None
 
 
 def cmd_classify(spec: JobSpec, out) -> int:
@@ -377,14 +383,10 @@ def main(argv: list[str] | None = None) -> int:
         spec = JobSpec(key=getattr(args, "key", ""),
                        **{k: getattr(args, k) for k in _CONFIG_KEYS
                           if k in args and k != "output"})
-    except (BadInput, FileNotFoundError) as exc:
+        out = open(args.output, "w") if "output" in args else sys.stdout
+    except (BadInput, OSError) as exc:  # OSError: the config or output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    out = sys.stdout
-    close = False
-    if "output" in args:
-        out = open(args.output, "w")
-        close = True
     try:
         if args.command == "build":
             return cmd_build(spec, out)
@@ -398,9 +400,6 @@ def main(argv: list[str] | None = None) -> int:
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except OverflowResult as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
@@ -409,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     finally:
-        if close:
+        if out is not sys.stdout:
             out.close()
 
 

@@ -29,14 +29,13 @@ reproduces it); its validation certificate is the order table
 
 checked in the test suite together with the defining relations.
 
-An element (M, star) is coded as the tuple (e0, e1, e2, e3, star) of its
-entry indices in the ring, modulo scalars: the canonical code is the least
-over the scalar multiples.  The closure runs on the same codes packed into
-mixed-radix int64 integers, whose order is the tuple order, one
-breadth-first level at a time with every product of a level taken at once
-in numpy; ``cayley_table`` gives the group's right multiplication by any
-generators in the same way.  ``multiply`` keeps the element-at-a-time
-product for validation.
+An element (M, star) is coded as one int64: the entry indices
+(e0, e1, e2, e3) of M in the ring and the flag star, packed in mixed radix
+so that code order is the order of the tuples (e0, e1, e2, e3, star), and
+taken least over the scalar multiples of M.  The closure runs on these
+codes one breadth-first level at a time, with every product of a level
+taken at once in numpy; ``cayley_table`` gives the group's right
+multiplication by any coded elements in the same way.
 """
 
 from __future__ import annotations
@@ -87,16 +86,6 @@ class OverflowResult(RuntimeError):
     """Group closure exceeded the configured element cap."""
 
 
-def _mat_mul(x: Sequence[EisensteinInt], y: Sequence[EisensteinInt],
-             ring: ResidueRing | None = None) -> tuple[EisensteinInt, ...]:
-    a, b, c, d = x
-    e, f, g, h = y
-    out = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-    if ring is not None:
-        out = tuple(ring.reduce(z) for z in out)
-    return out
-
-
 @dataclass(frozen=True)
 class ResidueMatrix:
     """A 2x2 matrix over D/(m) with unit determinant, entries reduced."""
@@ -120,8 +109,12 @@ class ResidueMatrix:
         return self.ring.reduce(a * d - b * c)
 
     def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
-        return ResidueMatrix(
-            self.ring, _mat_mul(self.entries, other.entries, self.ring))
+        a, b, c, d = self.entries
+        e, f, g, h = other.entries
+        return ResidueMatrix(self.ring, tuple(
+            self.ring.reduce(z)
+            for z in (a * e + b * g, a * f + b * h, c * e + d * g,
+                      c * f + d * h)))
 
     def conjugate(self) -> "ResidueMatrix":
         return ResidueMatrix(
@@ -197,9 +190,9 @@ def regularity_test(m: EisensteinInt, A: ScalarGroup) -> str:
 class _Arith:
     """Index-table arithmetic for one residue ring (rings here are tiny).
 
-    The tables are built at once on arrays of (a, b) pairs; ``arrays``
-    holds them as numpy arrays, ``mul``, ``add`` and ``conj`` as lists for
-    element-at-a-time products.
+    ``arrays`` holds the product, sum and conjugate of ring elements as
+    numpy tables over their indices, built at once on arrays of (a, b)
+    pairs.
     """
 
     def __init__(self, ring: ResidueRing):
@@ -219,7 +212,6 @@ class _Arith:
         x, y = a[:, None], b[:, None]
         self.arrays = (classes(x * a - y * b, x * b + y * a - y * b),
                        classes(x + a, y + b), classes(a - b, -b))
-        self.mul, self.add, self.conj = (t.tolist() for t in self.arrays)
         # Place values of (e0, e1, e2, e3) in a packed code; star is bit 0.
         self.place = 2 * len(self.elems) ** np.arange(3, -1, -1)
 
@@ -227,76 +219,48 @@ class _Arith:
         return tuple(self.index[self.ring.reduce(e)]
                      for e in mat.entries)  # type: ignore[return-value]
 
-    def mat_mul(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-        """Product of the matrices in the first four entries of x and y."""
-        mul, add = self.mul, self.add
-        a, b, c, d = x[:4]
-        e, f, g, h = y[:4]
-        return (add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
-                add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]])
-
-    def mat_conj(self, x: Sequence[int]) -> tuple[int, ...]:
-        conj = self.conj
-        return (conj[x[0]], conj[x[1]], conj[x[2]], conj[x[3]])
-
 
 @dataclass
 class MatrixGroup:
     """A finished closure: the polytope symmetry group in matrix form.
 
-    ``elements`` lists every group element as an encoded tuple
-    (e0, e1, e2, e3, star) in a fixed sorted order; ``generators`` indexes
-    the images of the defining generators inside that list.  The same
-    elements, packed into int64 codes (``_pack``), are ``codes``: code
-    order is tuple order, so ``codes[i]`` is ``elements[i]``.
+    Elements are int64 codes (``_pack``).  ``codes`` lists every element
+    in ascending order; ``identity``, ``generator_codes`` (the defining
+    generators) and ``sigma_codes`` (sigma1..sigma3) are codes too.
     """
 
     modulus: EisensteinInt
     scalars: ScalarGroup
     kind: str  # "regular" | "chiral"
     ring: ResidueRing
-    elements: tuple[tuple[int, ...], ...]
-    generator_codes: tuple[tuple[int, ...], ...]
-    sigma_codes: tuple[tuple[int, ...], ...]
     arith: _Arith = field(repr=False)
-    _scalar_rows: tuple[list[int], ...] = ()  # arith.mul rows of A's members
+    # Rows of arith's product table for A's members: scalar multiples.
+    _scalar_rows: np.ndarray = field(repr=False)
     codes: np.ndarray | None = field(repr=False, compare=False, default=None)
+    identity: int = 0
+    generator_codes: tuple[int, ...] = ()
+    sigma_codes: tuple[int, ...] = ()
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def canonical(self, code: tuple[int, ...]) -> tuple[int, ...]:
-        a, b, c, d, star = code
-        return min([(m[a], m[b], m[c], m[d], star) for m in self._scalar_rows])
-
-    def multiply(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        arith = self.arith
-        product = arith.mat_mul(x, arith.mat_conj(y) if x[4] else y)
-        return self.canonical(product + (x[4] ^ y[4],))
-
-    def identity_code(self) -> tuple[int, ...]:
-        return self.canonical(
-            self.arith.encode(identity_matrix(self.ring)) + (0,))
-
-    # -- the same arithmetic on arrays of int64 codes --------------------
+        return len(self.codes)
 
     def _pack(self, entries: np.ndarray, star) -> np.ndarray:
-        """Mixed-radix code of each row (e0, e1, e2, e3) with its flag."""
-        return entries @ self.arith.place + star
+        """The code of each element with matrix entries ``entries`` (the
+        ring indices e0..e3 on the last axis) and flag ``star``: the least
+        mixed-radix code over the scalar multiples of the matrix."""
+        scaled = self._scalar_rows[:, entries] @ self.arith.place
+        return (scaled + star).min(axis=0)
 
     def _unpack(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = len(self.arith.elems)
         return codes[..., None] // self.arith.place % n, codes & 1
 
-    def _code(self, element: tuple[int, ...]) -> np.int64:
-        """The packed code of an element tuple."""
-        return self._pack(np.array(element[:4]), element[4])
+    def _product(self, x, y) -> np.ndarray:
+        """Codes of the products of the coded elements x and y, entry by
+        entry (either may be a single code), as
 
-    def _product(self, x: np.ndarray, y) -> np.ndarray:
-        """Canonical codes of the products of the coded elements x and y,
-        entry by entry (either may be a single code): ``multiply`` on
-        arrays."""
+            (M, c) * (N, d)  =  (M * conj^c(N), c xor d)."""
         mul, add, conj = self.arith.arrays
         (x_entries, x_star), (y_entries, y_star) = map(
             self._unpack, (np.asarray(x), np.asarray(y)))
@@ -306,34 +270,25 @@ class MatrixGroup:
         product = np.stack([add[mul[a, e], mul[b, g]], add[mul[a, f], mul[b, h]],
                             add[mul[c, e], mul[d, g]], add[mul[c, f], mul[d, h]]],
                            axis=-1)
-        # The canonical form is the least code over the scalar multiples.
-        scalars = np.array(self._scalar_rows)
-        return self._pack(scalars[:, product], x_star ^ y_star).min(axis=0)
+        return self._pack(product, x_star ^ y_star)
 
-    def index(self, code: tuple[int, ...]) -> int:
-        """Position of an element code in ``elements``."""
-        packed = self._code(code)
-        i = int(np.searchsorted(self.codes, packed))
-        if i == self.order or self.codes[i] != packed:
-            raise KeyError(f"{code} is not an element of the group")
-        return i
-
-    def cayley_table(self, gens: Sequence[tuple[int, ...]]) -> np.ndarray:
-        """``right[i, j]``: the index of ``elements[i]`` times ``gens[j]``,
-        one vectorized product per column."""
+    def cayley_table(self, gens: Sequence[int]) -> np.ndarray:
+        """``right[i, j]``: the index in ``codes`` of ``codes[i]`` times
+        ``gens[j]``, one vectorized product per column."""
         return code_cayley_table(
-            self.codes, [lambda x, y=self._code(y): self._product(x, y)
-                         for y in gens])
+            self.codes, [lambda x, y=y: self._product(x, y) for y in gens])
 
-    def coset_action(self, stabilizer_gens: Sequence[tuple[int, ...]],
-                     gens: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    def coset_action(self, stabilizer_gens: Sequence[int],
+                     gens: Sequence[int]) -> list[list[int]]:
         """Right multiplication by ``gens`` on the right cosets of
         <stabilizer_gens>, one image list per generator; coset 0 is the
         subgroup."""
         k = len(gens)
         right = self.cayley_table(list(gens) + list(stabilizer_gens))
-        return face_action(right, self.index(self.identity_code()), range(k),
-                           range(k, k + len(stabilizer_gens))).tolist()
+        return face_action(right, int(np.searchsorted(self.codes,
+                                                      self.identity)),
+                           range(k), range(k, k + len(stabilizer_gens))
+                           ).tolist()
 
 
 def generate_group(
@@ -360,44 +315,39 @@ def generate_group(
         raise ConfigurationError("scalar group must contain -1")
     kind = regularity_test(m, A)
     arith = _Arith(ring)
-    scalar_rows = tuple(arith.mul[arith.index[ring.reduce(a)]]
-                        for a in A.members)
-
     group = MatrixGroup(
-        modulus=m, scalars=A, kind=kind, ring=ring,
-        elements=(), generator_codes=(), sigma_codes=(), arith=arith,
-        _scalar_rows=scalar_rows)
+        modulus=m, scalars=A, kind=kind, ring=ring, arith=arith,
+        _scalar_rows=arith.arrays[0][[arith.index[ring.reduce(a)]
+                                      for a in A.members]])
 
-    sigma_codes = [group.canonical(arith.encode(s) + (0,)) for s in sigmas]
-    gen_codes = list(sigma_codes)
+    def code(mat: ResidueMatrix, star: int = 0) -> int:
+        return int(group._pack(np.array(arith.encode(mat)), star))
+
+    sigma_codes = tuple(code(s) for s in sigmas)
+    identity = code(identity_matrix(ring))
+    gen_codes = sigma_codes
     if kind == "regular":
-        gen_codes.append(group.canonical(
-            arith.encode(identity_matrix(ring)) + (1,)))
-
-    packed = [group._code(g) for g in gen_codes]
+        gen_codes += (code(identity_matrix(ring), 1),)
     try:
         codes = code_orbit(
-            [group._code(group.identity_code())],
-            lambda x: np.concatenate([group._product(x, g) for g in packed]),
+            [identity],
+            lambda x: np.concatenate([group._product(x, g) for g in gen_codes]),
             max_elements, deadline)
     except ValueError:
         raise OverflowResult(
             f"closure exceeded {max_elements} elements") from None
     except TimeoutError:
         raise OverflowResult("time budget exceeded") from None
-    entries, star = group._unpack(codes)
-    group.codes = codes
-    group.elements = tuple(map(tuple, np.column_stack([entries, star])
-                               .tolist()))
-    group.generator_codes = tuple(gen_codes)
-    group.sigma_codes = tuple(sigma_codes)
+    group.codes, group.identity = codes, identity
+    group.generator_codes, group.sigma_codes = gen_codes, sigma_codes
     return group
 
 
-def recover_reflection_codes(group: MatrixGroup) -> tuple[tuple[int, ...], ...] | None:
+def recover_reflection_codes(group: MatrixGroup) -> tuple[int, ...] | None:
     """Search for an involution r with r sigma1 r = sigma1^-1 and
-    r sigma2 r = sigma2^-1; if found return the four involutory generator
-    codes (sigma1*r, r, r*sigma2, r*sigma2*sigma3), else None.
+    r sigma2 r = sigma2^-1; if found return the codes of the four
+    involutory generators (sigma1*r, r, r*sigma2, r*sigma2*sigma3), else
+    None.
 
     Only regular instances admit such an r; for chiral ones this returns
     None (the search domain is the conjugation-flagged coset, empty there).
@@ -409,21 +359,20 @@ def recover_reflection_codes(group: MatrixGroup) -> tuple[tuple[int, ...], ...] 
     square to 1.
     """
     s1, s2, s3 = group.sigma_codes
-    identity = group._code(group.identity_code())
 
     def square_one(x: np.ndarray) -> np.ndarray:
-        return group._product(x, x) == identity
+        return group._product(x, x) == group.identity
 
     flagged = group.codes[group.codes & 1 == 1]
     involutions = flagged[square_one(flagged)]
-    times_s2 = group._product(involutions, group._code(s2))
+    times_s2 = group._product(involutions, s2)
     found = np.flatnonzero(
-        square_one(group._product(involutions, group._code(s1)))
+        square_one(group._product(involutions, s1))
         & square_one(times_s2)
-        & square_one(group._product(times_s2, group._code(s3))))
+        & square_one(group._product(times_s2, s3)))
     if not len(found):
         return None
-    r = group.elements[int(np.searchsorted(group.codes,
-                                           involutions[found[0]]))]
-    rho2 = group.multiply(r, s2)
-    return (group.multiply(s1, r), r, rho2, group.multiply(rho2, s3))
+    r = involutions[found[0]]
+    rho2 = group._product(r, s2)
+    return tuple(int(x) for x in (group._product(s1, r), r, rho2,
+                                  group._product(rho2, s3)))

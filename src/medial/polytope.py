@@ -27,10 +27,10 @@ enumerates the cosets of the base 1-face stabilizer, not of the trivial
 subgroup, and reads the table off the orbit of a tuple of those cosets,
 once the orbit's size proves that the group acts on it regularly
 (``_certified_cayley_table``).  The matrix route takes one vectorized
-product per generator.  From there one path (``_checked_handle``) computes
-the four face actions, the incidences and the diamond check as numpy
-array operations, and ``medial_layer_graph`` extracts the graph the same
-way.
+product per generator.  From there one path (``_checked_handle``)
+validates the group on the rows of the table, computes the four face
+actions, the incidences and the diamond check as numpy array operations,
+and ``medial_layer_graph`` extracts the graph the same way.
 """
 
 from __future__ import annotations
@@ -67,11 +67,12 @@ from .permgroup import (
 # The validation functions (validate_string_cgroup, validate_rotation_group,
 # self_duality_test, is_directly_regular, generator_map_homomorphism) take
 # group elements in whatever form the caller holds them: ``identity`` plus
-# ``mul(x, g)``, the right product of an element x with a generator g.
-# Library callers pass permutations, multiplied with ``*``; the pipeline
-# passes rows of the presentation route's Cayley table, multiplied by table
-# lookup, or matrix-group element codes, multiplied by MatrixGroup.multiply,
-# so no element becomes a permutation of degree |G|.
+# ``mul(x, g)``, the right product of an element x with a generator g, and
+# they call ``mul`` with no second argument but one of the generators passed
+# in.  Library callers pass permutations, multiplied with ``*``; the
+# pipeline passes the rows of either route's Cayley table as elements and
+# its columns as generators, multiplied by table lookup, so no element
+# becomes a permutation of degree |G|.
 
 
 class PolytopeValidationError(ValueError):
@@ -199,21 +200,26 @@ def validate_rotation_group(
 
 
 def generator_map_homomorphism(
-        gens: Sequence, images: Sequence, identity: Hashable,
-        mul: Callable) -> dict | None:
-    """The endomorphism of <gens> with gens[i] |-> images[i], as an element
-    map, or None when the assignment does not extend to one.
+        gens: Sequence, start: Hashable, images: Sequence[Sequence],
+        identity: Hashable, mul: Callable) -> dict | None:
+    """The map x |-> start * phi(x) on <gens>, as an element map, where phi
+    is the endomorphism with gens[i] |-> the product of the word
+    ``images[i]`` over ``gens``; None when phi does not extend to one.
 
-    The images must be valid second arguments of ``mul``.  The search stops
-    at the first element that would get two images.
+    With ``start`` the identity this is phi itself; with ``start`` an
+    element s and each generator its own image, it is the left translation
+    x |-> s x.  The search stops at the first element that would get two
+    images.
     """
-    mapping = {identity: identity}
+    mapping = {identity: start}
     frontier = [identity]
     while frontier:
         g = frontier.pop()
         h = mapping[g]
-        for a, b in zip(gens, images):
-            g2, h2 = mul(g, a), mul(h, b)
+        for a, word in zip(gens, images):
+            g2, h2 = mul(g, a), h
+            for b in word:
+                h2 = mul(h2, b)
             known = mapping.get(g2)
             if known is None:
                 mapping[g2] = h2
@@ -231,34 +237,37 @@ def is_directly_regular(R: RotationGroup) -> bool:
     as an automorphism NOT induced by conjugation with a group element
     (an inner twist would not enlarge the symmetry group).
 
-    The twist images and the conjugating elements are multiplied as second
-    arguments of ``R.mul``, so it must multiply any two elements, as ``*``
-    on permutations and MatrixGroup.multiply on element codes do; coset
-    indices, multiplied only by generator letters, do not qualify.
+    The twist images are words over the sigmas, and the left translations
+    of the inner check are found by propagation from the identity, so
+    ``R.mul`` only ever multiplies by a sigma.
     """
     s1, s2, s3 = R.sigmas
     identity, mul = R.identity, R.mul
-    targets = [_times(identity, (s1,) * (R.schlafli.p1 - 1), mul),
-               _times(identity, (s1, s1, s2), mul), s3]
-    mapping = generator_map_homomorphism(R.sigmas, targets, identity, mul)
-    if mapping is None or len(set(mapping.values())) != len(mapping):
+    words = [(s1,) * (R.schlafli.p1 - 1), (s1, s1, s2), (s3,)]
+    twist = generator_map_homomorphism(R.sigmas, identity, words, identity,
+                                       mul)
+    if twist is None or len(set(twist.values())) != len(twist):
         return False
     # Involutory: applying the twist to each target must give the generator.
-    for s, t in zip(R.sigmas, targets):
-        if mapping[t] != s:
+    for s, word in zip(R.sigmas, words):
+        if twist[_times(identity, word, mul)] != mul(identity, s):
             return False
     # Inner check: conjugation by some group element realizing the twist,
-    # h^-1 s h = t, that is s h = h t.
-    for h in mapping:
-        if all(mul(s, h) == mul(h, t) for s, t in zip(R.sigmas, targets)):
-            return False
-    return True
+    # h^-1 s h = t, that is s h = h t, with s h read off the left
+    # translation by s.
+    letters = [(s,) for s in R.sigmas]
+    inner = list(twist)
+    for s, word in zip(R.sigmas, words):
+        left = generator_map_homomorphism(R.sigmas, mul(identity, s), letters,
+                                          identity, mul)
+        inner = [h for h in inner if left[h] == _times(h, word, mul)]
+    return not inner
 
 
 def self_duality_test(C: StringCGroup) -> bool:
     """Whether rho_j |-> rho_{3-j} extends to a group automorphism."""
-    mapping = generator_map_homomorphism(C.rhos, C.rhos[::-1], C.identity,
-                                         C.mul)
+    mapping = generator_map_homomorphism(
+        C.rhos, C.identity, [(r,) for r in C.rhos[::-1]], C.identity, C.mul)
     return mapping is not None and len(set(mapping.values())) == len(mapping)
 
 
@@ -320,11 +329,10 @@ def handle_from_presentation(
 
     The cosets of the base 1-face stabilizer are enumerated first; when
     their certificate fails, those of the trivial subgroup, whose single
-    base coset always certifies.  Elements are the rows of the table, a
-    generator multiplies an element by a lookup, and in that form the group
-    is validated and tested for self-duality.  ``max_cosets`` bounds each
-    enumeration, ``max_elements`` each base orbit, and ``time_budget`` all
-    of them together.
+    base coset always certifies.  ``_checked_handle`` validates the group
+    on the rows of the table.  ``max_cosets`` bounds each enumeration,
+    ``max_elements`` each base orbit, and ``time_budget`` all of them
+    together.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     for subgroup in _ENUMERATED_SUBGROUPS:
@@ -336,14 +344,8 @@ def handle_from_presentation(
         # The trivial subgroup's certificate fails only past the deadline.
         raise OverflowResult(f"{label}: time budget exceeded")
     right, identity = table
-    rows = right.tolist()
-
-    def mul(element: int, generator: int) -> int:
-        return rows[element][generator]
-
-    cgroup = validate_string_cgroup(range(4), identity, mul)
-    return _checked_handle(label, "regular", cgroup.schlafli, right, identity,
-                           range(4), _PARABOLIC, cgroup)
+    return _checked_handle(label, "regular", right, identity, range(4),
+                           _PARABOLIC)
 
 
 def _certified_cayley_table(
@@ -452,59 +454,78 @@ def _remaining(deadline: float | None) -> float | None:
 
 
 def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> PolytopeHandle:
-    """Eisenstein route: validation on matrix elements, face actions on the
-    Cayley table of the generators.
+    """Eisenstein route: the Cayley table of the matrix group on the
+    generators that the faces need, then everything on the table.
 
     Regular instances first recover the four reflections; failure to do so
     is an error (the full symmetry group would not be reachable from the
-    rotations alone).  Chiral instances are checked for (R') and (C') and
-    must not be directly regular, which would contradict the arithmetic
-    ``chiral`` label; their faces are cosets of the rotation stabilizers,
-    generated by the table columns s1, s2, s3, s1 s2 and s2 s3.
+    rotations alone).  Chiral instances take the columns s1, s2, s3, s1 s2
+    and s2 s3: the sigmas act, and the rotation stabilizers of the faces
+    are generated by pairs of these columns.
     """
     if label is None:
         label = f"eisenstein m={mg.modulus}"
     if mg.kind == "regular":
-        gens = recover_reflection_codes(mg)
-        if gens is None:
+        columns = recover_reflection_codes(mg)
+        if columns is None:
             raise PolytopeValidationError(
                 f"{label}: no reflection recovery in a regular instance")
-        cgroup = validate_string_cgroup(gens, mg.identity_code(), mg.multiply)
-        columns, acting, stabilizers = gens, range(4), _PARABOLIC
+        acting, stabilizers = range(4), _PARABOLIC
     else:
-        cgroup = None
-        s1, s2, s3 = gens = mg.sigma_codes
-        rotations = validate_rotation_group(gens, mg.identity_code(),
-                                            mg.multiply)
-        if is_directly_regular(rotations):
-            raise PolytopeValidationError(
-                f"{label}: labelled chiral, but its rotation group is"
-                " directly regular")
-        columns = (s1, s2, s3, mg.multiply(s1, s2), mg.multiply(s2, s3))
+        s1, s2, s3 = mg.sigma_codes
+        columns = (s1, s2, s3, mg._product(s1, s2), mg._product(s2, s3))
         acting, stabilizers = range(3), _CHIRAL_STABILIZERS
-    return _checked_handle(label, mg.kind, SchlafliType(3, 6, 3),
-                           mg.cayley_table(columns),
-                           mg.index(mg.identity_code()), acting, stabilizers,
-                           cgroup)
+    return _checked_handle(label, mg.kind, mg.cayley_table(columns),
+                           int(np.searchsorted(mg.codes, mg.identity)),
+                           acting, stabilizers)
 
 
-def _checked_handle(label: str, kind: str, schlafli: SchlafliType,
-                    right: np.ndarray, identity: int, acting: Sequence[int],
-                    stabilizers: dict[int, tuple[int, ...]],
-                    cgroup: StringCGroup | None) -> PolytopeHandle:
+def _checked_handle(label: str, kind: str, right: np.ndarray, identity: int,
+                    acting: Sequence[int],
+                    stabilizers: dict[int, tuple[int, ...]]) -> PolytopeHandle:
     """The one path of both routes from the Cayley table ``right`` of the
-    group (its identity row ``identity``): the face action of the columns
-    ``acting`` on the cosets of the columns ``stabilizers[rank]``, for each
-    rank, and the handle on the rank-1 and rank-2 actions once the face
-    counts and the diamond condition hold."""
+    group (its identity row ``identity``), whose columns ``acting`` are the
+    generators: validation (``_validate_table``), then the face action of
+    those columns on the cosets of the columns ``stabilizers[rank]``, for
+    each rank, and the handle on the rank-1 and rank-2 actions once the
+    face counts and the diamond condition hold."""
+    # A function of its own, so that the table's Python rows are freed
+    # before the face actions allocate: a lower heap high-water mark.
+    schlafli, self_dual = _validate_table(label, kind, right, identity,
+                                          acting)
     actions = [face_action(right, identity, acting, stabilizers[rank])
                for rank in range(4)]
     handle = PolytopeHandle(
         label=label, kind=kind, schlafli=schlafli, group_order=len(right),
-        rank1_images=actions[1], rank2_images=actions[2],
-        self_dual=None if cgroup is None else self_duality_test(cgroup))
+        rank1_images=actions[1], rank2_images=actions[2], self_dual=self_dual)
     _diamond_check(actions, label)
     return handle
+
+
+def _validate_table(label: str, kind: str, right: np.ndarray, identity: int,
+                    acting: Sequence[int]) -> tuple[SchlafliType, bool | None]:
+    """The Schlafli type and self-duality (None for the chiral kind) of the
+    group of a Cayley table, once its generators pass validation.
+
+    The rows of the table are the elements, multiplied by a generator by
+    lookup.  A regular group is checked for (R) and (C) and tested for
+    self-duality; a chiral one is checked for (R') and (C') and must not
+    be directly regular, which would contradict its ``chiral`` label.
+    """
+    rows = right.tolist()
+
+    def mul(element: int, generator: int) -> int:
+        return rows[element][generator]
+
+    if kind == "regular":
+        cgroup = validate_string_cgroup(acting, identity, mul)
+        return cgroup.schlafli, self_duality_test(cgroup)
+    rotations = validate_rotation_group(acting, identity, mul)
+    if is_directly_regular(rotations):
+        raise PolytopeValidationError(
+            f"{label}: labelled chiral, but its rotation group is directly"
+            " regular")
+    return rotations.schlafli, None
 
 
 def _diamond_check(actions: Sequence[np.ndarray], label: str) -> None:

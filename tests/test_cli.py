@@ -153,9 +153,18 @@ def test_bad_key_exit_code(capsys):
         assert "error:" in err
 
 
-def test_missing_graph_file_exit_code(capsys):
+def test_missing_graph_file_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "classify", "no-such-file.adj")
     assert code == EXIT_BAD_INPUT
+    # A directory is no graph file either.
+    code, _, err = run(capsys, "classify", str(tmp_path))
+    assert code == EXIT_BAD_INPUT and err.startswith("error:")
+
+
+def test_unwritable_output_exit_code(capsys, tmp_path):
+    code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
+                       "--output", str(tmp_path / "missing" / "build.txt"))
+    assert code == EXIT_BAD_INPUT and err.startswith("error:")
 
 
 @pytest.mark.parametrize("name, text, reason", [
@@ -187,9 +196,14 @@ def test_invalid_graph_file_exit_code(capsys, tmp_path, name, text):
 
 
 def test_bad_limit_exit_code(capsys):
-    code, _, _ = run(capsys, "build", "universal:3,6:1,1:1,1",
-                     "--max-cosets", "0")
-    assert code == EXIT_BAD_INPUT
+    # A nan budget would never expire: every comparison with it is false.
+    for flag, value in (("--max-cosets", "0"), ("--max-vertices", "-5"),
+                        ("--time-budget", "-1"), ("--time-budget", "0"),
+                        ("--time-budget", "nan")):
+        code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
+                           flag, value)
+        assert code == EXIT_BAD_INPUT, (flag, value)
+        assert err.startswith("error:")
 
 
 def test_overflow_exit_code(capsys):
@@ -273,6 +287,9 @@ def test_bad_config_rejected(capsys, tmp_path):
     code, _, _ = run(capsys, "build", "universal:3,6:1,1:1,1",
                      "--config", str(tmp_path / "missing.cfg"))
     assert code == EXIT_BAD_INPUT
+    code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
+                       "--config", str(tmp_path))
+    assert code == EXIT_BAD_INPUT and err.startswith("error:")
 
 
 def test_gray_verify(capsys):

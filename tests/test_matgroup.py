@@ -1,10 +1,12 @@
 """The frozen generator triple and the matrix-group closures: defining
 relations, order certificates at four moduli, regularity verdicts,
 canonicalization invariance, and the right-regular action on the
-elements."""
+elements, checked against the element-at-a-time tuple arithmetic
+(``NaiveArithmetic``)."""
 
 import random
 
+import numpy as np
 import pytest
 
 from medial.cli import parse_eisenstein_product
@@ -26,11 +28,64 @@ from medial.matgroup import (
     recover_reflection_codes,
     regularity_test,
 )
-from medial.permgroup import Permutation, PermutationGroup, orbit
+from medial.permgroup import Permutation, PermutationGroup, code_orbit, orbit
 
 RNG = random.Random(11)
 
 CHIRAL_M = parse_eisenstein("1-w") * parse_eisenstein("1+3w")
+
+
+class NaiveArithmetic:
+    """The element-at-a-time arithmetic of a matrix group, the reference
+    for its int64 codes.  An element (M, star) is the tuple
+    (e0, e1, e2, e3, star) of the ring indices of M's entries and the
+    conjugation flag, in its canonical form: the least tuple over the
+    scalar multiples of M.  ``identity``, ``sigmas`` and ``generators``
+    come from the frozen triple reduced mod the group's modulus."""
+
+    def __init__(self, group):
+        self.group = group
+        arith, ring = group.arith, group.ring
+        # Place values of e0..e3 in a packed code; star is bit 0.
+        self.size = len(arith.elems)
+        self.places = [2 * self.size ** k for k in (3, 2, 1, 0)]
+        self.mul, self.add, self.conj = (t.tolist() for t in arith.arrays)
+        self.scalar_rows = [self.mul[arith.index[ring.reduce(a)]]
+                            for a in group.scalars.members]
+        self.identity = self.canonical(
+            arith.encode(identity_matrix(ring)) + (0,))
+        self.sigmas = [self.canonical(arith.encode(s) + (0,))
+                       for s in find_generators(group.modulus)]
+        self.generators = list(self.sigmas)
+        if group.kind == "regular":
+            self.generators.append(self.canonical(
+                arith.encode(identity_matrix(ring)) + (1,)))
+
+    def canonical(self, code):
+        a, b, c, d, star = code
+        return min((m[a], m[b], m[c], m[d], star) for m in self.scalar_rows)
+
+    def naive_multiply(self, x, y):
+        """(M, c) * (N, d) = (M * conj^c(N), c xor d), canonical."""
+        mul, add = self.mul, self.add
+        a, b, c, d = x[:4]
+        e, f, g, h = [self.conj[i] for i in y[:4]] if x[4] else y[:4]
+        return self.canonical((
+            add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
+            add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]],
+            x[4] ^ y[4]))
+
+    def decode(self, code):
+        """The tuple of a packed code."""
+        code = int(code)
+        return tuple(code // p % self.size for p in self.places) \
+            + (code & 1,)
+
+    def encode(self, element):
+        return sum(e * p for e, p in zip(element, self.places)) + element[4]
+
+    def elements(self):
+        return [self.decode(c) for c in self.group.codes.tolist()]
 
 
 def test_relations_hold_integrally():
@@ -57,9 +112,11 @@ def test_group_order_chiral():
 
 def test_rotation_subgroup_has_index_2_when_regular():
     g = generate_group(parse_eisenstein("3"))
-    rotations = orbit([g.identity_code()], g.sigma_codes, g.multiply)
+    right = g.cayley_table(g.sigma_codes)
+    identity = int(np.searchsorted(g.codes, g.identity))
+    rotations = code_orbit([identity], lambda x: right[x].ravel())
     assert len(rotations) * 2 == g.order
-    assert all(code[4] == 0 for code in rotations)
+    assert (g.codes[rotations] & 1 == 0).all()
 
 
 @pytest.mark.parametrize("m,verdict", [
@@ -100,12 +157,16 @@ def test_canonicalization_scalar_invariance():
     ring = ResidueRing(m)
     A = ScalarGroup(ring, [parse_eisenstein("w")])
     g = generate_group(m, A)
+    naive = NaiveArithmetic(g)
     for _ in range(50):
-        code = RNG.choice(g.elements)
+        code = int(RNG.choice(g.codes))
+        element = naive.decode(code)
         a = RNG.choice(A.members)
-        mat = ResidueMatrix(g.ring, tuple(g.arith.elems[i] for i in code[:4]))
-        scaled = g.arith.encode(mat.scaled(a)) + (code[4],)
-        assert g.canonical(scaled) == code
+        mat = ResidueMatrix(g.ring,
+                            tuple(g.arith.elems[i] for i in element[:4]))
+        scaled = g.arith.encode(mat.scaled(a))
+        assert naive.canonical(scaled + (element[4],)) == element
+        assert g._pack(np.array(scaled), element[4]) == code
 
 
 def test_order_matches_vertex_count_formula():
@@ -122,9 +183,12 @@ def test_cayley_action_order_equals_element_count():
     for m in ("3", "2-2w"):
         g = generate_group(parse_eisenstein(m))
         # Right-regular action of the generators on the element list.
-        index = {code: i for i, code in enumerate(g.elements)}
-        perms = [Permutation([index[g.multiply(x, s)] for x in g.elements])
-                 for s in g.generator_codes]
+        naive = NaiveArithmetic(g)
+        elements = naive.elements()
+        index = {code: i for i, code in enumerate(elements)}
+        perms = [Permutation([index[naive.naive_multiply(x, s)]
+                              for x in elements])
+                 for s in naive.generators]
         right = g.cayley_table(g.generator_codes)
         assert right.T.tolist() == [p.images.tolist() for p in perms]
         assert PermutationGroup(perms, degree=g.order).order() == g.order
@@ -134,8 +198,11 @@ def test_cayley_action_order_equals_element_count():
                                parse_eisenstein("2-2w"), CHIRAL_M])
 def test_closure_matches_element_at_a_time_orbit(m):
     g = generate_group(m)
-    oracle = orbit([g.identity_code()], g.generator_codes, g.multiply)
-    assert list(g.elements) == sorted(oracle)
+    naive = NaiveArithmetic(g)
+    assert naive.decode(g.identity) == naive.identity
+    assert [naive.decode(s) for s in g.generator_codes] == naive.generators
+    oracle = orbit([naive.identity], naive.generators, naive.naive_multiply)
+    assert naive.elements() == sorted(oracle)
     with pytest.raises(OverflowResult):
         generate_group(m, max_elements=g.order - 1)
     assert generate_group(m, max_elements=g.order).order == g.order
@@ -150,9 +217,9 @@ def test_reflection_recovery_regular_only():
     g3 = generate_group(parse_eisenstein("3"))
     rhos = recover_reflection_codes(g3)
     assert rhos is not None
-    ident = g3.identity_code()
-    for code in rhos:
-        assert g3.multiply(code, code) == ident
+    naive = NaiveArithmetic(g3)
+    for code in map(naive.decode, rhos):
+        assert naive.naive_multiply(code, code) == naive.identity
     assert recover_reflection_codes(generate_group(CHIRAL_M)) is None
 
 
@@ -160,16 +227,17 @@ def naive_recover_reflection_codes(group):
     """The element-at-a-time reflection search, the reference for
     ``recover_reflection_codes``: the first conjugation-flagged involution
     r inverting sigma1 and sigma2 by conjugation whose four generators are
-    involutions."""
-    s1, s2, s3 = group.sigma_codes
-    ident = group.identity_code()
-    mul = group.multiply
+    involutions, as element tuples."""
+    naive = NaiveArithmetic(group)
+    s1, s2, s3 = naive.sigmas
+    ident, mul, elements = naive.identity, naive.naive_multiply, \
+        naive.elements()
 
     def inv(code):
-        return next(y for y in group.elements if mul(code, y) == ident)
+        return next(y for y in elements if mul(code, y) == ident)
 
     s1i, s2i = inv(s1), inv(s2)
-    for r in group.elements:
+    for r in elements:
         if (not r[4] or mul(r, r) != ident or mul(mul(r, s1), r) != s1i
                 or mul(mul(r, s2), r) != s2i):
             continue
@@ -187,7 +255,10 @@ def test_reflection_recovery_matches_element_search(m, scalars):
     m = parse_eisenstein_product(m)
     A = ScalarGroup(ResidueRing(m), [parse_eisenstein(a) for a in scalars])
     g = generate_group(m, A)
-    assert recover_reflection_codes(g) == naive_recover_reflection_codes(g)
+    codes = recover_reflection_codes(g)
+    naive = NaiveArithmetic(g)
+    assert (None if codes is None else tuple(map(naive.decode, codes))) \
+        == naive_recover_reflection_codes(g)
 
 
 def test_residue_matrix_requires_unit_determinant():

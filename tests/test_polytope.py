@@ -18,8 +18,11 @@ from medial.fpgroup import (
     coset_enumeration,
     gen_word,
 )
+from medial.cli import parse_eisenstein_product
+from medial.eisenstein import ResidueRing, ScalarGroup
 from medial.graphsym import to_graph6
 from medial.matgroup import (
+    DEFAULT_MAX_ELEMENTS,
     OverflowResult,
     generate_group,
     recover_reflection_codes,
@@ -37,6 +40,7 @@ from medial.polytope import (
     validate_rotation_group,
     validate_string_cgroup,
 )
+from test_matgroup import NaiveArithmetic
 
 CHIRAL_M = parse_eisenstein("1-w") * parse_eisenstein("1+3w")
 
@@ -104,9 +108,9 @@ def test_simplex_rotation_group_valid():
 def test_eisenstein_sigmas_valid():
     for m, p in ((parse_eisenstein("3"), (3, 6, 3)),
                  (CHIRAL_M, (3, 6, 3))):
-        mg = generate_group(m)
-        r = validate_rotation_group(mg.sigma_codes, mg.identity_code(),
-                                    mg.multiply)
+        naive = NaiveArithmetic(generate_group(m))
+        r = validate_rotation_group(naive.sigmas, naive.identity,
+                                    naive.naive_multiply)
         assert (r.schlafli.p1, r.schlafli.p2, r.schlafli.p3) == p
 
 
@@ -122,9 +126,9 @@ def test_degenerate_rotation_input_rejected():
 def test_rotation_intersection_failure_detected():
     # u = sigma2^3 is an involution, so (u, u, u) satisfies (R'), but
     # <sigma1> ^ <sigma2> = <u> is not trivial.
-    mg = generate_group(parse_eisenstein("3"))
-    ident, mul = mg.identity_code(), mg.multiply
-    s2 = mg.sigma_codes[1]
+    naive = NaiveArithmetic(generate_group(parse_eisenstein("3")))
+    ident, mul = naive.identity, naive.naive_multiply
+    s2 = naive.sigmas[1]
     u = mul(mul(s2, s2), s2)
     assert u != ident and mul(u, u) == ident
     with pytest.raises(PolytopeValidationError, match="intersection"):
@@ -133,11 +137,13 @@ def test_rotation_intersection_failure_detected():
 
 def test_reflection_recovery_in_full_cayley_group():
     mg = generate_group(parse_eisenstein("3"))
-    ident, mul = mg.identity_code(), mg.multiply
-    s1, s2, _ = mg.sigma_codes
+    naive = NaiveArithmetic(mg)
+    ident, mul, elements = naive.identity, naive.naive_multiply, \
+        naive.elements()
+    s1, s2, _ = naive.sigmas
 
     def inverse(x):
-        return next(y for y in mg.elements if mul(x, y) == ident)
+        return next(y for y in elements if mul(x, y) == ident)
 
     def reflects(r):
         return (r != ident and mul(r, r) == ident
@@ -146,9 +152,9 @@ def test_reflection_recovery_in_full_cayley_group():
 
     # The reflection lies outside the rotation subgroup (star 0); searching
     # only there must fail, searching the full group must succeed.
-    assert not any(reflects(r) for r in mg.elements if not r[4])
-    rhos = recover_reflection_codes(mg)
-    assert rhos is not None and reflects(rhos[1])
+    assert not any(reflects(r) for r in elements if not r[4])
+    rhos = tuple(map(naive.decode, recover_reflection_codes(mg)))
+    assert reflects(rhos[1])
     c = validate_string_cgroup(rhos, ident, mul)
     assert len(orbit([ident], c.rhos, mul)) == 324
     assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (3, 6, 3)
@@ -160,17 +166,31 @@ def test_directly_regular_simplex_true():
 
 def test_directly_regular_eisenstein_regular_true():
     # The reflection twist exists and is outer (conjugation-linear).
-    mg = generate_group(parse_eisenstein("3"))
-    r = validate_rotation_group(mg.sigma_codes, mg.identity_code(),
-                                mg.multiply)
+    naive = NaiveArithmetic(generate_group(parse_eisenstein("3")))
+    r = validate_rotation_group(naive.sigmas, naive.identity,
+                                naive.naive_multiply)
     assert is_directly_regular(r) is True
 
 
 def test_directly_regular_chiral_false():
-    mg = generate_group(CHIRAL_M)
-    r = validate_rotation_group(mg.sigma_codes, mg.identity_code(),
-                                mg.multiply)
+    naive = NaiveArithmetic(generate_group(CHIRAL_M))
+    r = validate_rotation_group(naive.sigmas, naive.identity,
+                                naive.naive_multiply)
     assert is_directly_regular(r) is False
+
+
+def test_directly_regular_inner_twist_false():
+    # With (rho0 rho1 rho2)^3 = 1 the cubic facets of {4,3,4} become
+    # hemi-cubes: the polytope is not orientable, the sigmas generate all
+    # 192 elements, and the twist is conjugation by rho0, an inner
+    # automorphism.
+    cubic = coxeter_string(4, 3, 4)
+    pres = Presentation(cubic.names, cubic.relators + (gen_word(0, 1, 2) * 3,))
+    rhos = validate_string_cgroup(
+        coset_enumeration(pres).generator_permutations()).rhos
+    sigmas = [rhos[j] * rhos[j + 1] for j in range(3)]
+    assert PermutationGroup(sigmas).order() == 192
+    assert is_directly_regular(validate_rotation_group(sigmas)) is False
 
 
 def test_chiral_handle_rejects_directly_regular(monkeypatch):
@@ -295,18 +315,21 @@ def test_face_action_matches_reference_on_presentations(s, t):
 @pytest.mark.parametrize("m", [parse_eisenstein("3"), CHIRAL_M])
 def test_face_action_matches_reference_on_matrix_groups(m):
     mg = generate_group(m)
-    ident, mul = mg.identity_code(), mg.multiply
+    naive = NaiveArithmetic(mg)
+    ident, mul = naive.identity, naive.naive_multiply
     if mg.kind == "regular":
-        gens = recover_reflection_codes(mg)
+        gens = [naive.decode(r) for r in recover_reflection_codes(mg)]
         stabilizers = [[gens[i] for i in range(4) if i != rank]
                        for rank in range(4)]
     else:
-        s1, s2, s3 = gens = mg.sigma_codes
+        s1, s2, s3 = gens = naive.sigmas
         stabilizers = [(s2, s3), (mul(s1, s2), s3), (s1, mul(s2, s3)),
                        (s1, s2)]
     reference = [naive_face_action(ident, gens, mul, stab)
                  for stab in stabilizers]
-    assert [mg.coset_action(stab, gens) for stab in stabilizers] == reference
+    codes = [naive.encode(x) for x in gens]
+    assert [mg.coset_action([naive.encode(x) for x in stab], codes)
+            for stab in stabilizers] == reference
     handle = handle_from_matrix_group(mg)
     assert handle.rank1_images.tolist() == reference[1]
     assert handle.rank2_images.tolist() == reference[2]
@@ -394,11 +417,9 @@ def plain_enumeration_route(pres, label):
     """The handle the way a single enumeration of the whole group gives
     it: coset indices as elements, the table's generator columns as the
     Cayley table."""
-    rows = coset_enumeration(pres).rows
-    cgroup = validate_string_cgroup(range(4), 0, lambda c, g: rows[c][2 * g])
-    right = np.array(rows)[:, 0::2]
-    return polytope._checked_handle(label, "regular", cgroup.schlafli, right,
-                                    0, range(4), polytope._PARABOLIC, cgroup)
+    right = np.array(coset_enumeration(pres).rows)[:, 0::2]
+    return polytope._checked_handle(label, "regular", right, 0, range(4),
+                                    polytope._PARABOLIC)
 
 
 def outcome(route, pres, label):
@@ -451,3 +472,89 @@ def test_diamond_check_rejects_broken_action():
     broken[1][0] = swapped
     with pytest.raises(PolytopeValidationError, match="row 4"):
         _diamond_check(broken, "row 4")
+
+
+class GeneratorsOnly:
+    """Multiplication on the rows of a Cayley table that raises unless the
+    second factor is a generator index: what the validators may call."""
+
+    def __init__(self, right):
+        self.rows, self.generators = right.tolist(), range(right.shape[1])
+
+    def __call__(self, element, generator):
+        if generator not in self.generators:
+            raise AssertionError(f"multiplied by {generator!r}")
+        return self.rows[element][generator]
+
+
+def table_form(mg, columns):
+    """The identity row and the strict ``mul`` of the Cayley table of a
+    matrix group on the coded elements ``columns``."""
+    return (int(np.searchsorted(mg.codes, mg.identity)),
+            GeneratorsOnly(mg.cayley_table(columns)))
+
+
+def row_table(row):
+    s, t = TABLE1_ROWS[row - 1]
+    pres = universal_locally_toroidal(ToroidalParams(*s), ToroidalParams(*t))
+    right, identity = polytope._certified_cayley_table(
+        pres, polytope._PARABOLIC[1], f"row {row}", DEFAULT_MAX_COSETS,
+        DEFAULT_MAX_ELEMENTS, None)
+    return identity, GeneratorsOnly(right)
+
+
+@pytest.mark.parametrize("row,schlafli,self_dual", [
+    (4, (3, 6, 3), False), (5, (3, 6, 3), True)])
+def test_validators_multiply_by_generators_only_on_rows(row, schlafli,
+                                                        self_dual):
+    identity, mul = row_table(row)
+    c = validate_string_cgroup(range(4), identity, mul)
+    assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == schlafli
+    assert self_duality_test(c) is self_dual
+
+
+@pytest.mark.parametrize("m,self_dual,directly_regular", [
+    ("3", False, True), ("2-2w", False, True),
+    ("(1-w)*(1+3w)", None, False)])
+def test_validators_multiply_by_generators_only_on_matrix_groups(
+        m, self_dual, directly_regular):
+    mg = generate_group(parse_eisenstein_product(m))
+    if mg.kind == "regular":
+        c = validate_string_cgroup(
+            range(4), *table_form(mg, recover_reflection_codes(mg)))
+        assert self_duality_test(c) is self_dual
+    r = validate_rotation_group(range(3), *table_form(mg, mg.sigma_codes))
+    assert (r.schlafli.p1, r.schlafli.p2, r.schlafli.p3) == (3, 6, 3)
+    assert is_directly_regular(r) is directly_regular
+
+
+@pytest.mark.parametrize("m,scalars", [
+    ("3", ()), ("2-2w", ()), ("3-3w", ()), ("3-3w", ("w",)),
+    ("(1-w)*(1+3w)", ())])
+def test_table_rows_and_tuple_arithmetic_agree(m, scalars):
+    m = parse_eisenstein_product(m)
+    mg = generate_group(m, ScalarGroup(ResidueRing(m),
+                                       [parse_eisenstein(a) for a in scalars]))
+    naive = NaiveArithmetic(mg)
+
+    def verdicts(reflections, rotations):
+        """Schlafli type, self-duality and direct regularity, from the
+        reflections (None for a chiral group) and the rotations, each
+        given as (generators, identity, mul)."""
+        r = validate_rotation_group(*rotations)
+        if reflections is None:
+            return r.schlafli, None, is_directly_regular(r)
+        c = validate_string_cgroup(*reflections)
+        return c.schlafli, self_duality_test(c), is_directly_regular(r)
+
+    rhos = recover_reflection_codes(mg)
+    rows = verdicts(rhos and (range(4), *table_form(mg, rhos)),
+                    (range(3), *table_form(mg, mg.sigma_codes)))
+    tuples = verdicts(
+        rhos and ([naive.decode(r) for r in rhos], naive.identity,
+                  naive.naive_multiply),
+        (naive.sigmas, naive.identity, naive.naive_multiply))
+    assert rows == tuples
+    handle = handle_from_matrix_group(mg)
+    assert (handle.schlafli, handle.self_dual) == rows[:2]
+    assert rows[2] is (mg.kind == "regular")
