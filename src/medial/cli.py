@@ -375,7 +375,13 @@ def _apply_config(args: argparse.Namespace) -> None:
                     raise BadInput(f"{args.config}:{lineno}: {exc}")
 
 
+COMMANDS = {"build": cmd_build, "classify": cmd_classify,
+            "table1": cmd_table1, "gray-verify": cmd_gray_verify}
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  With --output FILE, FILE is written only once the
+    command has returned: an error exit leaves an existing FILE as it was."""
     args = make_parser().parse_args(argv)
     try:
         if "config" in args:
@@ -383,20 +389,14 @@ def main(argv: list[str] | None = None) -> int:
         spec = JobSpec(key=getattr(args, "key", ""),
                        **{k: getattr(args, k) for k in _CONFIG_KEYS
                           if k in args and k != "output"})
-        out = open(args.output, "w") if "output" in args else sys.stdout
+        if "output" in args:  # fails before any work; truncates nothing
+            open(args.output, "a").close()
     except (BadInput, OSError) as exc:  # OSError: the config or output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    out = io.StringIO() if "output" in args else sys.stdout
     try:
-        if args.command == "build":
-            return cmd_build(spec, out)
-        if args.command == "classify":
-            return cmd_classify(spec, out)
-        if args.command == "table1":
-            return cmd_table1(spec, out)
-        if args.command == "gray-verify":
-            return cmd_gray_verify(spec, out)
-        raise BadInput(f"unknown command {args.command!r}")
+        code = COMMANDS[args.command](spec, out)
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -407,9 +407,14 @@ def main(argv: list[str] | None = None) -> int:
             InconsistencyError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    if out is not sys.stdout:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(out.getvalue())
+        except OSError as exc:  # e.g. its directory went away meanwhile
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+    return code
 
 
 if __name__ == "__main__":

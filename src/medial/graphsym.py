@@ -165,21 +165,24 @@ def _dense_ranks(keys: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _row_ranks(sig: np.ndarray) -> np.ndarray:
+def _row_ranks(columns: Sequence[np.ndarray]) -> np.ndarray:
     """Rank of each row among the distinct rows in lexicographic order: the
-    inverse of ``np.unique(sig, axis=0)``, for rows of two or more colours
-    in 0..D-1, D = sig.max() + 1.
+    inverse of ``np.unique(np.stack(columns, axis=1), axis=0)``, for int64
+    columns of colours in 0..D-1, D = 1 + the largest colour.
 
-    The first two columns are ranked by the 1-D key col * D + n0, and each
-    further column by rank * D + n.  The first key is below D**2 and, as a
-    rank is below len(sig), every later one below len(sig) * D: all exact
-    in int64 for any graph in memory, with no lexsort over the columns.
+    The columns are packed into one mixed-radix key, key * D + column, and
+    the key is ranked once at the end.  Before a step that could pass 2**63
+    the key is replaced by its rank, which is below the row count, so the
+    ranks are exact while rows * D <= 2**63, as for any graph in memory.
+    Four columns need a rank part-way only when D > 55,108.
     """
-    d = int(sig.max()) + 1
-    ranks = sig[:, 0]
-    for column in sig.T[1:]:
-        ranks = _dense_ranks(ranks * d + column)
-    return ranks
+    d = max(int(column.max()) for column in columns) + 1
+    key, bound = columns[0], d  # key < bound
+    for column in columns[1:]:
+        if bound * d > 2 ** 63:
+            key, bound = _dense_ranks(key), len(key)
+        key, bound = key * d + column, bound * d
+    return _dense_ranks(key)
 
 
 def _refine_joint(adjA: np.ndarray, adjB: np.ndarray,
@@ -187,6 +190,8 @@ def _refine_joint(adjA: np.ndarray, adjB: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray] | None:
     """Stable joint refinement of both colorings in a shared color space.
 
+    Each round ranks the rows (colour, and the sorted neighbour colours
+    lo <= mid <= hi), taken by min and max of the three neighbour columns.
     Returns None as soon as the per-color counts of the two sides diverge
     (no isomorphism compatible with the colorings can exist).  The two
     sides are refined as one disjoint union; given the same graph and
@@ -197,10 +202,13 @@ def _refine_joint(adjA: np.ndarray, adjB: np.ndarray,
     same = adjA is adjB and colA is colB
     adj = adjA if same else np.concatenate([adjA, adjB + nA])
     col = colA if same else np.concatenate([colA, colB])
+    first, second, third = np.ascontiguousarray(adj.T)
     prev = -1
     while True:
-        col = _row_ranks(np.concatenate(
-            [col[:, None], np.sort(col[adj], axis=1)], axis=1))
+        a, b, c = col[first], col[second], col[third]
+        lo = np.minimum(np.minimum(a, b), c)
+        hi = np.maximum(np.maximum(a, b), c)
+        col = _row_ranks([col, lo, a + b + c - lo - hi, hi])
         distinct = int(col.max()) + 1
         if same:
             colA = colB = col

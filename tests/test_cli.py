@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from medial import graphsym, polytope
+from medial import cli, graphsym, polytope
 from medial.cli import (
     CSV_COLUMNS,
     EXIT_BAD_INPUT,
@@ -161,10 +161,39 @@ def test_missing_graph_file_exit_code(capsys, tmp_path):
     assert code == EXIT_BAD_INPUT and err.startswith("error:")
 
 
-def test_unwritable_output_exit_code(capsys, tmp_path):
+def test_unwritable_output_exit_code(capsys, tmp_path, monkeypatch):
+    # Refused before any work is done.
+    monkeypatch.setattr(cli, "build_instance", None)
     code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
                        "--output", str(tmp_path / "missing" / "build.txt"))
     assert code == EXIT_BAD_INPUT and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["build", "bogus:1"], EXIT_BAD_INPUT),
+    # Row 2 has 27 cosets of its 1-face stabilizer.
+    (["build", "universal:3,6:1,1:3,0", "--max-cosets", "5"], EXIT_OVERFLOW),
+], ids=["bad-key", "overflow"])
+def test_failed_command_keeps_the_output_file(capsys, tmp_path, argv,
+                                              expected):
+    path = tmp_path / "out.txt"
+    path.write_text("an earlier run\n")
+    code, out, _ = run(capsys, *argv, "--output", str(path))
+    assert code == expected
+    assert out == ""
+    assert path.read_text() == "an earlier run\n"
+
+
+def test_output_file_replaced_on_success(capsys, tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("an earlier, longer run\n" * 50)
+    code, out, _ = run(capsys, "build", "universal:3,6:1,1:1,1",
+                       "--output", str(path))
+    assert code == EXIT_OK
+    assert out == ""
+    text = path.read_text()
+    assert text.startswith("key: universal:3,6:1,1:1,1\n")
+    assert "N: 18\n" in text and "earlier" not in text
 
 
 @pytest.mark.parametrize("name, text, reason", [

@@ -336,10 +336,11 @@ def test_vertex_cap_yields_undecided():
     assert c.label() == "undecided"
 
 
-def lexsort_row_ranks(sig):
+def lexsort_row_ranks(columns):
     """``_row_ranks`` by one lexsort of the columns: the reference for the
-    chained 1-D rank keys."""
-    order = np.lexsort(sig.T[::-1])
+    packed rank keys."""
+    sig = np.stack(columns, axis=1)
+    order = np.lexsort(columns[::-1])
     ordered = sig[order]
     new = np.ones(len(sig), dtype=np.int64)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -350,17 +351,22 @@ def lexsort_row_ranks(sig):
 
 def test_row_ranks_match_numpy_unique_rows():
     # Few colours, and up to about 2n, as many as a joint refinement of two
-    # n-vertex colourings has; rows repeat, drawn from a pool.
+    # n-vertex colourings has; rows repeat, drawn from a pool.  The last
+    # trials draw up to 3e6 and 2**31 colours, past the 55,108 at which a
+    # four-column key no longer fits in int64 and is ranked part-way.
     rng = np.random.default_rng(3)
-    for trial in range(100):
+    for trial in range(300):
         n = int(rng.integers(1, 200))
         d = int(rng.integers(1, 12) if trial % 2 else
                 rng.integers(max(1, 2 * n - 10), 2 * n + 2))
+        if trial >= 100:
+            d = int(rng.integers(1, 3 * 10**6 if trial % 2 else 2**31))
         pool = rng.integers(0, d, size=(int(rng.integers(1, n + 1)), 4))
         sig = pool[rng.integers(0, len(pool), size=n)]
         _, inverse = np.unique(sig, axis=0, return_inverse=True)
-        assert np.array_equal(_row_ranks(sig), inverse.reshape(-1))
-        assert np.array_equal(lexsort_row_ranks(sig), inverse.reshape(-1))
+        assert np.array_equal(_row_ranks(list(sig.T)), inverse.reshape(-1))
+        assert np.array_equal(lexsort_row_ranks(list(sig.T)),
+                              inverse.reshape(-1))
 
 
 def test_rank_keys_find_the_generators_of_the_lexsort(monkeypatch):
@@ -372,16 +378,82 @@ def test_rank_keys_find_the_generators_of_the_lexsort(monkeypatch):
         assert automorphism_group(g).generators == generators
 
 
-def count_refinements(monkeypatch):
-    """Count the ``_refine_joint`` calls made from here on."""
-    counts = Counter()
+def reference_refine_joint(adjA, adjB, colA, colB):
+    """``_refine_joint`` by a row sort of the neighbour colours and a lexsort
+    of the rows, always on the disjoint union of the two sides: the
+    reference for the min/max neighbour columns and the packed rank key."""
+    nA = len(colA)
+    adj = np.concatenate([adjA, adjB + nA])
+    col = np.concatenate([colA, colB])
+    prev = -1
+    while True:
+        col = lexsort_row_ranks([col, *np.sort(col[adj], axis=1).T])
+        distinct = int(col.max()) + 1
+        colA, colB = col[:nA], col[nA:]
+        if not np.array_equal(np.bincount(colA, minlength=distinct),
+                              np.bincount(colB, minlength=distinct)):
+            return None
+        if distinct == prev:
+            return colA, colB
+        prev = distinct
+
+
+@pytest.mark.parametrize("make, diverges", [
+    (lambda: eisenstein_graph(parse_eisenstein("3-3w")), True),
+    (lambda: universal_row(*ROWS[5]), False),
+    (lambda: eisenstein_graph(
+        parse_eisenstein("1-w") * parse_eisenstein("1+3w")), True),
+], ids=["3-3w", "row5", "chiral672"])
+def test_refinement_matches_the_reference_kernel(monkeypatch, make,
+                                                 diverges):
+    # Every call of the Aut search: the level colourings, refined as one
+    # copy, and the pair colourings of the candidate searches, some of
+    # which diverge (3-3w's failed type swap among them).
+    g = make()
+    calls = []
     refine = graphsym._refine_joint
+
+    def recorded(*args):
+        calls.append((args, refine(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(graphsym, "_refine_joint", recorded)
+    automorphism_group(g)
+    assert any(args[2] is args[3] for args, _ in calls)
+    assert any(args[2] is not args[3] for args, _ in calls)
+    assert any(result is None for _, result in calls) == diverges
+    for args, result in calls:
+        expected = reference_refine_joint(*args)
+        if expected is None:
+            assert result is None
+        else:
+            assert result is not None
+            assert np.array_equal(result[0], expected[0])
+            assert np.array_equal(result[1], expected[1])
+    # Counts that diverge: one vertex individualized on one side only.
+    col = np.zeros(g.n, dtype=np.int64)
+    lone = col.copy()
+    lone[0] = 1
+    assert reference_refine_joint(g.adj, g.adj, lone, col) is None
+    assert graphsym._refine_joint(g.adj, g.adj, lone, col) is None
+
+
+def count_refinements(monkeypatch):
+    """Count the ``_refine_joint`` calls ("all") and the refinement rounds,
+    one ``_row_ranks`` call each ("rounds"), made from here on."""
+    counts = Counter()
+    refine, row_ranks = graphsym._refine_joint, graphsym._row_ranks
 
     def counted_refine(*args):
         counts["all"] += 1
         return refine(*args)
 
+    def counted_round(*args):
+        counts["rounds"] += 1
+        return row_ranks(*args)
+
     monkeypatch.setattr(graphsym, "_refine_joint", counted_refine)
+    monkeypatch.setattr(graphsym, "_row_ranks", counted_round)
     return counts
 
 
@@ -400,6 +472,7 @@ def test_automorphism_search_is_pruned_by_the_group_found(monkeypatch, seed):
     assert aut.order == 34992
     assert len(aut.vertex_orbits) == 2
     assert counts["all"] <= 60
+    assert counts["rounds"] <= 670
 
 
 def test_chiral_automorphism_search_work(monkeypatch):
@@ -409,6 +482,7 @@ def test_chiral_automorphism_search_work(monkeypatch):
         parse_eisenstein("1-w") * parse_eisenstein("1+3w")))
     assert aut.order == 2016
     assert counts["all"] <= 30
+    assert counts["rounds"] <= 162
 
 
 def double_cover(nx, x):
