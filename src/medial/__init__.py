@@ -38,7 +38,6 @@ from .graphsym import (
 )
 from .matgroup import (
     MatrixGroup,
-    ResidueMatrix,
     find_generators,
     generate_group,
     regularity_test,

@@ -23,7 +23,7 @@ import io
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import graphsym
 from .catalog import TABLE1_ROWS, ToroidalParams, universal_locally_toroidal
@@ -127,9 +127,9 @@ def build_instance(spec: JobSpec) -> InstanceReport:
         try:
             s = ToroidalParams(*(int(x) for x in parts[2].split(",")))
             t = ToroidalParams(*(int(x) for x in parts[3].split(",")))
-        except (TypeError, ValueError) as exc:
+            pres = universal_locally_toroidal(s, t)
+        except (TypeError, ValueError) as exc:  # ChiralFormUnsupported too
             raise BadInput(f"bad toroidal parameters in {spec.key!r}: {exc}")
-        pres = universal_locally_toroidal(s, t)
         handle = handle_from_presentation(
             pres, spec.key, max_cosets=spec.max_cosets,
             max_elements=spec.max_elements, time_budget=spec.time_budget)
@@ -140,11 +140,10 @@ def build_instance(spec: JobSpec) -> InstanceReport:
             raise BadInput(f"malformed eisenstein key {spec.key!r}")
         try:
             m = parse_eisenstein_product(parts[1][2:])
-        except ValueError as exc:
-            raise BadInput(f"bad modulus in {spec.key!r}: {exc}")
-        gens = [parse_eisenstein(g) for g in parts[2][2:].split(",") if g]
-        ring = ResidueRing(m)
-        A = ScalarGroup(ring, gens)
+            A = ScalarGroup(ResidueRing(m), [
+                parse_eisenstein(g) for g in parts[2][2:].split(",") if g])
+        except ValueError as exc:  # a zero modulus, a scalar not a unit
+            raise BadInput(f"bad modulus or scalars in {spec.key!r}: {exc}")
         mg = generate_group(m, A, max_elements=spec.max_elements,
                             time_budget=spec.time_budget)
         handle = handle_from_matrix_group(mg, spec.key)
@@ -244,8 +243,7 @@ def cmd_classify(spec: JobSpec, out) -> int:
     else:
         graph = _load_graph(spec.key)
         start = time.monotonic()
-        c = classify(graph, max_vertices=spec.max_vertices,
-                     type_order="unordered")
+        c = classify(graph, max_vertices=spec.max_vertices)
         rows = [[spec.key, "", "", str(graph.n), c.label(),
                  str(c.aut_order) if c.verdict != "undecided" else "",
                  f"{time.monotonic() - start:.1f}"]]
@@ -254,36 +252,26 @@ def cmd_classify(spec: JobSpec, out) -> int:
     return EXIT_OVERFLOW if verdict == "undecided" else EXIT_OK
 
 
-def _table1_row(args: tuple) -> tuple[int, list[str]]:
-    index, s, t, spec_dict = args
-    spec = JobSpec(**spec_dict)
-    spec.key = f"universal:3,6:{s[0]},{s[1]}:{t[0]},{t[1]}"
+def _table1_row(spec: JobSpec) -> list[str]:
+    """The row of one Table 1 key, or its overflow marker."""
     try:
-        report = classify_instance(spec, build_instance(spec))
-        return index, _row(report)
+        return _row(classify_instance(spec, build_instance(spec)))
     except OverflowResult as exc:
-        return index, [spec.key, f"s=({s[0]},{s[1]}) t=({t[0]},{t[1]})",
-                       "", "", "overflow", "", str(exc)]
+        s, t = spec.key.split(":")[2:]
+        return [spec.key, f"s=({s}) t=({t})", "", "", "overflow", "",
+                str(exc)]
 
 
 def cmd_table1(spec: JobSpec, out) -> int:
-    tasks = []
-    for i, (s, t) in enumerate(TABLE1_ROWS):
-        if (s, t) == ((3, 0), (2, 2)) and not spec.extended:
-            continue
-        tasks.append((i, s, t, {
-            "key": "", "max_cosets": spec.max_cosets,
-            "max_elements": spec.max_elements,
-            "time_budget": spec.time_budget,
-            "max_vertices": spec.max_vertices, "fmt": "csv"}))
+    specs = [replace(spec, key=f"universal:3,6:{s[0]},{s[1]}:{t[0]},{t[1]}")
+             for s, t in TABLE1_ROWS
+             if spec.extended or (s, t) != ((3, 0), (2, 2))]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(_table1_row, tasks))
+            rows = list(pool.map(_table1_row, specs))
     else:
-        results = [_table1_row(t) for t in tasks]
-    results.sort(key=lambda pair: pair[0])
-    _emit_rows([r for _, r in results],
-               spec.fmt if spec.fmt in ("csv", "md") else "csv", out)
+        rows = [_table1_row(s) for s in specs]
+    _emit_rows(rows, spec.fmt if spec.fmt in ("csv", "md") else "csv", out)
     return EXIT_OK
 
 

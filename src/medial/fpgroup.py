@@ -12,8 +12,9 @@ table column, its own inverse, as in the standard enumerators (Holt, Eick
 relators are then not scanned.  Every other generator has a column for
 itself and one for its inverse.  On the Table 1 presentations, whose four
 generators are all involutions, this about halves the enumeration time.
-The finished table is expanded back to one entry per letter, so an
-involution's two letters read the same images.
+The finished table keeps one int64 row of images per generator
+(``CosetTable.columns``); an inverse letter acts by the inverse
+permutation.
 
 The polytope pipeline does not enumerate the whole group.  It enumerates
 the cosets of the stabilizer of the base 1-face (index |G| / 12 on the
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .permgroup import Permutation
 
@@ -85,17 +88,17 @@ class Presentation:
 class CosetTable:
     """Result of a coset enumeration.
 
-    When complete, ``rows[c][x]`` is the image of coset c under letter x
-    (letters as in the module docstring) and the action of every generator
-    is a permutation of {0, ..., num_cosets - 1} fixing the subgroup as
-    coset 0.
+    When complete, ``columns`` is an (ngens, num_cosets) int64 array:
+    ``columns[g, c]`` is the image of coset c under generator g, each row
+    a permutation of {0, ..., num_cosets - 1}, and coset 0 is the
+    subgroup.  An overflow result has no columns.
     """
 
     presentation: Presentation
     subgroup_words: tuple[Word, ...]
     status: str  # "complete" | "overflow"
     num_cosets: int
-    rows: list[list[int]] = field(repr=False, default_factory=list)
+    columns: np.ndarray | None = field(repr=False, default=None)
     reason: str = ""
     cosets_defined: int = 0
 
@@ -103,18 +106,10 @@ class CosetTable:
     def is_complete(self) -> bool:
         return self.status == "complete"
 
-    def apply_word(self, coset: int, w: Word) -> int:
-        for x in w:
-            coset = self.rows[coset][x]
-        return coset
-
     def generator_permutations(self) -> list[Permutation]:
         if not self.is_complete:
             raise RuntimeError("coset table is not complete")
-        return [
-            Permutation([self.rows[c][2 * g] for c in range(self.num_cosets)])
-            for g in range(self.presentation.ngens)
-        ]
+        return [Permutation(images) for images in self.columns]
 
 
 class _Enumerator:
@@ -252,27 +247,25 @@ class _Enumerator:
                         break
             alpha += 1
 
-    def compact(self) -> tuple[list[list[int]], int]:
-        """Renumber the live cosets 0, 1, ... and expand columns to letters.
+    def compact(self) -> np.ndarray:
+        """The live cosets renumbered 0, 1, ..., as the (ngens, live)
+        array of each generator's images.
 
         Raises RuntimeError on an entry that is undefined or points at a
         dead coset: both map to -1, since ``remap[-1]`` is its spare last
         slot.
         """
-        p = self.p
-        live = [c for c in range(len(self.table)) if p[c] == c]
-        remap = [-1] * (len(self.table) + 1)
-        for i, c in enumerate(live):
-            remap[c] = i
-        col = self.col
-        rows = []
-        for c in live:
-            row = self.table[c]
-            out = [remap[row[k]] for k in col]
-            if -1 in out:
-                raise RuntimeError(f"coset table is not closed at coset {c}")
-            rows.append(out)
-        return rows, len(live)
+        p = np.array(self.p)
+        live = np.flatnonzero(p == np.arange(len(p)))
+        remap = np.full(len(p) + 1, -1)
+        remap[live] = np.arange(len(live))
+        rows = [self.table[c] for c in live.tolist()]
+        images = remap[np.array(rows, dtype=np.int64)]
+        unclosed = np.flatnonzero((images == -1).any(axis=1))
+        if len(unclosed):
+            raise RuntimeError("coset table is not closed at coset"
+                               f" {live[unclosed[0]]}")
+        return np.ascontiguousarray(images[:, self.col[0::2]].T)
 
     def run(self) -> CosetTable:
         for w in self.sub_columns:
@@ -309,12 +302,12 @@ class _Enumerator:
                 f"coset limit {self.max_cosets} exceeded"
             return CosetTable(
                 presentation=self.pres, subgroup_words=self.subgens,
-                status="overflow", num_cosets=self.n_live, rows=[],
+                status="overflow", num_cosets=self.n_live,
                 reason=reason, cosets_defined=len(self.table))
-        rows, n = self.compact()
+        columns = self.compact()
         return CosetTable(
             presentation=self.pres, subgroup_words=self.subgens,
-            status="complete", num_cosets=n, rows=rows,
+            status="complete", num_cosets=columns.shape[1], columns=columns,
             cosets_defined=len(self.table))
 
 

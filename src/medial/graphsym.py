@@ -441,7 +441,6 @@ class Classification:
     t: int | None = None
     sign: str | None = None           # "+" | "-" for symmetric verdicts
     t_pair: tuple[int, int] | None = None  # (t1, t2) for semisymmetric
-    type_order: str = "polytope"      # or "unordered" without provenance
     stabilizer_orders: list[int] = field(default_factory=list)
     reason: str = ""
 
@@ -560,20 +559,17 @@ def shunts_and_sign(G: BipartiteCubicGraph, aut: AutomorphismResult,
 
 def classify(G: BipartiteCubicGraph,
              aut: AutomorphismResult | None = None,
-             max_vertices: int = DEFAULT_VERTEX_CAP,
-             type_order: str = "polytope") -> Classification:
+             max_vertices: int = DEFAULT_VERTEX_CAP) -> Classification:
     """Full symmetry classification; symmetric verdicts are verified against
     the structural constraints (order formula, stabilizer tower, sign)."""
     if aut is None:
         aut = automorphism_group(G, max_vertices=max_vertices)
     if aut.status != "ok":
-        return Classification("undecided", n=G.n, reason=aut.reason,
-                              type_order=type_order)
+        return Classification("undecided", n=G.n, reason=aut.reason)
     n = G.n
     orbit_count = len(aut.vertex_orbits)
     result = Classification("not-edge-transitive", n=n, aut_order=aut.order,
-                            vertex_orbit_count=orbit_count,
-                            type_order=type_order)
+                            vertex_orbit_count=orbit_count)
     if orbit_count == 1:
         # One vertex orbit: arcs from both types lie in one orbit family,
         # so totals count starts of both types.

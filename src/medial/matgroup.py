@@ -36,6 +36,11 @@ taken least over the scalar multiples of M.  The closure runs on these
 codes one breadth-first level at a time, with every product of a level
 taken at once in numpy; ``cayley_table`` gives the group's right
 multiplication by any coded elements in the same way.
+
+Ring elements are entry indices throughout, multiplied and added by
+table lookup (``_Arith``).  ``find_generators`` reduces the frozen triple
+to entry indices and checks its determinants and relations with the
+same 2x2 product that multiplies group elements.
 """
 
 from __future__ import annotations
@@ -86,93 +91,48 @@ class OverflowResult(RuntimeError):
     """Group closure exceeded the configured element cap."""
 
 
-@dataclass(frozen=True)
-class ResidueMatrix:
-    """A 2x2 matrix over D/(m) with unit determinant, entries reduced."""
-
-    ring: ResidueRing
-    entries: tuple[EisensteinInt, EisensteinInt, EisensteinInt, EisensteinInt]
-
-    @classmethod
-    def make(cls, ring: ResidueRing,
-             entries: Sequence[EisensteinInt]) -> "ResidueMatrix":
-        reduced = tuple(ring.reduce(e) for e in entries)
-        mat = cls(ring, reduced)  # type: ignore[arg-type]
-        if ring.inverse(mat.det()) is None:
-            raise ConfigurationError(
-                f"matrix determinant {format_eisenstein(mat.det())} is not a"
-                f" unit mod {format_eisenstein(ring.modulus)}")
-        return mat
-
-    def det(self) -> EisensteinInt:
-        a, b, c, d = self.entries
-        return self.ring.reduce(a * d - b * c)
-
-    def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
-        a, b, c, d = self.entries
-        e, f, g, h = other.entries
-        return ResidueMatrix(self.ring, tuple(
-            self.ring.reduce(z)
-            for z in (a * e + b * g, a * f + b * h, c * e + d * g,
-                      c * f + d * h)))
-
-    def conjugate(self) -> "ResidueMatrix":
-        return ResidueMatrix(
-            self.ring,
-            tuple(self.ring.reduce(e.conjugate()) for e in self.entries))
-
-    def scaled(self, a: EisensteinInt) -> "ResidueMatrix":
-        return ResidueMatrix(
-            self.ring, tuple(self.ring.reduce(a * e) for e in self.entries))
-
-    def inverse(self) -> "ResidueMatrix":
-        a, b, c, d = self.entries
-        di = self.ring.inverse(self.det())
-        assert di is not None
-        return ResidueMatrix(
-            self.ring,
-            tuple(self.ring.reduce(di * z) for z in (d, -b, -c, a)))
-
-    def is_identity(self) -> bool:
-        one, zero = self.ring.one(), self.ring.reduce(EisensteinInt(0, 0))
-        return self.entries == (one, zero, zero, one)
-
-    def __str__(self) -> str:
-        a, b, c, d = (format_eisenstein(e) for e in self.entries)
-        return f"[[{a}, {b}], [{c}, {d}]]"
-
-
-def identity_matrix(ring: ResidueRing) -> ResidueMatrix:
-    one, zero = ring.one(), ring.reduce(EisensteinInt(0, 0))
-    return ResidueMatrix(ring, (one, zero, zero, one))
-
-
-def find_generators(
-        m: EisensteinInt,
-        triple: Sequence[Sequence[EisensteinInt]] = SIGMA_TRIPLE,
-) -> tuple[ResidueMatrix, ResidueMatrix, ResidueMatrix]:
-    """The frozen generator triple reduced mod m, with relations verified.
-
-    Requires norm(m) = 3k with k > 1.  Each defining relation is checked to
-    land on +-identity in the residue ring; a failure names the relation.
-    """
+def _check_norm(m: EisensteinInt) -> None:
+    """The precondition norm(m) = 3k with k > 1 of every construction."""
     n = m.norm()
     if n % 3 != 0 or n <= 3:
         raise ConfigurationError(
             f"modulus {format_eisenstein(m)} has norm {n}; need norm = 3k"
             " with k > 1")
-    ring = ResidueRing(m)
-    gens = tuple(ResidueMatrix.make(ring, t) for t in triple)
-    ident = identity_matrix(ring)
-    neg_ident = ident.scaled(EisensteinInt(-1, 0))
+
+
+def find_generators(
+        arith: _Arith,
+        triple: Sequence[Sequence[EisensteinInt]] = SIGMA_TRIPLE,
+) -> np.ndarray:
+    """The frozen generator triple reduced mod the modulus of ``arith``'s
+    ring, as its entry indices: row i holds (e0, e1, e2, e3) of sigma_(i+1).
+
+    Requires norm(m) = 3k with k > 1.  Each determinant must be a unit,
+    and each defining relation must land on +-identity; a failure names
+    the matrix or the relation.
+    """
+    m = arith.ring.modulus
+    _check_norm(m)
+    entries = [z for mat in triple for z in mat]
+    gens = arith.classes(np.array([z.a for z in entries]),
+                         np.array([z.b for z in entries])).reshape(-1, 4)
+    mul, add, _ = arith.arrays
+    for a, b, c, d in gens:
+        det = add[mul[a, d], arith.neg[mul[b, c]]]
+        if not (mul[det] == arith.identity[0]).any():  # no inverse
+            raise ConfigurationError(
+                f"matrix determinant {format_eisenstein(arith.elems[det])}"
+                f" is not a unit mod {format_eisenstein(m)}")
+    identities = (arith.identity.tolist(), arith.neg[arith.identity].tolist())
     for name, word in RELATION_WORDS:
-        acc = ident
+        acc = arith.identity
         for idx in word:
-            acc = acc * gens[idx]
-        if acc.entries not in (ident.entries, neg_ident.entries):
+            acc = arith.matmul(acc, gens[idx])
+        if acc.tolist() not in identities:
+            a, b, c, d = (format_eisenstein(arith.elems[i]) for i in acc)
             raise ConfigurationError(
                 f"relation {name} fails mod {format_eisenstein(m)}:"
-                f" got {acc}")
+                f" got [[{a}, {b}], [{c}, {d}]]")
     return gens
 
 
@@ -190,9 +150,10 @@ def regularity_test(m: EisensteinInt, A: ScalarGroup) -> str:
 class _Arith:
     """Index-table arithmetic for one residue ring (rings here are tiny).
 
-    ``arrays`` holds the product, sum and conjugate of ring elements as
-    numpy tables over their indices, built at once on arrays of (a, b)
-    pairs.
+    Ring elements are indexed in (a, b) order.  ``arrays`` holds their
+    product, sum and conjugate as numpy tables over the indices, built at
+    once on arrays of (a, b) pairs; ``neg`` is negation, and ``identity``
+    the entry indices of the identity matrix.
     """
 
     def __init__(self, ring: ResidueRing):
@@ -200,24 +161,33 @@ class _Arith:
         self.elems: list[EisensteinInt] = sorted(
             ring.elements, key=lambda z: (z.a, z.b))
         self.index = {z: i for i, z in enumerate(self.elems)}
-        position = np.empty(len(self.elems), dtype=np.int64)
-        position[[ring.index[z] for z in self.elems]] = np.arange(
+        self._position = np.empty(len(self.elems), dtype=np.int64)
+        self._position[[ring.index[z] for z in self.elems]] = np.arange(
             len(self.elems))
-
-        def classes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return position[ring.class_index(a, b)]
-
         a = np.array([z.a for z in self.elems])
         b = np.array([z.b for z in self.elems])
         x, y = a[:, None], b[:, None]
-        self.arrays = (classes(x * a - y * b, x * b + y * a - y * b),
-                       classes(x + a, y + b), classes(a - b, -b))
+        self.arrays = (self.classes(x * a - y * b, x * b + y * a - y * b),
+                       self.classes(x + a, y + b), self.classes(a - b, -b))
+        self.neg = self.classes(-a, -b)
+        self.identity = self.classes(np.array([1, 0, 0, 1]), np.zeros(4, int))
         # Place values of (e0, e1, e2, e3) in a packed code; star is bit 0.
         self.place = 2 * len(self.elems) ** np.arange(3, -1, -1)
 
-    def encode(self, mat: ResidueMatrix) -> tuple[int, int, int, int]:
-        return tuple(self.index[self.ring.reduce(e)]
-                     for e in mat.entries)  # type: ignore[return-value]
+    def classes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Index of the class of each a + b*w, for integer arrays a and b."""
+        return self._position[self.ring.class_index(a, b)]
+
+    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Entry indices of the 2x2 products x y, for matrices given by
+        their entry indices (e0, e1, e2, e3) on the last axis; the other
+        axes broadcast."""
+        mul, add, _ = self.arrays
+        a, b, c, d = np.moveaxis(x, -1, 0)
+        e, f, g, h = np.moveaxis(y, -1, 0)
+        return np.stack([add[mul[a, e], mul[b, g]], add[mul[a, f], mul[b, h]],
+                         add[mul[c, e], mul[d, g]], add[mul[c, f], mul[d, h]]],
+                        axis=-1)
 
 
 @dataclass
@@ -232,7 +202,6 @@ class MatrixGroup:
     modulus: EisensteinInt
     scalars: ScalarGroup
     kind: str  # "regular" | "chiral"
-    ring: ResidueRing
     arith: _Arith = field(repr=False)
     # Rows of arith's product table for A's members: scalar multiples.
     _scalar_rows: np.ndarray = field(repr=False)
@@ -261,16 +230,13 @@ class MatrixGroup:
         entry (either may be a single code), as
 
             (M, c) * (N, d)  =  (M * conj^c(N), c xor d)."""
-        mul, add, conj = self.arith.arrays
+        conj = self.arith.arrays[2]
         (x_entries, x_star), (y_entries, y_star) = map(
             self._unpack, (np.asarray(x), np.asarray(y)))
-        a, b, c, d = np.moveaxis(x_entries, -1, 0)
-        e, f, g, h = np.moveaxis(
-            np.where(x_star[..., None] == 1, conj[y_entries], y_entries), -1, 0)
-        product = np.stack([add[mul[a, e], mul[b, g]], add[mul[a, f], mul[b, h]],
-                            add[mul[c, e], mul[d, g]], add[mul[c, f], mul[d, h]]],
-                           axis=-1)
-        return self._pack(product, x_star ^ y_star)
+        y_entries = np.where(x_star[..., None] == 1, conj[y_entries],
+                             y_entries)
+        return self._pack(self.arith.matmul(x_entries, y_entries),
+                          x_star ^ y_star)
 
     def cayley_table(self, gens: Sequence[int]) -> np.ndarray:
         """``right[i, j]``: the index in ``codes`` of ``codes[i]`` times
@@ -294,12 +260,12 @@ class MatrixGroup:
 def generate_group(
         m: EisensteinInt,
         A: ScalarGroup | None = None,
-        gens: Sequence[ResidueMatrix] | None = None,
         max_elements: int = DEFAULT_MAX_ELEMENTS,
         time_budget: float | None = None,
 ) -> MatrixGroup:
-    """Breadth-first closure of the generators modulo scalars in A, one
-    level at a time on int64 element codes.
+    """Breadth-first closure of the frozen generators mod m, modulo the
+    scalars in A (by default {1, -1}), one level at a time on int64
+    element codes.
 
     For regular (m, A) the entrywise-conjugation element is adjoined, so the
     result is the full polytope symmetry group; for chiral (m, A) it is the
@@ -307,27 +273,22 @@ def generate_group(
     level starts after ``time_budget`` seconds.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    sigmas = tuple(gens) if gens is not None else find_generators(m)
-    ring = sigmas[0].ring
+    _check_norm(m)  # before any table is built
     if A is None:
-        A = ScalarGroup(ring)
+        A = ScalarGroup(ResidueRing(m))
+    arith = _Arith(A.ring)
+    sigmas = find_generators(arith)
     if EisensteinInt(-1, 0) not in A:
         raise ConfigurationError("scalar group must contain -1")
     kind = regularity_test(m, A)
-    arith = _Arith(ring)
     group = MatrixGroup(
-        modulus=m, scalars=A, kind=kind, ring=ring, arith=arith,
-        _scalar_rows=arith.arrays[0][[arith.index[ring.reduce(a)]
-                                      for a in A.members]])
-
-    def code(mat: ResidueMatrix, star: int = 0) -> int:
-        return int(group._pack(np.array(arith.encode(mat)), star))
-
-    sigma_codes = tuple(code(s) for s in sigmas)
-    identity = code(identity_matrix(ring))
+        modulus=m, scalars=A, kind=kind, arith=arith,
+        _scalar_rows=arith.arrays[0][[arith.index[a] for a in A.members]])
+    sigma_codes = tuple(group._pack(sigmas, 0).tolist())
+    identity = int(group._pack(arith.identity, 0))
     gen_codes = sigma_codes
     if kind == "regular":
-        gen_codes += (code(identity_matrix(ring), 1),)
+        gen_codes += (int(group._pack(arith.identity, 1)),)
     try:
         codes = code_orbit(
             [identity],

@@ -365,6 +365,11 @@ def _certified_cayley_table(
     r1 r2 r3 r0, ..., one new coset at a time while its mixed-radix codes
     fit in int64.  For the trivial subgroup the bound is 1 and coset 0
     alone certifies.
+
+    When the bound's enumeration overflows, no orbit certifies, but the
+    tuple still grows: an orbit past ``max_elements`` raises
+    OverflowResult, since the trivial subgroup's orbit, all of G, would
+    pass it too.  None comes back only once the walk ends inside the cap.
     """
     cosets = coset_enumeration(pres, [gen_word(g) for g in subgroup],
                                max_cosets=max_cosets,
@@ -372,16 +377,13 @@ def _certified_cayley_table(
     if not cosets.is_complete:
         raise OverflowResult(f"{label}: coset enumeration overflow"
                              f" ({cosets.reason})")
-    # columns[g] is the action of generator g, letter 2g, on the cosets.
-    columns = np.array(cosets.rows, dtype=np.int64)[:, 0::2].T.copy()
+    columns = cosets.columns
     ngens, index = columns.shape
     # A bound above max_elements // index could only certify an orbit
     # past max_elements, so its enumeration stops there.
     bound = _subgroup_order_bound(
         pres, subgroup, min(max_cosets, max(1, max_elements // index)),
         deadline)
-    if bound is None:
-        return None
 
     def stepper(place: np.ndarray, generators: Iterable[int]) -> Callable:
         """Images of tuple codes with digit places ``place`` under each of
@@ -404,7 +406,7 @@ def _certified_cayley_table(
                                  f" {max_elements} elements") from None
         except TimeoutError:
             raise OverflowResult(f"{label}: time budget exceeded") from None
-        if len(elements) == bound * index:
+        if bound is not None and len(elements) == bound * index:
             break
         coset = next(fresh, None)
         if coset is None or index ** (len(base) + 1) > 2 ** 63:

@@ -16,6 +16,7 @@ from medial.cli import (
     parse_eisenstein_product,
 )
 from medial.eisenstein import EisensteinInt
+from medial.fpgroup import coset_enumeration, gen_word
 
 
 def run(capsys, *argv):
@@ -147,7 +148,9 @@ def test_md_format(capsys):
 
 def test_bad_key_exit_code(capsys):
     for key in ("bogus:1", "universal:4,4:1,1:1,1", "eisenstein:m=:B=",
-                "universal:3,6:1,1"):
+                "universal:3,6:1,1", "eisenstein:m=3:A=x",
+                "eisenstein:m=3:A=3", "eisenstein:m=0:A=",
+                "universal:3,6:1,1:1,2"):
         code, _, err = run(capsys, "classify", key)
         assert code == EXIT_BAD_INPUT
         assert "error:" in err
@@ -269,6 +272,27 @@ def test_max_elements_bounds_presentation_route(capsys):
     assert "group_order: 720" in out
 
 
+def test_max_elements_below_the_bound_overflows_at_once(capsys,
+                                                       monkeypatch):
+    # Row 6: |G| = 41472, 3456 cosets of the 1-face stabilizer.  A cap of
+    # 40000 stops the stabilizer's bound enumeration at 11 cosets, so no
+    # orbit certifies; the base orbit passes the cap, which proves that
+    # the trivial subgroup's orbit would too, so it is never enumerated.
+    enumerated = []
+
+    def recording(pres, subgens=(), **kwargs):
+        enumerated.append((pres.ngens, list(subgens)))
+        return coset_enumeration(pres, subgens, **kwargs)
+
+    monkeypatch.setattr(polytope, "coset_enumeration", recording)
+    code, _, err = run(capsys, "build", "universal:3,6:3,0:2,2",
+                       "--max-elements", "40000")
+    assert code == EXIT_OVERFLOW
+    assert "base orbit exceeded 40000 elements" in err
+    assert [subgens for ngens, subgens in enumerated if ngens == 4] == \
+        [[gen_word(i) for i in polytope._PARABOLIC[1]]]
+
+
 def test_table1_overflow_rows_fast(capsys):
     # With a tiny coset cap every row degrades to an overflow marker, which
     # exercises the table plumbing without the heavy computations.  Row 1,
@@ -279,6 +303,21 @@ def test_table1_overflow_rows_fast(capsys):
     assert rows[0] == CSV_COLUMNS
     assert len(rows) == 1 + 6  # extended row skipped by default
     assert all(r[4] == "overflow" for r in rows[1:])
+
+
+def test_table1_jobs_match_serial_rows(capsys):
+    # With 3000 cosets rows 1-5 are classified and row 7 overflows (row 6
+    # needs --extended); worker processes give the serial run's rows, in
+    # order.
+    tables = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "table1", "--max-cosets", "3000",
+                           "--jobs", jobs)
+        assert code == EXIT_OK
+        tables.append([r[:-1] for r in parse_csv(out)])  # mask seconds
+    assert tables[0] == tables[1]
+    assert [r[4] for r in tables[0][1:]] == \
+        ["3+", "ss-(4,3)", "3+", "ss-(3,3)", "3+", "overflow"]
 
 
 def test_classify_deterministic_apart_from_timing(capsys):

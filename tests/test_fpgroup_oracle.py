@@ -1,11 +1,14 @@
 """Coset enumeration against sympy's, on Coxeter, toroidal-map and
 PSL(2, 7) presentations: group orders, parabolic indices, and the
-closure of every table."""
+closure of every table: each column a permutation, every relator and
+subgroup word read through the columns, inverse letters through the
+inverse permutations."""
 
 import pytest
 
 from medial.catalog import ToroidalParams, coxeter_string, toroidal_map
 from medial.fpgroup import Presentation, coset_enumeration, gen_word, word_power
+from test_fpgroup import apply_word
 
 sympy_fp = pytest.importorskip("sympy.combinatorics.fp_groups")
 sympy_free = pytest.importorskip("sympy.combinatorics.free_groups")
@@ -53,13 +56,13 @@ def sympy_indexer(pres):
 
 def assert_closed(pres, table):
     n = table.num_cosets
+    assert table.columns.shape == (pres.ngens, n)
+    for column in table.columns:
+        assert sorted(column.tolist()) == list(range(n))
     for w in pres.relators:
-        assert all(table.apply_word(c, w) == c for c in range(n))
+        assert apply_word(table, w).tolist() == list(range(n))
     for w in table.subgroup_words:
-        assert table.apply_word(0, w) == 0
-    for g in range(pres.ngens):
-        for c in range(n):
-            assert table.rows[table.rows[c][2 * g]][2 * g + 1] == c
+        assert apply_word(table, w)[0] == 0
 
 
 @pytest.mark.parametrize("name", CASES)

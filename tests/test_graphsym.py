@@ -138,7 +138,7 @@ def test_gray_oracle_automorphisms_and_verdict():
     aut = automorphism_group(g)
     assert aut.status == "ok" and aut.order == 1296
     assert len(aut.vertex_orbits) == 2
-    c = classify(g, aut, type_order="unordered")
+    c = classify(g, aut)
     assert c.verdict == "semisymmetric"
     assert set(c.t_pair) == {3, 4}
 
@@ -182,7 +182,7 @@ def test_classify_never_builds_a_stabilizer_chain(monkeypatch):
     c = classify(k33())
     assert (c.label(), c.aut_order, c.stabilizer_orders) == \
         (f"3{c.sign}", 72, [1, 2, 4, 12])
-    assert classify(gray_oracle(), type_order="unordered").label() == \
+    assert classify(gray_oracle()).label() == \
         "ss-(3,4)"
 
 
@@ -318,11 +318,11 @@ def test_arc_check_rejects_backtracking_and_nonedges():
 
 def test_classification_invariant_under_relabeling():
     g = gray_oracle()
-    base = classify(g, type_order="unordered")
+    base = classify(g)
     perm = list(range(g.n))
     RNG.shuffle(perm)
     h = g.relabeled(perm)
-    c = classify(h, type_order="unordered")
+    c = classify(h)
     assert c.label() == base.label()
     assert c.aut_order == base.aut_order
 

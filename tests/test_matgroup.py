@@ -2,9 +2,14 @@
 relations, order certificates at four moduli, regularity verdicts,
 canonicalization invariance, and the right-regular action on the
 elements, checked against the element-at-a-time tuple arithmetic
-(``NaiveArithmetic``)."""
+(``NaiveArithmetic``); the index tables and the relation check, checked
+against Eisenstein-integer arithmetic reduced by ``ResidueRing.reduce``."""
 
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,17 +19,18 @@ from medial.eisenstein import (
     EisensteinInt,
     ResidueRing,
     ScalarGroup,
+    format_eisenstein,
     parse_eisenstein,
     vertex_count,
 )
 from medial.matgroup import (
+    RELATION_WORDS,
     SIGMA_TRIPLE,
     ConfigurationError,
     OverflowResult,
-    ResidueMatrix,
+    _Arith,
     find_generators,
     generate_group,
-    identity_matrix,
     recover_reflection_codes,
     regularity_test,
 )
@@ -33,6 +39,31 @@ from medial.permgroup import Permutation, PermutationGroup, code_orbit, orbit
 RNG = random.Random(11)
 
 CHIRAL_M = parse_eisenstein("1-w") * parse_eisenstein("1+3w")
+
+
+def reference_matmul(ring, x, y):
+    """The 2x2 product of entry tuples, reduced entry by entry."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return tuple(ring.reduce(z) for z in (a * e + b * g, a * f + b * h,
+                                          c * e + d * g, c * f + d * h))
+
+
+def reference_relations(ring, triple=SIGMA_TRIPLE):
+    """The triple reduced mod the ring's modulus, and each relation word
+    evaluated on it with Eisenstein-integer arithmetic and ``ring.reduce``:
+    (name, entries, whether the entries are +-identity)."""
+    gens = [tuple(ring.reduce(z) for z in mat) for mat in triple]
+    zero = ring.reduce(EisensteinInt(0, 0))
+    identity = (ring.one(), zero, zero, ring.one())
+    negated = tuple(ring.reduce(-z) for z in identity)
+    words = []
+    for name, word in RELATION_WORDS:
+        acc = identity
+        for i in word:
+            acc = reference_matmul(ring, acc, gens[i])
+        words.append((name, acc, acc in (identity, negated)))
+    return gens, words
 
 
 class NaiveArithmetic:
@@ -45,21 +76,21 @@ class NaiveArithmetic:
 
     def __init__(self, group):
         self.group = group
-        arith, ring = group.arith, group.ring
+        arith = group.arith
+        ring, index = arith.ring, arith.index
         # Place values of e0..e3 in a packed code; star is bit 0.
         self.size = len(arith.elems)
         self.places = [2 * self.size ** k for k in (3, 2, 1, 0)]
         self.mul, self.add, self.conj = (t.tolist() for t in arith.arrays)
-        self.scalar_rows = [self.mul[arith.index[ring.reduce(a)]]
+        self.scalar_rows = [self.mul[index[ring.reduce(a)]]
                             for a in group.scalars.members]
-        self.identity = self.canonical(
-            arith.encode(identity_matrix(ring)) + (0,))
-        self.sigmas = [self.canonical(arith.encode(s) + (0,))
-                       for s in find_generators(group.modulus)]
+        one, zero = index[ring.one()], index[ring.reduce(EisensteinInt(0, 0))]
+        self.identity = self.canonical((one, zero, zero, one, 0))
+        self.sigmas = [self.canonical(tuple(index[z] for z in s) + (0,))
+                       for s in reference_relations(ring)[0]]
         self.generators = list(self.sigmas)
         if group.kind == "regular":
-            self.generators.append(self.canonical(
-                arith.encode(identity_matrix(ring)) + (1,)))
+            self.generators.append(self.canonical((one, zero, zero, one, 1)))
 
     def canonical(self, code):
         a, b, c, d, star = code
@@ -91,7 +122,56 @@ class NaiveArithmetic:
 def test_relations_hold_integrally():
     # Large modulus: the relations then certify the integral statement for
     # every entry of every relation word (entries are tiny by construction).
-    find_generators(parse_eisenstein("30"))
+    find_generators(_Arith(ResidueRing(parse_eisenstein("30"))))
+
+
+@pytest.mark.parametrize("m", ["3", "2-2w", "(1-w)*(1+3w)", "3-3w", "30"])
+def test_generators_match_reduced_eisenstein_arithmetic(m):
+    arith = _Arith(ResidueRing(parse_eisenstein_product(m)))
+    gens = find_generators(arith)
+    reference, words = reference_relations(arith.ring)
+    assert [tuple(arith.elems[i] for i in row) for row in gens] == reference
+    for (name, word), (_, entries, verdict) in zip(RELATION_WORDS, words):
+        acc = arith.identity
+        for i in word:
+            acc = arith.matmul(acc, gens[i])
+        assert tuple(arith.elems[i] for i in acc) == entries
+        assert verdict, name
+
+
+@pytest.mark.parametrize("m", ["3", "2-2w", "(1-w)*(1+3w)", "3-3w"])
+def test_index_tables_match_reduced_eisenstein_arithmetic(m):
+    arith = _Arith(ResidueRing(parse_eisenstein_product(m)))
+    ring, elems = arith.ring, arith.elems
+    mul, add, conj = (t.tolist() for t in arith.arrays)
+    assert [[elems[k] for k in row] for row in mul] == \
+        [[ring.reduce(x * y) for y in elems] for x in elems]
+    assert [[elems[k] for k in row] for row in add] == \
+        [[ring.reduce(x + y) for y in elems] for x in elems]
+    assert [elems[k] for k in conj] == \
+        [ring.reduce(x.conjugate()) for x in elems]
+    assert [elems[k] for k in arith.neg] == [ring.reduce(-x) for x in elems]
+    zero = ring.reduce(EisensteinInt(0, 0))
+    assert [elems[k] for k in arith.identity] == \
+        [ring.one(), zero, zero, ring.one()]
+
+
+@pytest.mark.slow
+def test_sigma_triple_search_finds_the_frozen_triple():
+    # The search script, about 15 s; its hit may flip the signs of sigma1
+    # and sigma3, as its docstring allows.
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "tools/find_sigma_triple.py"],
+                         cwd=root, capture_output=True, text=True,
+                         check=True).stdout
+    hit = {name: tuple(EisensteinInt(int(a), int(b)) for a, b in re.findall(
+        r"EisensteinInt\((-?\d+), (-?\d+)\)", entries))
+        for name, entries in re.findall(r"(sigma\d) = (.*)", out)}
+    s1, s2, s3 = SIGMA_TRIPLE
+    assert hit["sigma1"] in (s1, tuple(-z for z in s1))
+    assert hit["sigma2"] == s2
+    assert hit["sigma3"] in (s3, tuple(-z for z in s3))
+    assert "order mod 3-3w: 4374" in out
 
 
 @pytest.mark.parametrize("m,order,kind", [
@@ -137,19 +217,32 @@ def test_chiral_verdict():
 
 def test_precondition_norm_3k():
     for bad in ("1-w", "2", "5"):  # norms 3, 4, 25
-        with pytest.raises(ConfigurationError):
-            find_generators(parse_eisenstein(bad))
+        m = parse_eisenstein(bad)
+        with pytest.raises(ConfigurationError, match="need norm = 3k"):
+            find_generators(_Arith(ResidueRing(m)))
+        with pytest.raises(ConfigurationError, match="need norm = 3k"):
+            generate_group(m)
 
 
 def test_relation_failure_is_named():
-    ring = ResidueRing(parse_eisenstein("3"))
     broken = list(SIGMA_TRIPLE)
     broken[0] = (EisensteinInt(1, 0), EisensteinInt(1, 0),
                  EisensteinInt(0, 0), EisensteinInt(1, 0))
-    with pytest.raises(ConfigurationError,
-                       match=r"relation \(sigma1 sigma2\)\^2 fails"):
-        find_generators(parse_eisenstein("3"), broken)
-    del ring
+    failed = []
+    for m in ("3", "2-2w", "(1-w)*(1+3w)", "3-3w", "30"):
+        ring = ResidueRing(parse_eisenstein_product(m))
+        # The first relation that fails with reduced Eisenstein
+        # arithmetic, with the entries it gives there.
+        name, entries, _ = next(w for w in reference_relations(ring, broken)[1]
+                                if not w[2])
+        a, b, c, d = map(format_eisenstein, entries)
+        with pytest.raises(ConfigurationError) as info:
+            find_generators(_Arith(ring), broken)
+        assert str(info.value) == (f"relation {name} fails mod"
+                                   f" {format_eisenstein(ring.modulus)}:"
+                                   f" got [[{a}, {b}], [{c}, {d}]]")
+        failed.append(name)
+    assert failed[0] == "(sigma1 sigma2)^2"
 
 
 def test_canonicalization_scalar_invariance():
@@ -162,9 +255,8 @@ def test_canonicalization_scalar_invariance():
         code = int(RNG.choice(g.codes))
         element = naive.decode(code)
         a = RNG.choice(A.members)
-        mat = ResidueMatrix(g.ring,
-                            tuple(g.arith.elems[i] for i in element[:4]))
-        scaled = g.arith.encode(mat.scaled(a))
+        scaled = tuple(g.arith.index[ring.reduce(a * g.arith.elems[i])]
+                       for i in element[:4])
         assert naive.canonical(scaled + (element[4],)) == element
         assert g._pack(np.array(scaled), element[4]) == code
 
@@ -261,10 +353,19 @@ def test_reflection_recovery_matches_element_search(m, scalars):
         == naive_recover_reflection_codes(g)
 
 
-def test_residue_matrix_requires_unit_determinant():
-    ring = ResidueRing(parse_eisenstein("3"))
-    with pytest.raises(ConfigurationError):
-        ResidueMatrix.make(ring, (EisensteinInt(1, 0), EisensteinInt(0, 0),
-                                  EisensteinInt(0, 0), EisensteinInt(0, 0)))
-    ident = identity_matrix(ring)
-    assert ident.is_identity()
+def test_generators_require_unit_determinant():
+    arith = _Arith(ResidueRing(parse_eisenstein("3")))
+    singular = list(SIGMA_TRIPLE)
+    singular[1] = (EisensteinInt(1, 0), EisensteinInt(0, 0),
+                   EisensteinInt(0, 0), EisensteinInt(0, 0))
+    with pytest.raises(ConfigurationError) as info:
+        find_generators(arith, singular)
+    assert str(info.value) == "matrix determinant 0 is not a unit mod 3"
+    # 1 - w divides 3, so a determinant 1 - w is no unit mod 3 either; the
+    # message names its reduced form.
+    singular[1] = (EisensteinInt(1, -1), EisensteinInt(0, 0),
+                   EisensteinInt(0, 0), EisensteinInt(1, 0))
+    det = format_eisenstein(arith.ring.reduce(EisensteinInt(1, -1)))
+    with pytest.raises(ConfigurationError) as info:
+        find_generators(arith, singular)
+    assert str(info.value) == f"matrix determinant {det} is not a unit mod 3"

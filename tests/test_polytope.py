@@ -288,7 +288,7 @@ def naive_pair_orbit(images1, images2):
 def face_actions(pres):
     """The four face actions, as the presentation route derives them from
     the generator columns of the one full coset table."""
-    right = np.array(coset_enumeration(pres).rows)[:, 0::2]
+    right = coset_enumeration(pres).columns.T
     return [face_action(right, 0, range(4),
                         [i for i in range(4) if i != rank])
             for rank in range(4)]
@@ -300,13 +300,12 @@ INCIDENT_RANKS = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3))
 @pytest.mark.parametrize("s,t", TABLE1_ROWS[:5])
 def test_face_action_matches_reference_on_presentations(s, t):
     pres = universal_locally_toroidal(ToroidalParams(*s), ToroidalParams(*t))
-    rows = coset_enumeration(pres).rows
-    letters = gen_word(0, 1, 2, 3)
+    columns = coset_enumeration(pres).columns.tolist()
     actions = face_actions(pres)
     for rank, action in enumerate(actions):
         assert action.tolist() == naive_face_action(
-            0, letters, lambda c, x: rows[c][x],
-            [letters[i] for i in range(4) if i != rank])
+            0, range(4), lambda c, g: columns[g][c],
+            [i for i in range(4) if i != rank])
     for a, b in INCIDENT_RANKS:
         assert set(map(tuple, _pair_orbit(actions[a], actions[b]).tolist())) \
             == naive_pair_orbit(actions[a].tolist(), actions[b].tolist())
@@ -417,7 +416,7 @@ def plain_enumeration_route(pres, label):
     """The handle the way a single enumeration of the whole group gives
     it: coset indices as elements, the table's generator columns as the
     Cayley table."""
-    right = np.array(coset_enumeration(pres).rows)[:, 0::2]
+    right = coset_enumeration(pres).columns.T
     return polytope._checked_handle(label, "regular", right, 0, range(4),
                                     polytope._PARABOLIC)
 
