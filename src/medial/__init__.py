@@ -42,7 +42,6 @@ from .matgroup import (
     generate_group,
     regularity_test,
 )
-from .permgroup import Permutation, PermutationGroup
 from .polytope import (
     PolytopeHandle,
     RotationGroup,

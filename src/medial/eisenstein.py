@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .permgroup import orbit
+from .permgroup import code_orbit
 
 
 @dataclass(frozen=True, order=True)
@@ -342,10 +342,11 @@ class ResidueRing:
                 seen.setdefault(self.reduce(EisensteinInt(a, b)), None)
         self.elements = sorted(seen, key=lambda x: (x.norm(), x.a, x.b))
         self.index = {x: i for i, x in enumerate(self.elements)}
+        self._a = np.array([x.a for x in self.elements])
+        self._b = np.array([x.b for x in self.elements])
         self._hermite_index = np.empty(d1 * d2, dtype=np.int64)
-        self._hermite_index[self._hermite_key(
-            np.array([x.a for x in self.elements]),
-            np.array([x.b for x in self.elements]))] = np.arange(d1 * d2)
+        self._hermite_index[self._hermite_key(self._a, self._b)] = \
+            np.arange(d1 * d2)
 
     def _hermite_key(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d1, q, d2 = self._hermite
@@ -357,6 +358,12 @@ class ResidueRing:
         return self._hermite_index[self._hermite_key(a, b)]
 
     # -- arithmetic on canonical representatives ----------------------------
+
+    def times(self, indices: np.ndarray, y: EisensteinInt) -> np.ndarray:
+        """Positions in ``elements`` of the products of the elements at
+        ``indices`` with y."""
+        a, b = self._a[indices], self._b[indices]
+        return self.class_index(a * y.a - b * y.b, a * y.b + b * y.a - b * y.b)
 
     def add(self, x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
         return self.reduce(x + y)
@@ -394,8 +401,13 @@ class ScalarGroup:
         for g in start:
             if ring.inverse(g) is None:
                 raise ValueError(f"scalar generator {g} is not a unit mod {ring.modulus}")
-        members = orbit([ring.one()], [ring.reduce(-ONE), *start], ring.mul)
-        self.members = sorted(members, key=lambda x: (x.norm(), x.a, x.b))
+        # Ring elements are listed in (norm, a, b) order, so the closure on
+        # their positions lists the members in that order.
+        gens = [ring.reduce(-ONE), *start]
+        members = code_orbit(
+            [ring.index[ring.one()]],
+            lambda x: np.concatenate([ring.times(x, g) for g in gens]))
+        self.members = [ring.elements[i] for i in members]
         self._memberset = set(self.members)
 
     def __len__(self) -> int:

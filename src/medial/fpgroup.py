@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .permgroup import Permutation
-
 Word = tuple[int, ...]
 
 DEFAULT_MAX_COSETS = 10**7
@@ -105,11 +103,6 @@ class CosetTable:
     @property
     def is_complete(self) -> bool:
         return self.status == "complete"
-
-    def generator_permutations(self) -> list[Permutation]:
-        if not self.is_complete:
-            raise RuntimeError("coset table is not complete")
-        return [Permutation(images) for images in self.columns]
 
 
 class _Enumerator:

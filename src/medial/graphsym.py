@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .permgroup import Permutation, PermutationGroup, code_orbit
+from .permgroup import code_orbit, point_orbits
 
 MAX_SYMMETRIC_T = 5   # Tutte's bound for cubic symmetric graphs
 MAX_SEMI_T = 7        # bound for per-type arc transitivity
@@ -266,8 +266,9 @@ class AutomorphismResult:
 
     status: str  # "ok" | "undecided"
     order: int = 0
-    group: PermutationGroup | None = None
-    generators: list[Permutation] = field(default_factory=list)
+    # One generator a row, as the image array of a vertex permutation.
+    generators: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 0), dtype=np.int64))
     vertex_orbits: list[set[int]] = field(default_factory=list)
     reason: str = ""
     adj: np.ndarray | None = None  # the graph the generators act on
@@ -336,12 +337,9 @@ def automorphism_group(G: BipartiteCubicGraph,
                 covered[orbit_of([b] + failed)] = True
         order *= len(orbit_of([b]))
         fixed.append(b)
-    perms = [Permutation(g) for g in gens]
-    group = PermutationGroup(perms, degree=G.n)
-    orbits = group.point_orbits()
-    return AutomorphismResult("ok", order=order, group=group,
-                              generators=perms, vertex_orbits=orbits,
-                              adj=adj)
+    images = np.array(gens, dtype=np.int64).reshape(-1, G.n)
+    return AutomorphismResult("ok", order=order, generators=images,
+                              vertex_orbits=point_orbits(images), adj=adj)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +472,7 @@ def _prefix_orbit_sizes(aut: AutomorphismResult,
 
     def step(codes: np.ndarray) -> np.ndarray:
         arcs = _arc_vertices(adj, codes, length)
-        return np.array([_arc_codes(adj, g.images[arcs])
-                         for g in aut.group.generators],
+        return np.array([_arc_codes(adj, g[arcs]) for g in aut.generators],
                         dtype=np.int64).ravel()
 
     codes = code_orbit(_arc_codes(adj, np.array([vertices])), step)
@@ -507,18 +504,10 @@ def _max_arc_transitivity(G: BipartiteCubicGraph, aut: AutomorphismResult,
     return best, probe, sizes
 
 
-def stabilizer_sequence(G: BipartiteCubicGraph, aut: AutomorphismResult,
-                        arc: Arc) -> list[int]:
-    """Orders |B_0|, ..., |B_t| where B_j fixes the first t-j+1 arc
-    vertices pointwise (B_0 the whole arc, B_t only the start vertex)."""
-    t = arc.t
-    sizes = _prefix_orbit_sizes(aut, arc.vertices)
-    return [aut.order // sizes[t + 1 - j] for j in range(t + 1)]
-
-
 def shunts_and_sign(G: BipartiteCubicGraph, aut: AutomorphismResult,
-                    arc: Arc) -> tuple[Permutation, Permutation, Permutation, str]:
-    """The two shunts, the reverser, and the sign of a symmetric graph.
+                    arc: Arc) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """The two shunts, the reverser, and the sign of a symmetric graph; the
+    automorphisms as image arrays.
 
     Each is the automorphism carrying the arc onto a target arc, found by
     one isomorphism search between colourings that individualize the two
@@ -528,10 +517,9 @@ def shunts_and_sign(G: BipartiteCubicGraph, aut: AutomorphismResult,
     vs = arc.vertices
     source = _individualized(G.n, vs)
 
-    def carry(target: tuple[int, ...]) -> Permutation | None:
-        found = _search_mapping(G.adj, G.adj, source,
-                                _individualized(G.n, target))
-        return None if found is None else Permutation(found)
+    def carry(target: tuple[int, ...]) -> np.ndarray | None:
+        return _search_mapping(G.adj, G.adj, source,
+                               _individualized(G.n, target))
 
     ys = sorted(w for w in G.neighbors(vs[-1]) if w != vs[-2])
     tau = []
@@ -544,12 +532,14 @@ def shunts_and_sign(G: BipartiteCubicGraph, aut: AutomorphismResult,
     alpha = carry(tuple(reversed(vs)))
     if alpha is None:
         raise InconsistencyError("arc reverser does not exist")
-    ident = Permutation.identity(G.n)
-    if alpha * alpha != ident:
+    ident = np.arange(G.n)
+    if not np.array_equal(alpha[alpha], ident):
         raise InconsistencyError("arc reverser is not an involution")
-    conj = alpha * tau[0] * alpha
-    hit1 = conj == tau[0].inverse()
-    hit2 = conj == tau[1].inverse()
+    # alpha tau alpha, applied left to right, is the inverse of tau when
+    # tau applied after it gives the identity.
+    conj = alpha[tau[0][alpha]]
+    hit1 = np.array_equal(tau[0][conj], ident)
+    hit2 = np.array_equal(tau[1][conj], ident)
     if hit1 == hit2:
         raise InconsistencyError(
             "sign undefined: conjugated shunt matches"

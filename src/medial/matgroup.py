@@ -270,16 +270,20 @@ def generate_group(
     For regular (m, A) the entrywise-conjugation element is adjoined, so the
     result is the full polytope symmetry group; for chiral (m, A) it is the
     rotation group.  Raises OverflowResult past ``max_elements``, or when a
-    level starts after ``time_budget`` seconds.
+    level starts after ``time_budget`` seconds.  The ring's product and sum
+    tables have norm(m)^2 entries each, so a norm(m)^2 past
+    ``max_elements`` overflows before they are built.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     _check_norm(m)  # before any table is built
+    if m.norm() ** 2 > max_elements:
+        raise OverflowResult(
+            f"ring tables of norm(m)^2 = {m.norm() ** 2} entries exceed"
+            f" {max_elements} elements")
     if A is None:
         A = ScalarGroup(ResidueRing(m))
     arith = _Arith(A.ring)
     sigmas = find_generators(arith)
-    if EisensteinInt(-1, 0) not in A:
-        raise ConfigurationError("scalar group must contain -1")
     kind = regularity_test(m, A)
     group = MatrixGroup(
         modulus=m, scalars=A, kind=kind, arith=arith,

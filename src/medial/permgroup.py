@@ -1,9 +1,9 @@
 """Permutation groups on finite domains.
 
-Permutations are numpy image arrays.  Closures go through ``orbit``, the
-package's one closure primitive, or, for points coded as integers, through
-its array form ``code_orbit``, one breadth-first level per numpy pass: the
-point orbits of a group, and in ``graphsym`` its orbits on arcs, are
+Permutations are numpy image arrays.  Closures go through ``code_orbit``,
+the package's one closure primitive, on points coded as integers, one
+breadth-first level per numpy pass: the point orbits of a group
+(``point_orbits``), and in ``graphsym`` its orbits on arcs, are
 ``code_orbit`` over the generators' image arrays.  ``code_cayley_table``
 reads the Cayley table, ``right[g, j]`` = element g times generator j,
 off such an orbit when it is a whole group; both construction routes end
@@ -20,8 +20,9 @@ closures and automorphism groups against.
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -88,39 +89,8 @@ class Permutation:
                 seen[x] = True
                 x = int(self.images[x])
                 length += 1
-            result = _lcm(result, length)
+            result = math.lcm(result, length)
         return result
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = np.zeros(self.degree, dtype=bool)
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = []
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                cyc.append(x)
-                x = int(self.images[x])
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
-
-    def __repr__(self) -> str:
-        return f"Permutation{self.cycle_string()}"
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
 
 
 class _ChainLevel:
@@ -264,16 +234,8 @@ class PermutationGroup:
 
     def point_orbits(self) -> list[set[int]]:
         """The orbits on points, in the order of their least points."""
-        images = np.array([g.images for g in self.generators],
-                          dtype=np.int64).reshape(-1, self.degree)
-        out: list[set[int]] = []
-        covered = np.zeros(self.degree, dtype=bool)
-        for p in range(self.degree):
-            if not covered[p]:
-                points = code_orbit([p], lambda x: images[:, x].ravel())
-                covered[points] = True
-                out.append(set(points.tolist()))
-        return out
+        return point_orbits(np.array([g.images for g in self.generators],
+                                     dtype=np.int64).reshape(-1, self.degree))
 
     def prefix_stabilizer_orders(self, points: Sequence[int]) -> list[int]:
         """Orders of the pointwise stabilizers of points[:k] for k = 0..len,
@@ -318,39 +280,17 @@ def _transporter_search(levels: list[_ChainLevel], n: int,
     return rec(0, Permutation.identity(n))
 
 
-def orbit(seeds: Iterable[Hashable], gens: Sequence, act: Callable,
-          limit: int | None = None) -> set:
-    """Closure of ``seeds`` under ``x -> act(x, g)`` for every g in ``gens``.
-
-    With the identity as the seed and right multiplication as ``act`` this
-    is the subgroup generated by ``gens``, in whatever form the elements
-    take.  Raises ValueError once the orbit would exceed ``limit`` points.
-    """
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = act(x, g)
-            if y not in seen:
-                if limit is not None and len(seen) >= limit:
-                    raise ValueError(f"orbit exceeds limit {limit}")
-                seen.add(y)
-                frontier.append(y)
-    return seen
-
-
 def code_orbit(seeds: Sequence[int], step: Callable[[np.ndarray], np.ndarray],
                limit: int | None = None,
                deadline: float | None = None) -> np.ndarray:
-    """``orbit`` for points coded as integers, one breadth-first level at a
-    time in numpy; returns the orbit as a sorted int64 array.
+    """The closure of the integer codes ``seeds`` under ``step``, one
+    breadth-first level at a time in numpy; returns the orbit as a sorted
+    int64 array.
 
     ``step`` maps an array of codes to the codes of their images under
     every generator, in any order and with repeats.  Raises ValueError once
-    the orbit would exceed ``limit`` points, as ``orbit`` does, and
-    TimeoutError when a level starts past ``deadline`` (a
-    ``time.monotonic()`` value).
+    the orbit would exceed ``limit`` points, and TimeoutError when a level
+    starts past ``deadline`` (a ``time.monotonic()`` value).
     """
     seen = _sorted_distinct(np.asarray(seeds, dtype=np.int64))
     frontier = seen
@@ -367,6 +307,20 @@ def code_orbit(seeds: Sequence[int], step: Callable[[np.ndarray], np.ndarray],
         # Both parts are sorted, so the stable sort is a linear merge.
         seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
     return seen
+
+
+def point_orbits(images: np.ndarray) -> list[set[int]]:
+    """The orbits on points of the group generated by the rows of
+    ``images``, a (generators, degree) array of image arrays, in the order
+    of their least points."""
+    out: list[set[int]] = []
+    covered = np.zeros(images.shape[1], dtype=bool)
+    for p in range(images.shape[1]):
+        if not covered[p]:
+            points = code_orbit([p], lambda x: images[:, x].ravel())
+            covered[points] = True
+            out.append(set(points.tolist()))
+    return out
 
 
 def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
@@ -432,12 +386,3 @@ def face_action(right: np.ndarray, identity: int, gens: Sequence[int],
         levels.append(fresh)
     representatives = np.concatenate(levels)[:, 0]
     return coset_of[right[representatives][:, gens]].T
-
-
-def naive_closure(generators: Sequence[Permutation], limit: int = 2000000) -> list[Permutation]:
-    """Brute-force closure; the oracle against which chain orders are checked."""
-    if not generators:
-        return []
-    ident = Permutation.identity(generators[0].degree)
-    return sorted(orbit([ident], generators, Permutation.__mul__, limit),
-                  key=lambda p: p.images.tobytes())

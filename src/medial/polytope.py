@@ -28,18 +28,17 @@ subgroup, and reads the table off the orbit of a tuple of those cosets,
 once the orbit's size proves that the group acts on it regularly
 (``_certified_cayley_table``).  The matrix route takes one vectorized
 product per generator.  From there one path (``_checked_handle``)
-validates the group on the rows of the table, computes the four face
-actions, the incidences and the diamond check as numpy array operations,
-and ``medial_layer_graph`` extracts the graph the same way.
+validates the group, computes the four face actions, the incidences and
+the diamond check, all as numpy array operations on the table, and
+``medial_layer_graph`` extracts the graph the same way.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,177 +55,191 @@ from .matgroup import (
     OverflowResult,
     recover_reflection_codes,
 )
-from .permgroup import (
-    Permutation,
-    code_cayley_table,
-    code_orbit,
-    face_action,
-    orbit,
-)
+from .permgroup import code_cayley_table, code_orbit, face_action
 
 # The validation functions (validate_string_cgroup, validate_rotation_group,
 # self_duality_test, is_directly_regular, generator_map_homomorphism) take
-# group elements in whatever form the caller holds them: ``identity`` plus
-# ``mul(x, g)``, the right product of an element x with a generator g, and
-# they call ``mul`` with no second argument but one of the generators passed
-# in.  Library callers pass permutations, multiplied with ``*``; the
-# pipeline passes the rows of either route's Cayley table as elements and
-# its columns as generators, multiplied by table lookup, so no element
-# becomes a permutation of degree |G|.
+# the group as an integer Cayley table ``right``, ``right[x, j]`` = element
+# x times generator j, whose columns are exactly the generators, and the
+# row of its identity.  The rows of the table may hold more than the
+# generators reach from the identity; every check runs on the subgroup
+# they do reach, as numpy operations on the table.
 
 
 class PolytopeValidationError(ValueError):
     """A generator system fails its defining relations or intersections."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StringCGroup:
-    """Validated regular-polytope generators rho0..rho3, with the element
-    form (``identity``, ``mul``) they were validated in."""
+    """Validated regular-polytope generators rho0..rho3: the columns of
+    the Cayley table ``right``, whose row ``identity`` is the identity."""
 
-    rhos: tuple
-    identity: Hashable
-    mul: Callable
+    right: np.ndarray
+    identity: int
     schlafli: SchlafliType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotationGroup:
-    """Validated rotation generators sigma1..sigma3, with the element form
-    (``identity``, ``mul``) they were validated in."""
+    """Validated rotation generators sigma1..sigma3: the columns of the
+    Cayley table ``right``, whose row ``identity`` is the identity."""
 
-    sigmas: tuple
-    identity: Hashable
-    mul: Callable
+    right: np.ndarray
+    identity: int
     schlafli: SchlafliType
 
 
-def _times(x, word: Iterable, mul: Callable):
-    """x multiplied on the right by each generator of ``word`` in turn."""
+def _times(right: np.ndarray, x, word: Iterable[int]):
+    """The rows x (one row or an array of them) times the generators of
+    ``word`` in turn."""
     for g in word:
-        x = mul(x, g)
+        x = right[x, g]
     return x
 
 
-def _word_order(identity, word: Sequence, mul: Callable) -> int:
+def _word_order(right: np.ndarray, identity: int, word: Sequence[int]) -> int:
     """Order of the product of ``word``."""
-    x, k = _times(identity, word, mul), 1
+    x, k = _times(right, identity, word), 1
     while x != identity:
-        x, k = _times(x, word, mul), k + 1
+        x, k = _times(right, x, word), k + 1
     return k
 
 
-def validate_string_cgroup(
-        rhos: Sequence, identity: Hashable | None = None,
-        mul: Callable = operator.mul) -> StringCGroup:
-    """Check relations (R) and intersections (C).
+def validate_string_cgroup(right: np.ndarray, identity: int) -> StringCGroup:
+    """Check relations (R) and intersections (C) for rho0..rho3, the
+    columns of the Cayley table ``right`` with identity row ``identity``.
 
-    By default the generators are permutations: ``identity`` is the
-    identity of their degree and ``mul`` is ``*``.  The intersection
-    condition only needs checking for proper subsets I, J (a full-index
-    side intersects trivially), so the group itself is never enumerated
-    here.
+    The intersection condition only needs checking for proper subsets I, J
+    (a full-index side intersects trivially), so the group itself is never
+    closed here.
     """
-    rhos = tuple(rhos)
-    if len(rhos) != 4:
-        raise PolytopeValidationError(f"need 4 generators, got {len(rhos)}")
-    if identity is None:
-        identity = Permutation.identity(rhos[0].degree)
-    for i, r in enumerate(rhos):
-        x = mul(identity, r)
-        if x == identity or mul(x, r) != identity:
+    if right.shape[1] != 4:
+        raise PolytopeValidationError(f"need 4 generators, got {right.shape[1]}")
+    for i in range(4):
+        x = right[identity, i]
+        if x == identity or right[x, i] != identity:
             raise PolytopeValidationError(f"rho{i} is not an involution")
     for i, j in ((0, 2), (0, 3), (1, 3)):
-        if _times(identity, (rhos[i], rhos[j]) * 2, mul) != identity:
+        if _times(right, identity, (i, j) * 2) != identity:
             raise PolytopeValidationError(
                 f"(rho{i} rho{j})^2 != identity (commuting relation fails)")
-    p1, p2, p3 = (_word_order(identity, rhos[j:j + 2], mul) for j in range(3))
+    p1, p2, p3 = (_word_order(right, identity, (j, j + 1)) for j in range(3))
     # (C) only needs proper subsets: a full-index side intersects trivially.
     subsets = [frozenset(c) for k in range(4)
                for c in itertools.combinations(range(4), k)]
-    _check_intersections(rhos, [f"rho{i}" for i in range(4)],
-                         itertools.product(subsets, repeat=2), identity, mul)
-    return StringCGroup(rhos, identity, mul, SchlafliType(p1, p2, p3))
+    _check_intersections(right, identity, [f"rho{i}" for i in range(4)],
+                         list(itertools.product(subsets, repeat=2)))
+    return StringCGroup(right, identity, SchlafliType(p1, p2, p3))
 
 
-def _check_intersections(gens: tuple, names: Sequence[str],
-                         pairs: Iterable[tuple[frozenset, frozenset]],
-                         identity, mul: Callable) -> None:
-    """<gens_I> ^ <gens_J> = <gens_(I^J)> for each index-set pair (I, J),
-    with every subgroup taken as the closure of the identity."""
-    closures: dict[frozenset, set] = {}
+def _check_intersections(right: np.ndarray, identity: int,
+                         names: Sequence[str],
+                         pairs: Sequence[tuple[frozenset, frozenset]]) -> None:
+    """<gens_I> ^ <gens_J> = <gens_(I^J)> for each pair (I, J) of column
+    index sets, checked in the order given.
 
-    def closure(s: frozenset) -> set:
-        if s not in closures:
-            closures[s] = orbit([identity], [gens[i] for i in sorted(s)], mul)
-        return closures[s]
+    Every subgroup involved is closed at once: one ``code_orbit`` on codes
+    s * |rows| + x of (subgroup s, element x), where a step multiplies x
+    by the columns of s only.  <gens_(I^J)> lies in both sides, so the
+    condition holds exactly when the intersection has its order.
+    """
+    subsets = sorted({s for I, J in pairs for s in (I, J, I & J)}, key=sorted)
+    position = {s: k for k, s in enumerate(subsets)}
+    n = len(right)
+    uses = np.array([[j in s for j in range(right.shape[1])]
+                     for s in subsets])
 
-    def span(s: frozenset) -> str:
-        return "<" + ",".join(names[i] for i in sorted(s)) + ">" if s else "1"
+    def step(codes: np.ndarray) -> np.ndarray:
+        s, x = np.divmod(codes, n)
+        return (s[:, None] * n
+                + np.where(uses[s], right[x], x[:, None])).ravel()
 
-    for I, J in pairs:
-        inter = closure(I) & closure(J)
-        expected = closure(I & J)
-        if inter != expected:
-            raise PolytopeValidationError(
-                f"intersection condition fails: {span(I)} ^ {span(J)} has"
-                f" order {len(inter)}, {span(I & J)} has order"
-                f" {len(expected)}")
+    s, x = np.divmod(code_orbit(np.arange(len(subsets)) * n + identity,
+                                step), n)
+    _, x = np.unique(x, return_inverse=True)
+    member = np.zeros((len(subsets), x.max() + 1), dtype=np.int64)
+    member[s, x] = 1
+    common = member @ member.T  # |<gens_I> ^ <gens_J>|, by position
+    first, second, meet = np.array([(position[I], position[J], position[I & J])
+                                    for I, J in pairs]).T
+    wrong = np.flatnonzero(common[first, second] != common[meet, meet])
+    if len(wrong):
+        k = wrong[0]
+        I, J = pairs[k]
+
+        def span(s: frozenset) -> str:
+            return "<" + ",".join(names[i] for i in sorted(s)) + ">" if s \
+                else "1"
+
+        raise PolytopeValidationError(
+            f"intersection condition fails: {span(I)} ^ {span(J)} has"
+            f" order {common[first[k], second[k]]}, {span(I & J)} has"
+            f" order {common[meet[k], meet[k]]}")
 
 
-def validate_rotation_group(
-        sigmas: Sequence, identity: Hashable | None = None,
-        mul: Callable = operator.mul) -> RotationGroup:
-    """Check relations (R') and intersections (C'), in the element form of
-    validate_string_cgroup (permutations with ``*`` by default)."""
-    sigmas = tuple(sigmas)
-    if len(sigmas) != 3:
-        raise PolytopeValidationError(f"need 3 generators, got {len(sigmas)}")
-    if identity is None:
-        identity = Permutation.identity(sigmas[0].degree)
-    s1, s2, s3 = sigmas
-    for name, word in (("(sigma1 sigma2)^2", (s1, s2)),
-                       ("(sigma2 sigma3)^2", (s2, s3)),
-                       ("(sigma1 sigma2 sigma3)^2", (s1, s2, s3))):
-        if _times(identity, word * 2, mul) != identity:
+def validate_rotation_group(right: np.ndarray,
+                            identity: int) -> RotationGroup:
+    """Check relations (R') and intersections (C') for sigma1..sigma3, the
+    columns of the Cayley table ``right`` with identity row ``identity``."""
+    if right.shape[1] != 3:
+        raise PolytopeValidationError(f"need 3 generators, got {right.shape[1]}")
+    for name, word in (("(sigma1 sigma2)^2", (0, 1)),
+                       ("(sigma2 sigma3)^2", (1, 2)),
+                       ("(sigma1 sigma2 sigma3)^2", (0, 1, 2))):
+        if _times(right, identity, word * 2) != identity:
             raise PolytopeValidationError(f"{name} != identity")
-    p1, p2, p3 = (_word_order(identity, (s,), mul) for s in sigmas)
+    p1, p2, p3 = (_word_order(right, identity, (j,)) for j in range(3))
     # (C'): <s1> ^ <s2> = 1 = <s2> ^ <s3> and <s1,s2> ^ <s2,s3> = <s2>.
     pairs = [(frozenset(I), frozenset(J))
              for I, J in (((0,), (1,)), ((1,), (2,)), ((0, 1), (1, 2)))]
-    _check_intersections(sigmas, ("sigma1", "sigma2", "sigma3"), pairs,
-                         identity, mul)
-    return RotationGroup(sigmas, identity, mul, SchlafliType(p1, p2, p3))
+    _check_intersections(right, identity, ("sigma1", "sigma2", "sigma3"),
+                         pairs)
+    return RotationGroup(right, identity, SchlafliType(p1, p2, p3))
 
 
 def generator_map_homomorphism(
-        gens: Sequence, start: Hashable, images: Sequence[Sequence],
-        identity: Hashable, mul: Callable) -> dict | None:
-    """The map x |-> start * phi(x) on <gens>, as an element map, where phi
-    is the endomorphism with gens[i] |-> the product of the word
-    ``images[i]`` over ``gens``; None when phi does not extend to one.
+        right: np.ndarray, identity: int, start: int,
+        images: Sequence[Sequence[int]]) -> np.ndarray | None:
+    """The map x |-> start * phi(x) on the subgroup that the columns of
+    the Cayley table ``right`` reach from the row ``identity``, as an
+    array over the rows that holds -1 off that subgroup; phi is the
+    endomorphism taking column j to the product of the word ``images[j]``
+    over the columns.  None when phi does not extend to one.
 
     With ``start`` the identity this is phi itself; with ``start`` an
     element s and each generator its own image, it is the left translation
-    x |-> s x.  The search stops at the first element that would get two
-    images.
+    x |-> s x.  The map grows one breadth-first level at a time: x times
+    column j gets the value of x times the word ``images[j]``, and phi
+    extends exactly when no element gets two values.
     """
-    mapping = {identity: start}
-    frontier = [identity]
-    while frontier:
-        g = frontier.pop()
-        h = mapping[g]
-        for a, word in zip(gens, images):
-            g2, h2 = mul(g, a), h
-            for b in word:
-                h2 = mul(h2, b)
-            known = mapping.get(g2)
-            if known is None:
-                mapping[g2] = h2
-                frontier.append(g2)
-            elif known != h2:
-                return None
+    mapping = np.full(len(right), -1, dtype=np.int64)
+    mapping[identity] = start
+    frontier = np.array([identity])
+    while len(frontier):
+        targets = right[frontier].ravel()
+        values = np.stack([_times(right, mapping[frontier], word)
+                           for word in images], axis=1).ravel()
+        order = np.argsort(targets, kind="stable")
+        targets, values = targets[order], values[order]
+        repeat = targets[1:] == targets[:-1]
+        known = mapping[targets]
+        if (values[1:][repeat] != values[:-1][repeat]).any() \
+                or ((known >= 0) & (known != values)).any():
+            return None
+        fresh = known < 0
+        mapping[targets[fresh]] = values[fresh]
+        frontier = np.unique(targets[fresh])
     return mapping
+
+
+def _is_injective(mapping: np.ndarray | None) -> bool:
+    """Whether a ``generator_map_homomorphism`` map exists and takes no
+    value twice."""
+    if mapping is None:
+        return False
+    values = mapping[mapping >= 0]
+    return len(np.unique(values)) == len(values)
 
 
 def is_directly_regular(R: RotationGroup) -> bool:
@@ -239,36 +252,32 @@ def is_directly_regular(R: RotationGroup) -> bool:
 
     The twist images are words over the sigmas, and the left translations
     of the inner check are found by propagation from the identity, so
-    ``R.mul`` only ever multiplies by a sigma.
+    only the sigma columns of ``R.right`` are ever read.
     """
-    s1, s2, s3 = R.sigmas
-    identity, mul = R.identity, R.mul
-    words = [(s1,) * (R.schlafli.p1 - 1), (s1, s1, s2), (s3,)]
-    twist = generator_map_homomorphism(R.sigmas, identity, words, identity,
-                                       mul)
-    if twist is None or len(set(twist.values())) != len(twist):
+    right, identity = R.right, R.identity
+    words = [(0,) * (R.schlafli.p1 - 1), (0, 0, 1), (2,)]
+    twist = generator_map_homomorphism(right, identity, identity, words)
+    if not _is_injective(twist):
         return False
     # Involutory: applying the twist to each target must give the generator.
-    for s, word in zip(R.sigmas, words):
-        if twist[_times(identity, word, mul)] != mul(identity, s):
+    for j, word in enumerate(words):
+        if twist[_times(right, identity, word)] != right[identity, j]:
             return False
     # Inner check: conjugation by some group element realizing the twist,
     # h^-1 s h = t, that is s h = h t, with s h read off the left
     # translation by s.
-    letters = [(s,) for s in R.sigmas]
-    inner = list(twist)
-    for s, word in zip(R.sigmas, words):
-        left = generator_map_homomorphism(R.sigmas, mul(identity, s), letters,
-                                          identity, mul)
-        inner = [h for h in inner if left[h] == _times(h, word, mul)]
-    return not inner
+    inner = np.flatnonzero(twist >= 0)
+    for j, word in enumerate(words):
+        left = generator_map_homomorphism(right, identity,
+                                          right[identity, j], [(0,), (1,), (2,)])
+        inner = inner[left[inner] == _times(right, inner, word)]
+    return not len(inner)
 
 
 def self_duality_test(C: StringCGroup) -> bool:
     """Whether rho_j |-> rho_{3-j} extends to a group automorphism."""
-    mapping = generator_map_homomorphism(
-        C.rhos, C.identity, [(r,) for r in C.rhos[::-1]], C.identity, C.mul)
-    return mapping is not None and len(set(mapping.values())) == len(mapping)
+    return _is_injective(generator_map_homomorphism(
+        C.right, C.identity, C.identity, [(3,), (2,), (1,), (0,)]))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +339,7 @@ def handle_from_presentation(
     The cosets of the base 1-face stabilizer are enumerated first; when
     their certificate fails, those of the trivial subgroup, whose single
     base coset always certifies.  ``_checked_handle`` validates the group
-    on the rows of the table.  ``max_cosets`` bounds each enumeration,
+    on the table.  ``max_cosets`` bounds each enumeration,
     ``max_elements`` each base orbit, and ``time_budget`` all of them
     together.
     """
@@ -486,15 +495,27 @@ def _checked_handle(label: str, kind: str, right: np.ndarray, identity: int,
                     acting: Sequence[int],
                     stabilizers: dict[int, tuple[int, ...]]) -> PolytopeHandle:
     """The one path of both routes from the Cayley table ``right`` of the
-    group (its identity row ``identity``), whose columns ``acting`` are the
-    generators: validation (``_validate_table``), then the face action of
-    those columns on the cosets of the columns ``stabilizers[rank]``, for
-    each rank, and the handle on the rank-1 and rank-2 actions once the
-    face counts and the diamond condition hold."""
-    # A function of its own, so that the table's Python rows are freed
-    # before the face actions allocate: a lower heap high-water mark.
-    schlafli, self_dual = _validate_table(label, kind, right, identity,
-                                          acting)
+    group (its identity row ``identity``), whose first columns ``acting``
+    are the generators: validation, then the face action of those columns
+    on the cosets of the columns ``stabilizers[rank]``, for each rank, and
+    the handle on the rank-1 and rank-2 actions once the face counts and
+    the diamond condition hold.
+
+    A regular group is checked for (R) and (C) and tested for
+    self-duality; a chiral one is checked for (R') and (C') and must not
+    be directly regular, which would contradict its ``chiral`` label.
+    """
+    generators = right[:, :len(acting)]
+    if kind == "regular":
+        cgroup = validate_string_cgroup(generators, identity)
+        schlafli, self_dual = cgroup.schlafli, self_duality_test(cgroup)
+    else:
+        rotations = validate_rotation_group(generators, identity)
+        if is_directly_regular(rotations):
+            raise PolytopeValidationError(
+                f"{label}: labelled chiral, but its rotation group is"
+                " directly regular")
+        schlafli, self_dual = rotations.schlafli, None
     actions = [face_action(right, identity, acting, stabilizers[rank])
                for rank in range(4)]
     handle = PolytopeHandle(
@@ -502,32 +523,6 @@ def _checked_handle(label: str, kind: str, right: np.ndarray, identity: int,
         rank1_images=actions[1], rank2_images=actions[2], self_dual=self_dual)
     _diamond_check(actions, label)
     return handle
-
-
-def _validate_table(label: str, kind: str, right: np.ndarray, identity: int,
-                    acting: Sequence[int]) -> tuple[SchlafliType, bool | None]:
-    """The Schlafli type and self-duality (None for the chiral kind) of the
-    group of a Cayley table, once its generators pass validation.
-
-    The rows of the table are the elements, multiplied by a generator by
-    lookup.  A regular group is checked for (R) and (C) and tested for
-    self-duality; a chiral one is checked for (R') and (C') and must not
-    be directly regular, which would contradict its ``chiral`` label.
-    """
-    rows = right.tolist()
-
-    def mul(element: int, generator: int) -> int:
-        return rows[element][generator]
-
-    if kind == "regular":
-        cgroup = validate_string_cgroup(acting, identity, mul)
-        return cgroup.schlafli, self_duality_test(cgroup)
-    rotations = validate_rotation_group(acting, identity, mul)
-    if is_directly_regular(rotations):
-        raise PolytopeValidationError(
-            f"{label}: labelled chiral, but its rotation group is directly"
-            " regular")
-    return rotations.schlafli, None
 
 
 def _diamond_check(actions: Sequence[np.ndarray], label: str) -> None:

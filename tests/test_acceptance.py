@@ -27,17 +27,17 @@ from medial.graphsym import (
     gray_oracle,
     is_isomorphic,
     shunts_and_sign,
-    stabilizer_sequence,
     t_arc_count,
     validate,
 )
 from medial.matgroup import generate_group
-from medial.permgroup import Permutation, PermutationGroup, naive_closure
+from medial.permgroup import Permutation, PermutationGroup
 from medial.polytope import (
     handle_from_matrix_group,
     handle_from_presentation,
     medial_layer_graph,
 )
+from reference import chain, naive_closure, stabilizer_sequence
 
 CHIRAL_M = parse_eisenstein("1-w") * parse_eisenstein("1+3w")
 
@@ -137,16 +137,17 @@ def _symmetric_structure_suite(g, c):
     expected = [1] + [2 ** j for j in range(1, c.t)] + [3 * 2 ** (c.t - 1)]
     arc = base_arc(g, int(g.vertices_of_type(1)[0]), c.t)
     assert stabilizer_sequence(g, aut, arc) == expected
-    assert aut.group.prefix_stabilizer_orders(arc.vertices)[-1] == 1
+    group = chain(aut)
+    assert group.prefix_stabilizer_orders(arc.vertices)[-1] == 1
     shunts_and_sign(g, aut, arc)  # raises if the sign is not well-defined
     for r in range(1, c.t + 1):
         total = t_arc_count(g, 1, r) + t_arc_count(g, 2, r)
-        orbit = c.aut_order // aut.group.prefix_stabilizer_orders(
+        orbit = c.aut_order // group.prefix_stabilizer_orders(
             base_arc(g, int(g.vertices_of_type(1)[0]), r).vertices)[r + 1]
         assert orbit == total
     # One arc orbit cannot cover all (t+1)-arcs.
     longer = base_arc(g, int(g.vertices_of_type(1)[0]), c.t + 1)
-    orbit = c.aut_order // aut.group.prefix_stabilizer_orders(
+    orbit = c.aut_order // group.prefix_stabilizer_orders(
         longer.vertices)[c.t + 2]
     assert orbit < t_arc_count(g, 1, c.t + 1) + t_arc_count(g, 2, c.t + 1)
 

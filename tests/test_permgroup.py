@@ -2,18 +2,21 @@
 transporters, and prescribed-base stabilizers; the chain is the oracle the
 pipeline's orbit computations are tested against."""
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import medial
 from medial.permgroup import (
     Permutation,
     PermutationGroup,
     code_cayley_table,
     code_orbit,
-    naive_closure,
 )
+from reference import naive_closure
 
 RNG = random.Random(7)
 
@@ -130,3 +133,24 @@ def test_cayley_table_from_coded_orbit():
         code_cayley_table(codes, [steps[0], lambda x: x + 5])
     with pytest.raises(ValueError, match="generator 0"):
         code_cayley_table(codes, [lambda x: x + 10])
+
+
+def test_only_permgroup_imports_the_permutation_forms():
+    # The pipeline runs on integer arrays: Permutation and PermutationGroup
+    # serve the Schreier-Sims oracle, and the generic closures are test
+    # references.
+    forbidden = {"Permutation", "PermutationGroup", "orbit", "naive_closure"}
+    modules = sorted(Path(medial.__file__).parent.glob("*.py"))
+    assert "permgroup.py" in [path.name for path in modules]
+    for path in modules:
+        if path.name == "permgroup.py":
+            continue
+        used = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "permgroup":
+                used.add(node.attr)
+        assert not used & forbidden, path.name

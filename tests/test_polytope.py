@@ -27,11 +27,12 @@ from medial.matgroup import (
     generate_group,
     recover_reflection_codes,
 )
-from medial.permgroup import Permutation, PermutationGroup, face_action, orbit
+from medial.permgroup import Permutation, PermutationGroup, face_action
 from medial.polytope import (
     PolytopeValidationError,
     _diamond_check,
     _pair_orbit,
+    generator_map_homomorphism,
     handle_from_matrix_group,
     handle_from_presentation,
     is_directly_regular,
@@ -40,6 +41,13 @@ from medial.polytope import (
     validate_rotation_group,
     validate_string_cgroup,
 )
+import reference
+from reference import (
+    TableProduct,
+    cayley_table,
+    generator_permutations,
+    orbit,
+)
 from test_matgroup import NaiveArithmetic
 
 CHIRAL_M = parse_eisenstein("1-w") * parse_eisenstein("1+3w")
@@ -47,24 +55,26 @@ CHIRAL_M = parse_eisenstein("1-w") * parse_eisenstein("1+3w")
 
 def simplex_rhos():
     table = coset_enumeration(coxeter_string(3, 3, 3))
-    return table.generator_permutations()
+    return generator_permutations(table)
 
 
 def universal_rhos(s, t):
     pres = universal_locally_toroidal(ToroidalParams(*s), ToroidalParams(*t))
-    return coset_enumeration(pres).generator_permutations()
+    return generator_permutations(coset_enumeration(pres))
 
 
 def test_simplex_cgroup_valid():
-    c = validate_string_cgroup(simplex_rhos())
+    rhos = simplex_rhos()
+    c = validate_string_cgroup(*cayley_table(rhos))
     assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (3, 3, 3)
-    assert PermutationGroup(c.rhos).order() == 120
+    assert len(c.right) == PermutationGroup(rhos).order() == 120
 
 
 def test_universal_54_cgroup_valid():
-    c = validate_string_cgroup(universal_rhos((1, 1), (3, 0)))
+    rhos = universal_rhos((1, 1), (3, 0))
+    c = validate_string_cgroup(*cayley_table(rhos))
     assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (3, 6, 3)
-    assert PermutationGroup(c.rhos).order() == 324
+    assert len(c.right) == PermutationGroup(rhos).order() == 324
 
 
 def test_commuting_relation_violation_rejected():
@@ -72,14 +82,14 @@ def test_commuting_relation_violation_rejected():
     # Swapping rho2 into rho1's slot breaks (rho0 rho2)^2 = identity.
     broken = (rhos[0], rhos[2], rhos[1], rhos[3])
     with pytest.raises(PolytopeValidationError, match="rho0 rho"):
-        validate_string_cgroup(broken)
+        validate_string_cgroup(*cayley_table(broken))
 
 
 def test_non_involution_rejected():
     rhos = simplex_rhos()
     broken = (rhos[0] * rhos[1], rhos[1], rhos[2], rhos[3])
     with pytest.raises(PolytopeValidationError, match="involution"):
-        validate_string_cgroup(broken)
+        validate_string_cgroup(*cayley_table(broken))
 
 
 def test_intersection_condition_failure_detected():
@@ -89,9 +99,10 @@ def test_intersection_condition_failure_detected():
     a = Permutation.from_cycles(8, [(0, 1)])
     b = Permutation.from_cycles(8, [(2, 3)])
     c = Permutation.from_cycles(8, [(4, 5)])
-    validate_string_cgroup((a, b, c, Permutation.from_cycles(8, [(6, 7)])))
+    validate_string_cgroup(
+        *cayley_table((a, b, c, Permutation.from_cycles(8, [(6, 7)]))))
     with pytest.raises(PolytopeValidationError, match="intersection"):
-        validate_string_cgroup((a, b, c, a))
+        validate_string_cgroup(*cayley_table((a, b, c, a)))
 
 
 def simplex_sigmas():
@@ -100,17 +111,22 @@ def simplex_sigmas():
 
 
 def test_simplex_rotation_group_valid():
-    r = validate_rotation_group(simplex_sigmas())
+    sigmas = simplex_sigmas()
+    r = validate_rotation_group(*cayley_table(sigmas))
     assert (r.schlafli.p1, r.schlafli.p2, r.schlafli.p3) == (3, 3, 3)
-    assert PermutationGroup(r.sigmas).order() == 60
+    assert len(r.right) == PermutationGroup(sigmas).order() == 60
+
+
+def naive_table(naive, gens):
+    """The Cayley table of the tuple-arithmetic elements ``gens``."""
+    return cayley_table(gens, naive.identity, naive.naive_multiply)
 
 
 def test_eisenstein_sigmas_valid():
     for m, p in ((parse_eisenstein("3"), (3, 6, 3)),
                  (CHIRAL_M, (3, 6, 3))):
         naive = NaiveArithmetic(generate_group(m))
-        r = validate_rotation_group(naive.sigmas, naive.identity,
-                                    naive.naive_multiply)
+        r = validate_rotation_group(*naive_table(naive, naive.sigmas))
         assert (r.schlafli.p1, r.schlafli.p2, r.schlafli.p3) == p
 
 
@@ -120,7 +136,7 @@ def test_degenerate_rotation_input_rejected():
     s2 = Permutation.from_cycles(3, [(1, 2)])
     s3 = Permutation.from_cycles(3, [(0, 2)])
     with pytest.raises(PolytopeValidationError):
-        validate_rotation_group((s1, s2, s3))
+        validate_rotation_group(*cayley_table((s1, s2, s3)))
 
 
 def test_rotation_intersection_failure_detected():
@@ -132,7 +148,7 @@ def test_rotation_intersection_failure_detected():
     u = mul(mul(s2, s2), s2)
     assert u != ident and mul(u, u) == ident
     with pytest.raises(PolytopeValidationError, match="intersection"):
-        validate_rotation_group((u, u, u), ident, mul)
+        validate_rotation_group(*naive_table(naive, (u, u, u)))
 
 
 def test_reflection_recovery_in_full_cayley_group():
@@ -155,27 +171,26 @@ def test_reflection_recovery_in_full_cayley_group():
     assert not any(reflects(r) for r in elements if not r[4])
     rhos = tuple(map(naive.decode, recover_reflection_codes(mg)))
     assert reflects(rhos[1])
-    c = validate_string_cgroup(rhos, ident, mul)
-    assert len(orbit([ident], c.rhos, mul)) == 324
+    c = validate_string_cgroup(*naive_table(naive, rhos))
+    assert len(c.right) == len(orbit([ident], rhos, mul)) == 324
     assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (3, 6, 3)
 
 
 def test_directly_regular_simplex_true():
-    assert is_directly_regular(validate_rotation_group(simplex_sigmas())) is True
+    assert is_directly_regular(
+        validate_rotation_group(*cayley_table(simplex_sigmas()))) is True
 
 
 def test_directly_regular_eisenstein_regular_true():
     # The reflection twist exists and is outer (conjugation-linear).
     naive = NaiveArithmetic(generate_group(parse_eisenstein("3")))
-    r = validate_rotation_group(naive.sigmas, naive.identity,
-                                naive.naive_multiply)
+    r = validate_rotation_group(*naive_table(naive, naive.sigmas))
     assert is_directly_regular(r) is True
 
 
 def test_directly_regular_chiral_false():
     naive = NaiveArithmetic(generate_group(CHIRAL_M))
-    r = validate_rotation_group(naive.sigmas, naive.identity,
-                                naive.naive_multiply)
+    r = validate_rotation_group(*naive_table(naive, naive.sigmas))
     assert is_directly_regular(r) is False
 
 
@@ -186,11 +201,12 @@ def test_directly_regular_inner_twist_false():
     # automorphism.
     cubic = coxeter_string(4, 3, 4)
     pres = Presentation(cubic.names, cubic.relators + (gen_word(0, 1, 2) * 3,))
-    rhos = validate_string_cgroup(
-        coset_enumeration(pres).generator_permutations()).rhos
+    rhos = generator_permutations(coset_enumeration(pres))
+    validate_string_cgroup(*cayley_table(rhos))
     sigmas = [rhos[j] * rhos[j + 1] for j in range(3)]
     assert PermutationGroup(sigmas).order() == 192
-    assert is_directly_regular(validate_rotation_group(sigmas)) is False
+    assert is_directly_regular(
+        validate_rotation_group(*cayley_table(sigmas))) is False
 
 
 def test_chiral_handle_rejects_directly_regular(monkeypatch):
@@ -201,11 +217,11 @@ def test_chiral_handle_rejects_directly_regular(monkeypatch):
 
 
 def test_self_duality():
-    assert self_duality_test(
-        validate_string_cgroup(universal_rhos((1, 1), (1, 1)))) is True
-    assert self_duality_test(
-        validate_string_cgroup(universal_rhos((1, 1), (3, 0)))) is False
-    assert self_duality_test(validate_string_cgroup(simplex_rhos())) is True
+    for rhos, self_dual in ((universal_rhos((1, 1), (1, 1)), True),
+                            (universal_rhos((1, 1), (3, 0)), False),
+                            (simplex_rhos(), True)):
+        assert self_duality_test(
+            validate_string_cgroup(*cayley_table(rhos))) is self_dual
 
 
 @pytest.mark.parametrize("p1,order,self_dual", [(3, 120, True),
@@ -215,11 +231,11 @@ def test_faithful_action_on_vertices_validates(p1, order, self_dual):
     # faithful but not regular: elements are permutations of small degree.
     table = coset_enumeration(coxeter_string(p1, 3, 3),
                               [gen_word(1), gen_word(2), gen_word(3)])
-    rhos = table.generator_permutations()
+    rhos = generator_permutations(table)
     assert rhos[0].degree == order // 24
-    c = validate_string_cgroup(rhos)
+    c = validate_string_cgroup(*cayley_table(rhos))
     assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (p1, 3, 3)
-    assert PermutationGroup(c.rhos).order() == order
+    assert len(c.right) == PermutationGroup(rhos).order() == order
     assert self_duality_test(c) is self_dual
 
 
@@ -344,7 +360,7 @@ def test_face_action_matches_todd_coxeter(s, t):
     for rank, action in enumerate(face_actions(pres)):
         oracle = coset_enumeration(
             pres, [gen_word(i) for i in range(4) if i != rank])
-        images = [p.images.tolist() for p in oracle.generator_permutations()]
+        images = oracle.columns.tolist()
         assert len(action[0]) == oracle.num_cosets
         # The diagonal orbit of the base pair is the graph of a bijection
         # commuting with every generator: the actions are isomorphic, with
@@ -473,58 +489,149 @@ def test_diamond_check_rejects_broken_action():
         _diamond_check(broken, "row 4")
 
 
-class GeneratorsOnly:
-    """Multiplication on the rows of a Cayley table that raises unless the
-    second factor is a generator index: what the validators may call."""
-
-    def __init__(self, right):
-        self.rows, self.generators = right.tolist(), range(right.shape[1])
-
-    def __call__(self, element, generator):
-        if generator not in self.generators:
-            raise AssertionError(f"multiplied by {generator!r}")
-        return self.rows[element][generator]
-
-
-def table_form(mg, columns):
-    """The identity row and the strict ``mul`` of the Cayley table of a
-    matrix group on the coded elements ``columns``."""
-    return (int(np.searchsorted(mg.codes, mg.identity)),
-            GeneratorsOnly(mg.cayley_table(columns)))
+def library_outcome(right, identity):
+    """The Schlafli type and self-duality (four columns) or direct
+    regularity (three columns) from the table validators, or the type and
+    message of the error they raise: a PolytopeValidationError, or the
+    ValueError of a Schlafli entry below 2 when a sigma is the
+    identity."""
+    try:
+        if right.shape[1] == 4:
+            c = validate_string_cgroup(right, identity)
+            return str(c.schlafli), self_duality_test(c)
+        r = validate_rotation_group(right, identity)
+        return str(r.schlafli), is_directly_regular(r)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
-def row_table(row):
-    s, t = TABLE1_ROWS[row - 1]
-    pres = universal_locally_toroidal(ToroidalParams(*s), ToroidalParams(*t))
-    right, identity = polytope._certified_cayley_table(
-        pres, polytope._PARABOLIC[1], f"row {row}", DEFAULT_MAX_COSETS,
-        DEFAULT_MAX_ELEMENTS, None)
-    return identity, GeneratorsOnly(right)
+def reference_outcome(gens, identity, mul):
+    """``library_outcome`` from the generic reference validators, on
+    generators in any element form."""
+    try:
+        if len(gens) == 4:
+            c = reference.validate_string_cgroup(gens, identity, mul)
+            return str(c.schlafli), reference.self_duality_test(c)
+        r = reference.validate_rotation_group(gens, identity, mul)
+        return str(r.schlafli), reference.is_directly_regular(r)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
-@pytest.mark.parametrize("row,schlafli,self_dual", [
-    (4, (3, 6, 3), False), (5, (3, 6, 3), True)])
-def test_validators_multiply_by_generators_only_on_rows(row, schlafli,
-                                                        self_dual):
-    identity, mul = row_table(row)
-    c = validate_string_cgroup(range(4), identity, mul)
-    assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == schlafli
-    assert self_duality_test(c) is self_dual
+def sigma_columns(right):
+    """The table on sigma_j = rho_(j-1) rho_j, from the table on
+    rho0..rho3."""
+    return np.stack([right[right[:, j], j + 1] for j in range(3)], axis=1)
 
 
-@pytest.mark.parametrize("m,self_dual,directly_regular", [
-    ("3", False, True), ("2-2w", False, True),
-    ("(1-w)*(1+3w)", None, False)])
-def test_validators_multiply_by_generators_only_on_matrix_groups(
-        m, self_dual, directly_regular):
-    mg = generate_group(parse_eisenstein_product(m))
-    if mg.kind == "regular":
-        c = validate_string_cgroup(
-            range(4), *table_form(mg, recover_reflection_codes(mg)))
-        assert self_duality_test(c) is self_dual
-    r = validate_rotation_group(range(3), *table_form(mg, mg.sigma_codes))
-    assert (r.schlafli.p1, r.schlafli.p2, r.schlafli.p3) == (3, 6, 3)
-    assert is_directly_regular(r) is directly_regular
+def broken_columns(right):
+    """Column changes of a table that break a relation or an
+    intersection: swapped generators, a product for a generator, and a
+    repeated generator (sigma2^3 for each sigma)."""
+    if right.shape[1] == 4:
+        return [right[:, [0, 2, 1, 3]],
+                np.stack([right[right[:, 0], 1], *right[:, 1:].T], axis=1),
+                right[:, [0, 3, 0, 3]]]
+    u = right[right[right[:, 1], 1], 1]
+    return [right[:, [1, 0, 2]], np.stack([u, u, u], axis=1)]
+
+
+def presentation_tables(name):
+    """The Cayley table of a presentation on rho0..rho3 and its identity
+    row: a Table 1 row by the pipeline's certified orbit, or a string
+    Coxeter group by one enumeration of the whole group."""
+    if name.startswith("row"):
+        s, t = TABLE1_ROWS[int(name[4:]) - 1]
+        pres = universal_locally_toroidal(ToroidalParams(*s),
+                                          ToroidalParams(*t))
+        return polytope._certified_cayley_table(
+            pres, polytope._PARABOLIC[1], name, DEFAULT_MAX_COSETS,
+            DEFAULT_MAX_ELEMENTS, None)
+    p1, p2, p3, petrie = STRING_GROUPS[name]
+    pres = coxeter_string(p1, p2, p3)
+    if petrie:
+        pres = Presentation(pres.names, pres.relators
+                            + (gen_word(0, 1, 2) * petrie,
+                               gen_word(1, 2, 3) * petrie))
+    return coset_enumeration(pres).columns.T, 0
+
+
+STRING_GROUPS = {"[3,3,3]": (3, 3, 3, 0), "[3,4,3]": (3, 4, 3, 0),
+                 "11-cell": (3, 5, 3, 5)}
+
+#: Self-duality of each regular instance, as its ``medial build`` prints
+#: it; the string groups are the self-dual ones of the ROADMAP baseline.
+SELF_DUAL = {"row 1": True, "row 2": False, "row 3": True, "row 4": False,
+             "row 5": True, "row 6": False, "[3,3,3]": True,
+             "[3,4,3]": True, "11-cell": True,
+             "3": False, "2-2w": False, "3-3w": False, "6": False,
+             "4-4w": False, "3-3w A=w": False,
+             "(1-w)*(1+3w)": None, "(1-w)*(1+4w)": None}
+
+
+def instance_tables(name):
+    """The tables on the reflections (for a regular instance) and on the
+    sigmas, with their identity row."""
+    if name in STRING_GROUPS or name.startswith("row"):
+        right, identity = presentation_tables(name)
+        return [right, sigma_columns(right)], identity
+    m, _, scalars = name.partition(" A=")
+    m = parse_eisenstein_product(m)
+    mg = generate_group(m, ScalarGroup(
+        ResidueRing(m), [parse_eisenstein(a) for a in scalars.split(",")
+                         if a]))
+    rhos = recover_reflection_codes(mg)
+    tables = [mg.cayley_table(mg.sigma_codes)]
+    if rhos is not None:
+        tables.insert(0, mg.cayley_table(rhos))
+    return tables, int(np.searchsorted(mg.codes, mg.identity))
+
+
+@pytest.mark.parametrize("name", SELF_DUAL)
+def test_table_validators_match_generic_reference(name):
+    # Every verdict, and every message of a broken variant, equals the
+    # generic validators' on the rows of the same table.
+    tables, identity = instance_tables(name)
+    regular = SELF_DUAL[name] is not None
+    assert len(tables) == 1 + regular
+    for right in tables:
+        for table in [right, *broken_columns(right)]:
+            got = library_outcome(table, identity)
+            assert got == reference_outcome(range(table.shape[1]), identity,
+                                            TableProduct(table)), name
+    # Self-duality of the reflections, or direct regularity of a chiral
+    # group's sigmas.
+    schlafli, verdict = library_outcome(tables[0], identity)
+    assert verdict is (SELF_DUAL[name] if regular else False)
+    if name == "11-cell":
+        # Its facets are hemi-icosahedra, so the sigmas generate the whole
+        # group and its rotation subgroup fails (C').
+        assert library_outcome(tables[-1], identity) == (
+            "PolytopeValidationError: intersection condition fails:"
+            " <sigma1,sigma2> ^ <sigma2,sigma3> has order 10, <sigma2> has"
+            " order 5")
+    else:
+        # The sigma columns of a regular table reach only the rotation
+        # subgroup, which the reflection twist makes directly regular.
+        assert library_outcome(tables[-1], identity) == (schlafli, regular)
+
+
+def test_generator_map_homomorphism_matches_reference():
+    # Z4 on the columns (a^2, a), element k being a^k.  a |-> a^3 is an
+    # automorphism; a^2 |-> a and a |-> a fails only against an element
+    # of an earlier level (a^2 a^2 = 1 would map to a^2), a |-> a^2 fails
+    # within a level, and start 1 gives the left translation by a.
+    right = np.array([[(k + 2) % 4, (k + 1) % 4] for k in range(4)])
+    for start, images in ((0, [(0,), (1, 1, 1)]), (0, [(1,), (1,)]),
+                          (0, [(0,), (0,)]), (1, [(0,), (1,)])):
+        got = generator_map_homomorphism(right, 0, start, images)
+        if got is not None:
+            got = {x: int(got[x]) for x in np.flatnonzero(got >= 0)}
+        assert got == reference.generator_map_homomorphism(
+            (0, 1), start, images, 0, TableProduct(right)), images
+    # The column a^2 alone reaches only {1, a^2}.
+    assert generator_map_homomorphism(right[:, :1], 0, 0, [(0,)]).tolist() \
+        == [0, -1, 2, -1]
 
 
 @pytest.mark.parametrize("m,scalars", [
@@ -535,25 +642,14 @@ def test_table_rows_and_tuple_arithmetic_agree(m, scalars):
     mg = generate_group(m, ScalarGroup(ResidueRing(m),
                                        [parse_eisenstein(a) for a in scalars]))
     naive = NaiveArithmetic(mg)
-
-    def verdicts(reflections, rotations):
-        """Schlafli type, self-duality and direct regularity, from the
-        reflections (None for a chiral group) and the rotations, each
-        given as (generators, identity, mul)."""
-        r = validate_rotation_group(*rotations)
-        if reflections is None:
-            return r.schlafli, None, is_directly_regular(r)
-        c = validate_string_cgroup(*reflections)
-        return c.schlafli, self_duality_test(c), is_directly_regular(r)
-
+    identity = int(np.searchsorted(mg.codes, mg.identity))
     rhos = recover_reflection_codes(mg)
-    rows = verdicts(rhos and (range(4), *table_form(mg, rhos)),
-                    (range(3), *table_form(mg, mg.sigma_codes)))
-    tuples = verdicts(
-        rhos and ([naive.decode(r) for r in rhos], naive.identity,
-                  naive.naive_multiply),
-        (naive.sigmas, naive.identity, naive.naive_multiply))
+    columns = [mg.sigma_codes] if rhos is None else [rhos, mg.sigma_codes]
+    rows = [library_outcome(mg.cayley_table(c), identity) for c in columns]
+    tuples = [reference_outcome([naive.decode(x) for x in c], naive.identity,
+                                naive.naive_multiply) for c in columns]
     assert rows == tuples
     handle = handle_from_matrix_group(mg)
-    assert (handle.schlafli, handle.self_dual) == rows[:2]
-    assert rows[2] is (mg.kind == "regular")
+    assert (str(handle.schlafli), handle.self_dual) == \
+        (rows[0] if rhos else (rows[0][0], None))
+    assert rows[-1][1] is (mg.kind == "regular")
