@@ -12,7 +12,7 @@ Keys:
                                         scalars (empty: A = {1, -1})
 
 Exit codes: 0 success, 2 overflow/undecided, 3 validation failure,
-4 bad input.
+4 bad input (usage errors included).
 """
 
 from __future__ import annotations
@@ -302,6 +302,12 @@ def cmd_gray_verify(spec: JobSpec, out) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # bad input; argparse's 2 is overflow
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
     # Options left off the command line stay unset, so a config file can
     # fill them in and JobSpec supplies the rest.
@@ -322,7 +328,7 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="write to file")
     common.add_argument("--config",
                         help="key=value file supplying defaults for any flag")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="medial",
         description="Medial layer graphs of {3,q,3} polytopes: build and"
                     " classify")

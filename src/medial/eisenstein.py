@@ -49,9 +49,6 @@ class EisensteinInt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -74,9 +71,7 @@ class EisensteinInt:
         return f"EisensteinInt({self.a}, {self.b})"
 
 
-ZERO = EisensteinInt(0, 0)
 ONE = EisensteinInt(1, 0)
-W = EisensteinInt(0, 1)
 
 #: The six units of Z[w]: 1, -w^2, -w^2*-w^2=... enumerated as powers of -w^2
 #: (a primitive sixth root of unity), i.e. all a+bw of norm 1.
@@ -88,11 +83,6 @@ UNITS = (
     EisensteinInt(-1, -1),
     EisensteinInt(0, -1),
 )
-
-
-def norm(x: EisensteinInt) -> int:
-    """a^2 - ab + b^2; multiplicative and nonnegative."""
-    return x.norm()
 
 
 _TERM = re.compile(r"([+-]?)\s*(\d*)\s*(w?)", re.IGNORECASE)
@@ -167,21 +157,6 @@ def euclid_gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
     return x
 
 
-def extended_gcd(
-    x: EisensteinInt, y: EisensteinInt
-) -> tuple[EisensteinInt, EisensteinInt, EisensteinInt]:
-    """Return (g, u, v) with u*x + v*y = g."""
-    r0, r1 = x, y
-    u0, u1 = ONE, ZERO
-    v0, v1 = ZERO, ONE
-    while r1:
-        q, r = divmod_nearest(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return r0, u0, v0
-
-
 def exact_divide(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt | None:
     """x / y when the quotient is integral, else None."""
     q, r = divmod_nearest(x, y)
@@ -218,10 +193,6 @@ class Factorization:
         for p, e in self.parts:
             result = result * p**e
         return result
-
-    def __str__(self) -> str:
-        items = [f"({p})^{e}" for p, e in self.parts]
-        return " * ".join([str(self.unit)] + items) if items else str(self.unit)
 
 
 def _rational_factor(n: int) -> list[tuple[int, int]]:
@@ -283,7 +254,7 @@ def factor(m: EisensteinInt) -> Factorization:
                 e += 1
             if e:
                 parts.append((pi, e))
-    assert rest.is_unit(), f"incomplete factorization of {m}"
+    assert rest.norm() == 1, f"incomplete factorization of {m}"
     parts.sort(key=lambda pe: (pe[0].norm(), pe[0].b, pe[0].a))
     return Factorization(unit=rest, parts=tuple(parts))
 
@@ -292,18 +263,19 @@ class ResidueRing:
     """The residue class ring Z[w]/(m) on canonical representatives.
 
     The canonical representative of a class is its member of minimal norm,
-    ties broken lexicographically on (a, b).
+    ties broken lexicographically on (a, b); ``elements`` lists them in
+    (norm, a, b) order.  Past construction an element is its position in
+    ``elements``: ``a`` and ``b`` hold the coordinates of every position,
+    ``class_index`` maps any a + b*w to its position, and ``times``
+    multiplies positions.
     """
 
     def __init__(self, modulus: EisensteinInt):
         if modulus.is_zero():
             raise ValueError("modulus must be nonzero")
         self.modulus = modulus
-        self.elements: list[EisensteinInt] = []
-        self.index: dict[EisensteinInt, int] = {}
         self._enumerate()
-        n = modulus.norm()
-        assert len(self.elements) == n, (len(self.elements), n)
+        assert len(self.elements) == modulus.norm()
 
     # -- canonical reduction ------------------------------------------------
 
@@ -341,11 +313,10 @@ class ResidueRing:
             for b in range(d2):
                 seen.setdefault(self.reduce(EisensteinInt(a, b)), None)
         self.elements = sorted(seen, key=lambda x: (x.norm(), x.a, x.b))
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        self._a = np.array([x.a for x in self.elements])
-        self._b = np.array([x.b for x in self.elements])
+        self.a = np.array([x.a for x in self.elements])
+        self.b = np.array([x.b for x in self.elements])
         self._hermite_index = np.empty(d1 * d2, dtype=np.int64)
-        self._hermite_index[self._hermite_key(self._a, self._b)] = \
+        self._hermite_index[self._hermite_key(self.a, self.b)] = \
             np.arange(d1 * d2)
 
     def _hermite_key(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -354,97 +325,89 @@ class ResidueRing:
 
     def class_index(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Position in ``elements`` of the class of each a + b*w, for
-        integer arrays a and b: ``reduce`` on whole arrays at once."""
+        integers or integer arrays a and b: ``reduce`` on whole arrays at
+        once."""
         return self._hermite_index[self._hermite_key(a, b)]
 
-    # -- arithmetic on canonical representatives ----------------------------
+    # -- arithmetic on positions --------------------------------------------
 
-    def times(self, indices: np.ndarray, y: EisensteinInt) -> np.ndarray:
-        """Positions in ``elements`` of the products of the elements at
-        ``indices`` with y."""
-        a, b = self._a[indices], self._b[indices]
-        return self.class_index(a * y.a - b * y.b, a * y.b + b * y.a - b * y.b)
+    def times(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Positions of the products of the elements at positions x and y
+        (integers or arrays, which broadcast)."""
+        a, b, c, d = self.a[x], self.b[x], self.a[y], self.b[y]
+        return self.class_index(a * c - b * d, a * d + b * c - b * d)
 
-    def add(self, x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
-        return self.reduce(x + y)
-
-    def mul(self, x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
-        return self.reduce(x * y)
-
-    def neg(self, x: EisensteinInt) -> EisensteinInt:
-        return self.reduce(-x)
-
-    def one(self) -> EisensteinInt:
-        return self.reduce(ONE)
-
-    def inverse(self, x: EisensteinInt) -> EisensteinInt | None:
-        """Multiplicative inverse of x mod m, or None when x is not a unit."""
-        g, u, _ = extended_gcd(x, self.modulus)
-        if not g.is_unit():
-            return None
-        # g is a unit: 1 = g^-1 * (u*x + v*m), and unit inverses are conjugates
-        # of associates; solve by scaling u with the unit inverse of g.
-        ginv = next(v for v in UNITS if (v * g) == ONE)
-        return self.reduce(ginv * u)
-
-    def unit_group(self) -> list[EisensteinInt]:
-        """All invertible residues, in canonical element order."""
-        return [x for x in self.elements if self.inverse(x) is not None]
+    def unit_group(self) -> np.ndarray:
+        """Positions of the invertible residues, ascending."""
+        x = np.arange(len(self.elements))
+        return np.flatnonzero(
+            (self.times(x[:, None], x) == self.class_index(1, 0)).any(axis=1))
 
 
 class ScalarGroup:
-    """An admissible group of unit scalars mod m (always contains -1)."""
+    """An admissible group of unit scalars mod m (always contains -1).
+
+    ``positions`` holds the positions of its members in ``ring.elements``
+    as one ascending array, so ``members`` lists them in (norm, a, b)
+    order."""
 
     def __init__(self, ring: ResidueRing, gens: Iterable[EisensteinInt] = ()):
+        one = ring.class_index(1, 0)
+        gens = [ring.class_index(g.a, g.b) for g in gens]
+        for g in gens:
+            if one not in ring.times(np.arange(len(ring.elements)), g):
+                raise ValueError(f"scalar generator {ring.elements[g]} is not"
+                                 f" a unit mod {ring.modulus}")
+        gens.append(ring.class_index(-1, 0))
         self.ring = ring
-        start = [ring.reduce(g) for g in gens]
-        for g in start:
-            if ring.inverse(g) is None:
-                raise ValueError(f"scalar generator {g} is not a unit mod {ring.modulus}")
-        # Ring elements are listed in (norm, a, b) order, so the closure on
-        # their positions lists the members in that order.
-        gens = [ring.reduce(-ONE), *start]
-        members = code_orbit(
-            [ring.index[ring.one()]],
-            lambda x: np.concatenate([ring.times(x, g) for g in gens]))
-        self.members = [ring.elements[i] for i in members]
-        self._memberset = set(self.members)
+        self.positions = code_orbit(
+            [one], lambda x: np.concatenate([ring.times(x, g) for g in gens]))
+
+    @classmethod
+    def _closed(cls, ring: ResidueRing,
+                positions: np.ndarray) -> ScalarGroup:
+        """The group at the ascending ``positions``, which must be closed."""
+        group = cls.__new__(cls)
+        group.ring, group.positions = ring, positions
+        return group
+
+    @property
+    def members(self) -> list[EisensteinInt]:
+        return [self.ring.elements[i] for i in self.positions]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.positions)
 
     def __contains__(self, x: EisensteinInt) -> bool:
-        return self.ring.reduce(x) in self._memberset
+        return self.ring.class_index(x.a, x.b) in self.positions
 
-    def conjugated(self) -> "ScalarGroup":
-        return ScalarGroup(self.ring, [m.conjugate() for m in self.members])
+    def conjugated(self) -> ScalarGroup:
+        a, b = self.ring.a[self.positions], self.ring.b[self.positions]
+        return ScalarGroup._closed(self.ring,
+                                   np.sort(self.ring.class_index(a - b, -b)))
 
-    def same_members(self, other: "ScalarGroup") -> bool:
-        return self._memberset == other._memberset
+    def same_members(self, other: ScalarGroup) -> bool:
+        return np.array_equal(self.positions, other.positions)
 
 
 def admissible_subgroups(ring: ResidueRing) -> list[ScalarGroup]:
-    """All admissible scalar subgroups of the unit group of the ring.
+    """All admissible scalar subgroups of the unit group of the ring: those
+    that contain -1, grown from {1, -1} one unit at a time.
 
-    Brute-force closure over generator subsets; intended for small moduli.
+    The unit group is abelian, so <S, u> is the orbit of S under
+    multiplication by u; subgroups are position arrays until the end.
     """
     units = ring.unit_group()
-    found: dict[frozenset[EisensteinInt], ScalarGroup] = {}
-    base = ScalarGroup(ring)
-    found[frozenset(base.members)] = base
-    grew = True
-    while grew:
-        grew = False
-        for key in list(found):
-            for u in units:
-                if u in found[key]._memberset:
-                    continue
-                bigger = ScalarGroup(ring, list(key) + [u])
-                bkey = frozenset(bigger.members)
-                if bkey not in found:
-                    found[bkey] = bigger
-                    grew = True
-    return sorted(found.values(), key=lambda s: (len(s), [(m.a, m.b) for m in s.members]))
+    found: dict[bytes, np.ndarray] = {}
+    frontier = [ScalarGroup(ring).positions]
+    while frontier:
+        found.update((s.tobytes(), s) for s in frontier)
+        grown = (code_orbit(s, lambda x: ring.times(x, u))
+                 for s in frontier for u in np.setdiff1d(units, s))
+        frontier = list({g.tobytes(): g for g in grown
+                         if g.tobytes() not in found}.values())
+    groups = [ScalarGroup._closed(ring, s) for s in found.values()]
+    return sorted(groups, key=lambda s: (len(s), [(m.a, m.b) for m in s.members]))
 
 
 def vertex_count(m: EisensteinInt, A: ScalarGroup) -> int:

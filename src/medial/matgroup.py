@@ -29,7 +29,7 @@ reproduces it); its validation certificate is the order table
 
 checked in the test suite together with the defining relations.
 
-An element (M, star) is coded as one int64: the entry indices
+An element (M, star) is coded as one int64: the entry positions
 (e0, e1, e2, e3) of M in the ring and the flag star, packed in mixed radix
 so that code order is the order of the tuples (e0, e1, e2, e3, star), and
 taken least over the scalar multiples of M.  The closure runs on these
@@ -37,10 +37,11 @@ codes one breadth-first level at a time, with every product of a level
 taken at once in numpy; ``cayley_table`` gives the group's right
 multiplication by any coded elements in the same way.
 
-Ring elements are entry indices throughout, multiplied and added by
-table lookup (``_Arith``).  ``find_generators`` reduces the frozen triple
-to entry indices and checks its determinants and relations with the
-same 2x2 product that multiplies group elements.
+Ring elements are their positions in ``ResidueRing.elements``
+throughout, multiplied and added by table lookup (``_Arith``).
+``find_generators`` reduces the frozen triple to entry positions and
+checks its determinants and relations with the same 2x2 product that
+multiplies group elements.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .eisenstein import (
     EisensteinInt,
     ResidueRing,
     ScalarGroup,
+    exact_divide,
     format_eisenstein,
 )
 from .permgroup import code_cayley_table, code_orbit, face_action
@@ -105,23 +107,25 @@ def find_generators(
         triple: Sequence[Sequence[EisensteinInt]] = SIGMA_TRIPLE,
 ) -> np.ndarray:
     """The frozen generator triple reduced mod the modulus of ``arith``'s
-    ring, as its entry indices: row i holds (e0, e1, e2, e3) of sigma_(i+1).
+    ring, as its entry positions: row i holds (e0, e1, e2, e3) of
+    sigma_(i+1).
 
     Requires norm(m) = 3k with k > 1.  Each determinant must be a unit,
     and each defining relation must land on +-identity; a failure names
     the matrix or the relation.
     """
-    m = arith.ring.modulus
+    ring = arith.ring
+    m = ring.modulus
     _check_norm(m)
     entries = [z for mat in triple for z in mat]
-    gens = arith.classes(np.array([z.a for z in entries]),
-                         np.array([z.b for z in entries])).reshape(-1, 4)
+    gens = ring.class_index(np.array([z.a for z in entries]),
+                            np.array([z.b for z in entries])).reshape(-1, 4)
     mul, add, _ = arith.arrays
     for a, b, c, d in gens:
         det = add[mul[a, d], arith.neg[mul[b, c]]]
         if not (mul[det] == arith.identity[0]).any():  # no inverse
             raise ConfigurationError(
-                f"matrix determinant {format_eisenstein(arith.elems[det])}"
+                f"matrix determinant {format_eisenstein(ring.elements[det])}"
                 f" is not a unit mod {format_eisenstein(m)}")
     identities = (arith.identity.tolist(), arith.neg[arith.identity].tolist())
     for name, word in RELATION_WORDS:
@@ -129,7 +133,7 @@ def find_generators(
         for idx in word:
             acc = arith.matmul(acc, gens[idx])
         if acc.tolist() not in identities:
-            a, b, c, d = (format_eisenstein(arith.elems[i]) for i in acc)
+            a, b, c, d = (format_eisenstein(ring.elements[i]) for i in acc)
             raise ConfigurationError(
                 f"relation {name} fails mod {format_eisenstein(m)}:"
                 f" got [[{a}, {b}], [{c}, {d}]]")
@@ -139,8 +143,6 @@ def find_generators(
 def regularity_test(m: EisensteinInt, A: ScalarGroup) -> str:
     """"regular" if m divides its conjugate and A is conjugation-stable,
     else "chiral"."""
-    from .eisenstein import exact_divide
-
     if exact_divide(m.conjugate(), m) is not None and \
             A.same_members(A.conjugated()):
         return "regular"
@@ -150,37 +152,27 @@ def regularity_test(m: EisensteinInt, A: ScalarGroup) -> str:
 class _Arith:
     """Index-table arithmetic for one residue ring (rings here are tiny).
 
-    Ring elements are indexed in (a, b) order.  ``arrays`` holds their
-    product, sum and conjugate as numpy tables over the indices, built at
-    once on arrays of (a, b) pairs; ``neg`` is negation, and ``identity``
-    the entry indices of the identity matrix.
+    Ring elements are their positions in ``ring.elements``.  ``arrays``
+    holds their product, sum and conjugate as numpy tables over the
+    positions, built at once on the elements' coordinates; ``neg`` is
+    negation, and ``identity`` the entry positions of the identity matrix.
     """
 
     def __init__(self, ring: ResidueRing):
         self.ring = ring
-        self.elems: list[EisensteinInt] = sorted(
-            ring.elements, key=lambda z: (z.a, z.b))
-        self.index = {z: i for i, z in enumerate(self.elems)}
-        self._position = np.empty(len(self.elems), dtype=np.int64)
-        self._position[[ring.index[z] for z in self.elems]] = np.arange(
-            len(self.elems))
-        a = np.array([z.a for z in self.elems])
-        b = np.array([z.b for z in self.elems])
-        x, y = a[:, None], b[:, None]
-        self.arrays = (self.classes(x * a - y * b, x * b + y * a - y * b),
-                       self.classes(x + a, y + b), self.classes(a - b, -b))
-        self.neg = self.classes(-a, -b)
-        self.identity = self.classes(np.array([1, 0, 0, 1]), np.zeros(4, int))
+        a, b = ring.a, ring.b
+        x = np.arange(len(a))
+        self.arrays = (ring.times(x[:, None], x),
+                       ring.class_index(a[:, None] + a, b[:, None] + b),
+                       ring.class_index(a - b, -b))
+        self.neg = ring.class_index(-a, -b)
+        self.identity = ring.class_index(np.array([1, 0, 0, 1]), 0)
         # Place values of (e0, e1, e2, e3) in a packed code; star is bit 0.
-        self.place = 2 * len(self.elems) ** np.arange(3, -1, -1)
-
-    def classes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Index of the class of each a + b*w, for integer arrays a and b."""
-        return self._position[self.ring.class_index(a, b)]
+        self.place = 2 * len(a) ** np.arange(3, -1, -1)
 
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Entry indices of the 2x2 products x y, for matrices given by
-        their entry indices (e0, e1, e2, e3) on the last axis; the other
+        """Entry positions of the 2x2 products x y, for matrices given by
+        their entry positions (e0, e1, e2, e3) on the last axis; the other
         axes broadcast."""
         mul, add, _ = self.arrays
         a, b, c, d = np.moveaxis(x, -1, 0)
@@ -216,13 +208,13 @@ class MatrixGroup:
 
     def _pack(self, entries: np.ndarray, star) -> np.ndarray:
         """The code of each element with matrix entries ``entries`` (the
-        ring indices e0..e3 on the last axis) and flag ``star``: the least
+        ring positions e0..e3 on the last axis) and flag ``star``: the least
         mixed-radix code over the scalar multiples of the matrix."""
         scaled = self._scalar_rows[:, entries] @ self.arith.place
         return (scaled + star).min(axis=0)
 
     def _unpack(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = len(self.arith.elems)
+        n = len(self.arith.ring.elements)
         return codes[..., None] // self.arith.place % n, codes & 1
 
     def _product(self, x, y) -> np.ndarray:
@@ -287,7 +279,7 @@ def generate_group(
     kind = regularity_test(m, A)
     group = MatrixGroup(
         modulus=m, scalars=A, kind=kind, arith=arith,
-        _scalar_rows=arith.arrays[0][[arith.index[a] for a in A.members]])
+        _scalar_rows=arith.arrays[0][A.positions])
     sigma_codes = tuple(group._pack(sigmas, 0).tolist())
     identity = int(group._pack(arith.identity, 0))
     gen_codes = sigma_codes

@@ -195,6 +195,9 @@ def validate_rotation_group(right: np.ndarray,
              for I, J in (((0,), (1,)), ((1,), (2,)), ((0, 1), (1, 2)))]
     _check_intersections(right, identity, ("sigma1", "sigma2", "sigma3"),
                          pairs)
+    if 1 in (p1, p2, p3):
+        raise PolytopeValidationError(
+            f"sigma{(p1, p2, p3).index(1) + 1} is the identity")
     return RotationGroup(right, identity, SchlafliType(p1, p2, p3))
 
 

@@ -214,6 +214,9 @@ def validate_rotation_group(
              for I, J in (((0,), (1,)), ((1,), (2,)), ((0, 1), (1, 2)))]
     _check_intersections(sigmas, ("sigma1", "sigma2", "sigma3"), pairs,
                          identity, mul)
+    if 1 in (p1, p2, p3):
+        raise PolytopeValidationError(
+            f"sigma{(p1, p2, p3).index(1) + 1} is the identity")
     return RotationGroup(sigmas, identity, mul, SchlafliType(p1, p2, p3))
 
 

@@ -157,6 +157,21 @@ def test_bad_key_exit_code(capsys):
         assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["build", "x", "--max-cosets", "abc"], EXIT_BAD_INPUT),
+    (["build"], EXIT_BAD_INPUT),
+    (["frob"], EXIT_BAD_INPUT),
+    (["build", "--help"], EXIT_OK),
+], ids=["bad-option-value", "no-key", "unknown-command", "help"])
+def test_usage_error_exits_4(capsys, argv, expected):
+    # Exit 2 means overflow or undecided, so argparse's usage errors exit 4;
+    # --help still exits 0.
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == expected
+    assert ("error:" in capsys.readouterr().err) == (expected != EXIT_OK)
+
+
 def test_missing_graph_file_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "classify", "no-such-file.adj")
     assert code == EXIT_BAD_INPUT

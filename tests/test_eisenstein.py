@@ -2,6 +2,7 @@
 formula, checked against brute-force oracles."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def test_residue_ring_cardinality_is_norm(m):
     reduced = [ring.reduce(EisensteinInt(a, b)) for a, b in box]
     assert set(reduced) == set(ring.elements)
     a, b = np.array(box).T
-    assert ring.class_index(a, b).tolist() == [ring.index[x] for x in reduced]
+    assert [ring.elements[i] for i in ring.class_index(a, b)] == reduced
 
 
 def test_residue_ring_arithmetic_well_defined():
@@ -117,24 +118,27 @@ def test_residue_ring_arithmetic_well_defined():
     m = ring.modulus
     for _ in range(100):
         x, y = rand_eis(), rand_eis()
-        assert ring.reduce(x + y) == ring.add(ring.reduce(x), ring.reduce(y))
-        assert ring.reduce(x * y) == ring.mul(ring.reduce(x), ring.reduce(y))
+        rx, ry = ring.reduce(x), ring.reduce(y)
+        assert ring.reduce(x + y) == ring.reduce(rx + ry)
+        assert ring.reduce(x * y) == ring.reduce(rx * ry)
+        # times multiplies positions as reduce multiplies representatives.
+        px, py = (ring.class_index(z.a, z.b) for z in (x, y))
+        assert ring.elements[ring.times(px, py)] == ring.reduce(x * y)
         shifted = x + m * rand_eis(3)
         assert ring.reduce(shifted) == ring.reduce(x)
 
 
 def test_inverse_oracle():
+    # The unit group's positions are exactly the elements with an inverse
+    # under reduced Eisenstein arithmetic, and that inverse is unique.
     ring = ResidueRing(parse_eisenstein("2-2w"))
-    units = ring.unit_group()
-    for x in ring.elements:
-        inv = ring.inverse(x)
-        brute = [y for y in ring.elements if ring.mul(x, y) == ring.one()]
-        if inv is None:
-            assert brute == []
-            assert x not in units
-        else:
-            assert brute == [inv]
-            assert x in units
+    units = ring.unit_group().tolist()
+    one = ring.reduce(EisensteinInt(1, 0))
+    for i, x in enumerate(ring.elements):
+        brute = [y for y in ring.elements if ring.reduce(x * y) == one]
+        assert len(brute) <= 1
+        assert (i in units) == bool(brute)
+    assert units == sorted(units)
 
 
 def test_scalar_group_contains_minus_one_and_closed():
@@ -143,7 +147,7 @@ def test_scalar_group_contains_minus_one_and_closed():
     assert EisensteinInt(-1, 0) in A
     for x in A.members:
         for y in A.members:
-            assert ring.mul(x, y) in A
+            assert ring.reduce(x * y) in A
 
 
 def test_admissible_subgroups_all_contain_minus_one():
@@ -157,12 +161,15 @@ def test_admissible_subgroups_all_contain_minus_one():
 def reference_admissible_subgroups(ring):
     """The member lists of every subgroup of the unit group that contains
     -1, grown one unit at a time from {1, -1} and closed by the generic
-    ``orbit`` over the ring's products of units."""
-    units = ring.unit_group()
-    product = {(x, y): ring.mul(x, y) for x in units for y in units}
+    ``orbit`` over the ring's products of units, all reduced by
+    ``ring.reduce``."""
+    one = ring.reduce(EisensteinInt(1, 0))
+    units = [x for x in ring.elements
+             if any(ring.reduce(x * y) == one for y in ring.elements)]
+    product = {(x, y): ring.reduce(x * y) for x in units for y in units}
 
     def closure(gens):
-        return frozenset(orbit([ring.one()],
+        return frozenset(orbit([one],
                                [ring.reduce(EisensteinInt(-1, 0)), *gens],
                                lambda x, g: product[x, g]))
 
@@ -176,12 +183,32 @@ def reference_admissible_subgroups(ring):
     return sorted(members, key=lambda m: (len(m), [(x.a, x.b) for x in m]))
 
 
-@pytest.mark.parametrize("m", ["3-3w", "6"])
+#: How many admissible subgroups of each order the ring has.
+SUBGROUP_ORDERS = {"3-3w": {2: 1, 6: 4, 18: 1}, "6": {2: 1, 6: 4, 18: 1},
+                   "9": {2: 1, 6: 13, 18: 13, 54: 1}}
+
+
+@pytest.mark.parametrize("m", SUBGROUP_ORDERS)  # the reference takes 2 s at 9
 def test_admissible_subgroups_match_orbit_closures(m):
     ring = ResidueRing(parse_eisenstein(m))
     subgroups = [s.members for s in admissible_subgroups(ring)]
     assert subgroups == reference_admissible_subgroups(ring)
-    assert len(subgroups) == 6
+    assert Counter(map(len, subgroups)) == SUBGROUP_ORDERS[m]
+
+
+def test_subgroup_search_reduces_no_eisenstein_integer(monkeypatch):
+    # Once the ring is built, the subgroup search and a scalar group from
+    # a key's generators work on ring positions alone.
+    calls = []
+    reduce = ResidueRing.reduce
+    monkeypatch.setattr(ResidueRing, "reduce",
+                        lambda ring, x: calls.append(x) or reduce(ring, x))
+    m, gens = "eisenstein:m=3-3w:A=w,2".split(":")[1:]
+    ring = ResidueRing(parse_eisenstein(m[2:]))
+    calls.clear()
+    admissible_subgroups(ring)
+    ScalarGroup(ring, [parse_eisenstein(g) for g in gens[2:].split(",")])
+    assert calls == []
 
 
 @pytest.mark.parametrize("m,expected", [

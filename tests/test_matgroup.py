@@ -55,8 +55,8 @@ def reference_relations(ring, triple=SIGMA_TRIPLE):
     evaluated on it with Eisenstein-integer arithmetic and ``ring.reduce``:
     (name, entries, whether the entries are +-identity)."""
     gens = [tuple(ring.reduce(z) for z in mat) for mat in triple]
-    zero = ring.reduce(EisensteinInt(0, 0))
-    identity = (ring.one(), zero, zero, ring.one())
+    zero, one = (ring.reduce(EisensteinInt(a, 0)) for a in (0, 1))
+    identity = (one, zero, zero, one)
     negated = tuple(ring.reduce(-z) for z in identity)
     words = []
     for name, word in RELATION_WORDS:
@@ -70,7 +70,7 @@ def reference_relations(ring, triple=SIGMA_TRIPLE):
 class NaiveArithmetic:
     """The element-at-a-time arithmetic of a matrix group, the reference
     for its int64 codes.  An element (M, star) is the tuple
-    (e0, e1, e2, e3, star) of the ring indices of M's entries and the
+    (e0, e1, e2, e3, star) of the ring positions of M's entries and the
     conjugation flag, in its canonical form: the least tuple over the
     scalar multiples of M.  ``identity``, ``sigmas`` and ``generators``
     come from the frozen triple reduced mod the group's modulus."""
@@ -78,14 +78,15 @@ class NaiveArithmetic:
     def __init__(self, group):
         self.group = group
         arith = group.arith
-        ring, index = arith.ring, arith.index
+        ring = arith.ring
+        index = {x: i for i, x in enumerate(ring.elements)}
         # Place values of e0..e3 in a packed code; star is bit 0.
-        self.size = len(arith.elems)
+        self.size = len(ring.elements)
         self.places = [2 * self.size ** k for k in (3, 2, 1, 0)]
         self.mul, self.add, self.conj = (t.tolist() for t in arith.arrays)
         self.scalar_rows = [self.mul[index[ring.reduce(a)]]
                             for a in group.scalars.members]
-        one, zero = index[ring.one()], index[ring.reduce(EisensteinInt(0, 0))]
+        one, zero = (index[ring.reduce(EisensteinInt(a, 0))] for a in (1, 0))
         self.identity = self.canonical((one, zero, zero, one, 0))
         self.sigmas = [self.canonical(tuple(index[z] for z in s) + (0,))
                        for s in reference_relations(ring)[0]]
@@ -130,20 +131,22 @@ def test_relations_hold_integrally():
 def test_generators_match_reduced_eisenstein_arithmetic(m):
     arith = _Arith(ResidueRing(parse_eisenstein_product(m)))
     gens = find_generators(arith)
+    elems = arith.ring.elements
     reference, words = reference_relations(arith.ring)
-    assert [tuple(arith.elems[i] for i in row) for row in gens] == reference
+    assert [tuple(elems[i] for i in row) for row in gens] == reference
     for (name, word), (_, entries, verdict) in zip(RELATION_WORDS, words):
         acc = arith.identity
         for i in word:
             acc = arith.matmul(acc, gens[i])
-        assert tuple(arith.elems[i] for i in acc) == entries
+        assert tuple(elems[i] for i in acc) == entries
         assert verdict, name
 
 
 @pytest.mark.parametrize("m", ["3", "2-2w", "(1-w)*(1+3w)", "3-3w"])
 def test_index_tables_match_reduced_eisenstein_arithmetic(m):
     arith = _Arith(ResidueRing(parse_eisenstein_product(m)))
-    ring, elems = arith.ring, arith.elems
+    ring = arith.ring
+    elems = ring.elements
     mul, add, conj = (t.tolist() for t in arith.arrays)
     assert [[elems[k] for k in row] for row in mul] == \
         [[ring.reduce(x * y) for y in elems] for x in elems]
@@ -152,9 +155,8 @@ def test_index_tables_match_reduced_eisenstein_arithmetic(m):
     assert [elems[k] for k in conj] == \
         [ring.reduce(x.conjugate()) for x in elems]
     assert [elems[k] for k in arith.neg] == [ring.reduce(-x) for x in elems]
-    zero = ring.reduce(EisensteinInt(0, 0))
-    assert [elems[k] for k in arith.identity] == \
-        [ring.one(), zero, zero, ring.one()]
+    zero, one = (ring.reduce(EisensteinInt(a, 0)) for a in (0, 1))
+    assert [elems[k] for k in arith.identity] == [one, zero, zero, one]
 
 
 @pytest.mark.slow
@@ -252,11 +254,12 @@ def test_canonicalization_scalar_invariance():
     A = ScalarGroup(ring, [parse_eisenstein("w")])
     g = generate_group(m, A)
     naive = NaiveArithmetic(g)
+    index = {x: i for i, x in enumerate(ring.elements)}
     for _ in range(50):
         code = int(RNG.choice(g.codes))
         element = naive.decode(code)
         a = RNG.choice(A.members)
-        scaled = tuple(g.arith.index[ring.reduce(a * g.arith.elems[i])]
+        scaled = tuple(index[ring.reduce(a * ring.elements[i])]
                        for i in element[:4])
         assert naive.canonical(scaled + (element[4],)) == element
         assert g._pack(np.array(scaled), element[4]) == code

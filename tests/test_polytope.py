@@ -492,16 +492,14 @@ def test_diamond_check_rejects_broken_action():
 def library_outcome(right, identity):
     """The Schlafli type and self-duality (four columns) or direct
     regularity (three columns) from the table validators, or the type and
-    message of the error they raise: a PolytopeValidationError, or the
-    ValueError of a Schlafli entry below 2 when a sigma is the
-    identity."""
+    message of the PolytopeValidationError they raise."""
     try:
         if right.shape[1] == 4:
             c = validate_string_cgroup(right, identity)
             return str(c.schlafli), self_duality_test(c)
         r = validate_rotation_group(right, identity)
         return str(r.schlafli), is_directly_regular(r)
-    except ValueError as exc:
+    except PolytopeValidationError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -514,7 +512,7 @@ def reference_outcome(gens, identity, mul):
             return str(c.schlafli), reference.self_duality_test(c)
         r = reference.validate_rotation_group(gens, identity, mul)
         return str(r.schlafli), reference.is_directly_regular(r)
-    except ValueError as exc:
+    except PolytopeValidationError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -614,6 +612,11 @@ def test_table_validators_match_generic_reference(name):
         # The sigma columns of a regular table reach only the rotation
         # subgroup, which the reflection twist makes directly regular.
         assert library_outcome(tables[-1], identity) == (schlafli, regular)
+    if name == "[3,3,3]":
+        # sigma2^3 is the identity there, so the variant with sigma2^3 in
+        # every column passes (R') and (C') and fails on its first sigma.
+        assert library_outcome(broken_columns(tables[-1])[-1], identity) \
+            == "PolytopeValidationError: sigma1 is the identity"
 
 
 def test_generator_map_homomorphism_matches_reference():

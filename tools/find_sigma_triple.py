@@ -90,7 +90,7 @@ def projective_group_order(ring, gens, cap):
         return tuple(ring.reduce(e) for e in x)
 
     def canonical(x):
-        neg = tuple(ring.neg(e) for e in x)
+        neg = tuple(ring.reduce(-e) for e in x)
         key = tuple((e.a, e.b) for e in x)
         nkey = tuple((e.a, e.b) for e in neg)
         return x if key <= nkey else neg
