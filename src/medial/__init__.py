@@ -16,11 +16,9 @@ from .catalog import (
 )
 from .eisenstein import (
     EisensteinInt,
-    Factorization,
     ResidueRing,
     ScalarGroup,
     admissible_subgroups,
-    factor,
     parse_eisenstein,
     vertex_count,
 )

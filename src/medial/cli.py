@@ -49,6 +49,7 @@ from .matgroup import (
     DEFAULT_MAX_ELEMENTS,
     ConfigurationError,
     OverflowResult,
+    check_ring_size,
     generate_group,
 )
 from .polytope import (
@@ -140,8 +141,9 @@ def build_instance(spec: JobSpec) -> InstanceReport:
             raise BadInput(f"malformed eisenstein key {spec.key!r}")
         try:
             m = parse_eisenstein_product(parts[1][2:])
-            A = ScalarGroup(ResidueRing(m), [
-                parse_eisenstein(g) for g in parts[2][2:].split(",") if g])
+            gens = [parse_eisenstein(g) for g in parts[2][2:].split(",") if g]
+            check_ring_size(m, spec.max_elements)
+            A = ScalarGroup(ResidueRing(m), gens)
         except ValueError as exc:  # a zero modulus, a scalar not a unit
             raise BadInput(f"bad modulus or scalars in {spec.key!r}: {exc}")
         mg = generate_group(m, A, max_elements=spec.max_elements,

@@ -1,10 +1,10 @@
 """Exact arithmetic in the Eisenstein integers Z[w], w = exp(2*pi*i/3).
 
 An element a + b*w is stored as the integer pair (a, b), with w^2 = -1 - w.
-The module provides prime factorization, residue rings Z[w]/(m) with
-canonical representatives, unit groups, admissible scalar subgroups, and
-the vertex-count formula for the medial layer graphs built elsewhere in
-this package.
+The module provides residue rings Z[w]/(m) with canonical
+representatives, built and reduced on whole coordinate arrays, unit groups,
+admissible scalar subgroups, and the vertex-count formula for the medial
+layer graphs built elsewhere in this package.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ class EisensteinInt:
         return EisensteinInt(-self.a, -self.b)
 
     def __mul__(self, other: "EisensteinInt") -> "EisensteinInt":
-        # (a + bw)(c + dw) = ac + (ad + bc)w + bd*w^2,  w^2 = -1 - w
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
+        return EisensteinInt(*_product(self.a, self.b, other.a, other.b))
 
     def conjugate(self) -> "EisensteinInt":
         return EisensteinInt(self.a - self.b, -self.b)
@@ -52,18 +50,6 @@ class EisensteinInt:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def __pow__(self, n: int) -> "EisensteinInt":
-        if n < 0:
-            raise ValueError("negative powers are not integral")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __str__(self) -> str:
         return format_eisenstein(self)
 
@@ -73,8 +59,8 @@ class EisensteinInt:
 
 ONE = EisensteinInt(1, 0)
 
-#: The six units of Z[w]: 1, -w^2, -w^2*-w^2=... enumerated as powers of -w^2
-#: (a primitive sixth root of unity), i.e. all a+bw of norm 1.
+#: The six units of Z[w], all a + bw of norm 1: (1 + w)^k = (-w^2)^k for
+#: k = 0..5, 1 + w being a primitive sixth root of unity.
 UNITS = (
     EisensteinInt(1, 0),
     EisensteinInt(1, 1),
@@ -132,37 +118,6 @@ def format_eisenstein(x: EisensteinInt) -> str:
     return f"{x.a}{sign}{wpart}"
 
 
-def divmod_nearest(x: EisensteinInt, y: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]:
-    """Division with remainder; norm(r) < norm(y) by nearest-lattice rounding."""
-    if y.is_zero():
-        raise ZeroDivisionError("division by zero in Z[w]")
-    n = y.norm()
-    num = x * y.conjugate()
-    qa = Fraction(num.a, n)
-    qb = Fraction(num.b, n)
-    q = EisensteinInt(_round_half(qa), _round_half(qb))
-    r = x - q * y
-    assert r.norm() < n
-    return q, r
-
-
-def _round_half(f: Fraction) -> int:
-    return (2 * f.numerator + f.denominator) // (2 * f.denominator)
-
-
-def euclid_gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
-    while y:
-        _, r = divmod_nearest(x, y)
-        x, y = y, r
-    return x
-
-
-def exact_divide(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt | None:
-    """x / y when the quotient is integral, else None."""
-    q, r = divmod_nearest(x, y)
-    return q if r.is_zero() else None
-
-
 def canonical_associate(x: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]:
     """Return (p, u) with p = u*x the canonical associate: a > 0, b >= 0,
     minimal b (then minimal a). Units canonicalize to 1."""
@@ -181,82 +136,22 @@ def canonical_associate(x: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]
     return best, best_u
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """unit * prod(prime^exponent), primes canonical and pairwise non-associated."""
-
-    unit: EisensteinInt
-    parts: tuple[tuple[EisensteinInt, int], ...]
-
-    def value(self) -> EisensteinInt:
-        result = self.unit
-        for p, e in self.parts:
-            result = result * p**e
-        return result
-
-
-def _rational_factor(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
+def _rational_primes(n: int) -> list[int]:
+    """The distinct prime divisors of n > 0, ascending."""
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            e = 0
+            out.append(d)
             while n % d == 0:
                 n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+        d += 1
+    return out + [n] * (n > 1)
 
 
-def _split_prime(p: int) -> EisensteinInt:
-    """For a rational prime p = 1 (mod 3), find a canonical prime above p."""
-    # A cube root of unity mod p gives x with p | x^2 + x + 1 = N(x - w).
-    for g in range(2, p):
-        x = pow(g, (p - 1) // 3, p)
-        if x != 1 and (x * x + x + 1) % p == 0:
-            pi = euclid_gcd(EisensteinInt(p, 0), EisensteinInt(x, -1))
-            assert pi.norm() == p
-            return canonical_associate(pi)[0]
-    raise ArithmeticError(f"no cube root of unity mod {p}")
-
-
-RAMIFIED_PRIME = canonical_associate(EisensteinInt(1, -1))[0]  # associate of 1 - w
-
-
-def factor(m: EisensteinInt) -> Factorization:
-    """Prime factorization in Z[w] with canonical non-associated primes.
-
-    Rational primes p = 1 (mod 3) split, p = 2 (mod 3) stay inert,
-    and 3 ramifies as a unit times (1-w)^2.
-    """
-    if m.is_zero():
-        raise ValueError("cannot factor 0")
-    rest = m
-    parts: list[tuple[EisensteinInt, int]] = []
-    for p, _ in _rational_factor(m.norm()):
-        if p == 3:
-            candidates = [RAMIFIED_PRIME]
-        elif p % 3 == 2:
-            candidates = [EisensteinInt(p, 0)]
-        else:
-            pi = _split_prime(p)
-            candidates = [pi, canonical_associate(pi.conjugate())[0]]
-        for pi in candidates:
-            e = 0
-            while True:
-                q = exact_divide(rest, pi)
-                if q is None:
-                    break
-                rest = q
-                e += 1
-            if e:
-                parts.append((pi, e))
-    assert rest.norm() == 1, f"incomplete factorization of {m}"
-    parts.sort(key=lambda pe: (pe[0].norm(), pe[0].b, pe[0].a))
-    return Factorization(unit=rest, parts=tuple(parts))
+def _product(a, b, c, d):
+    """(a + bw)(c + dw) as its coordinate pair, on integers or arrays:
+    ac + (ad + bc)w + bd*w^2 with w^2 = -1 - w."""
+    return a * c - b * d, a * d + b * c - b * d
 
 
 class ResidueRing:
@@ -275,23 +170,10 @@ class ResidueRing:
             raise ValueError("modulus must be nonzero")
         self.modulus = modulus
         self._enumerate()
-        assert len(self.elements) == modulus.norm()
-
-    # -- canonical reduction ------------------------------------------------
 
     def reduce(self, x: EisensteinInt) -> EisensteinInt:
-        _, r = divmod_nearest(x, self.modulus)
-        # The nearest-division remainder has norm < norm(m); the minimal-norm
-        # class member differs from it by a small unit multiple of m.
-        best = r
-        bkey = (r.norm(), r.a, r.b)
-        for ea in range(-2, 3):
-            for eb in range(-2, 3):
-                cand = r - EisensteinInt(ea, eb) * self.modulus
-                key = (cand.norm(), cand.a, cand.b)
-                if key < bkey:
-                    best, bkey = cand, key
-        return best
+        """The canonical representative of the class of x."""
+        return self.elements[self.class_index(x.a, x.b)]
 
     def _enumerate(self) -> None:
         # The ideal (m) is the Z-lattice spanned by m and m*w; a column
@@ -303,21 +185,30 @@ class ResidueRing:
             q = v1[0] // v2[0]
             v1, v2 = v2, (v1[0] - q * v2[0], v1[1] - q * v2[1])
         d1, d2 = abs(v1[0]), abs(v2[1])
-        assert d1 * d2 == m.norm()
+        n = m.norm()
+        assert d1 * d2 == n
         # (d1, q) and (0, d2) span the ideal, so a + b*w is congruent to
-        # (a mod d1) + ((b - (a // d1) q) mod d2) w; _hermite_index maps
-        # the key of that representative to its class.
+        # the grid point (a mod d1) + ((b - (a // d1) q) mod d2) w, whose
+        # index a*d2 + b in the d1 x d2 grid is its key; _hermite_index,
+        # the inverse of the grid's sort order, maps keys to positions.
         self._hermite = (d1, v1[1] * (1 if v1[0] > 0 else -1), d2)
-        seen: dict[EisensteinInt, None] = {}
-        for a in range(d1):
-            for b in range(d2):
-                seen.setdefault(self.reduce(EisensteinInt(a, b)), None)
-        self.elements = sorted(seen, key=lambda x: (x.norm(), x.a, x.b))
-        self.a = np.array([x.a for x in self.elements])
-        self.b = np.array([x.b for x in self.elements])
-        self._hermite_index = np.empty(d1 * d2, dtype=np.int64)
-        self._hermite_index[self._hermite_key(self.a, self.b)] = \
-            np.arange(d1 * d2)
+        a, b = np.divmod(np.arange(n), d2)
+        # Divide each point by m to the nearest lattice point, rounding
+        # x conj(m) / norm(m) half up; the remainder has norm < norm(m),
+        # and the class member of least (norm, a, b) differs from it by
+        # (i + jw) m with |i|, |j| <= 2.
+        qa, qb = ((2 * z + n) // (2 * n)
+                  for z in _product(a, b, m.a - m.b, -m.b))
+        ma, mb = _product(qa, qb, m.a, m.b)
+        sa, sb = _product(*np.indices((5, 5)).reshape(2, -1) - 2, m.a, m.b)
+        ca, cb = a - ma - sa[:, None], b - mb - sb[:, None]
+        least = np.lexsort((cb, ca, ca * ca - ca * cb + cb * cb), axis=0)[0]
+        a, b = ca[least, np.arange(n)], cb[least, np.arange(n)]
+        order = np.lexsort((b, a, a * a - a * b + b * b))
+        self.a, self.b = a[order], b[order]
+        self.elements = list(map(EisensteinInt, self.a.tolist(),
+                                 self.b.tolist()))
+        self._hermite_index = np.argsort(order)
 
     def _hermite_key(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d1, q, d2 = self._hermite
@@ -334,8 +225,8 @@ class ResidueRing:
     def times(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Positions of the products of the elements at positions x and y
         (integers or arrays, which broadcast)."""
-        a, b, c, d = self.a[x], self.b[x], self.a[y], self.b[y]
-        return self.class_index(a * c - b * d, a * d + b * c - b * d)
+        return self.class_index(
+            *_product(self.a[x], self.b[x], self.a[y], self.b[y]))
 
     def unit_group(self) -> np.ndarray:
         """Positions of the invertible residues, ascending."""
@@ -381,14 +272,6 @@ class ScalarGroup:
     def __contains__(self, x: EisensteinInt) -> bool:
         return self.ring.class_index(x.a, x.b) in self.positions
 
-    def conjugated(self) -> ScalarGroup:
-        a, b = self.ring.a[self.positions], self.ring.b[self.positions]
-        return ScalarGroup._closed(self.ring,
-                                   np.sort(self.ring.class_index(a - b, -b)))
-
-    def same_members(self, other: ScalarGroup) -> bool:
-        return np.array_equal(self.positions, other.positions)
-
 
 def admissible_subgroups(ring: ResidueRing) -> list[ScalarGroup]:
     """All admissible scalar subgroups of the unit group of the ring: those
@@ -410,6 +293,20 @@ def admissible_subgroups(ring: ResidueRing) -> list[ScalarGroup]:
     return sorted(groups, key=lambda s: (len(s), [(m.a, m.b) for m in s.members]))
 
 
+def _prime_norms(m: EisensteinInt) -> list[int]:
+    """The norms of the non-associated primes of Z[w] dividing m, read off
+    the primes p | norm(m): 3 gives one prime of norm 3, p = 2 (mod 3) one
+    of norm p^2, and p = 1 (mod 3) one of norm p, or two (conjugates) when
+    p divides both a and b."""
+    norms = []
+    for p in _rational_primes(m.norm()):
+        if p % 3 == 2:
+            norms.append(p * p)
+        else:
+            norms += [p] * (2 if p != 3 and m.a % p == m.b % p == 0 else 1)
+    return norms
+
+
 def vertex_count(m: EisensteinInt, A: ScalarGroup) -> int:
     """Vertex count of the medial layer graph attached to (m, A).
 
@@ -417,14 +314,12 @@ def vertex_count(m: EisensteinInt, A: ScalarGroup) -> int:
     of (1 - norm(pi)^-2) ].  Raises when the hypothesis norm(m) = 3k, k > 1
     fails or the result is not integral (which signals an invalid A).
     """
-    if m.is_zero():
-        raise ValueError("m must be nonzero")
     n = m.norm()
     if n % 3 != 0 or n // 3 <= 1:
         raise ValueError(f"norm(m) = {n} does not satisfy norm(m) = 3k with k > 1")
     total = Fraction(n**3, 12 * len(A))
-    for pi, _ in factor(m).parts:
-        total *= 1 - Fraction(1, pi.norm() ** 2)
+    for q in _prime_norms(m):
+        total *= 1 - Fraction(1, q * q)
     total *= 2
     if total.denominator != 1:
         raise ArithmeticError(f"non-integral vertex count {total} for m={m}, |A|={len(A)}")

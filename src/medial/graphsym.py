@@ -109,7 +109,7 @@ def validate(neighbors: Sequence[Iterable[int]] | np.ndarray,
         raise GraphError("graph has no vertices")
     if len(types) != n:
         raise GraphError(f"{len(types)} type labels for {n} vertices")
-    t = np.asarray(types, dtype=np.int8)
+    t = np.asarray(types)
     if not set(np.unique(t)) <= {1, 2}:
         raise GraphError("vertex types must be 1 or 2")
     if isinstance(neighbors, np.ndarray) and neighbors.shape == (n, 3):
@@ -120,8 +120,10 @@ def validate(neighbors: Sequence[Iterable[int]] | np.ndarray,
         degree = np.array([len(row) for row in rows])
         adj = np.zeros((n, 3), dtype=np.int64)
         if (degree == 3).any():
-            adj[degree == 3] = np.sort(
-                [row for row in rows if len(row) == 3], axis=1)
+            # Ids past int64 are out of range however they are clipped.
+            adj[degree == 3] = np.clip(np.sort(
+                [row for row in rows if len(row) == 3], axis=1),
+                -2 ** 63, 2 ** 63 - 1)
     three = degree == 3
     repeated = three & ((adj[:, 1:] == adj[:, :-1]).any(axis=1)
                         | (adj == np.arange(n)[:, None]).any(axis=1))
@@ -147,7 +149,7 @@ def validate(neighbors: Sequence[Iterable[int]] | np.ndarray,
         raise GraphError("graph is disconnected")
     if int((t == 1).sum()) != int((t == 2).sum()):
         raise GraphError("type classes have unequal sizes")
-    return BipartiteCubicGraph(t, adj.astype(np.int32))
+    return BipartiteCubicGraph(t.astype(np.int8), adj.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------

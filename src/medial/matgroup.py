@@ -56,7 +56,7 @@ from .eisenstein import (
     EisensteinInt,
     ResidueRing,
     ScalarGroup,
-    exact_divide,
+    canonical_associate,
     format_eisenstein,
 )
 from .permgroup import code_cayley_table, code_orbit, face_action
@@ -140,11 +140,23 @@ def find_generators(
     return gens
 
 
+def check_ring_size(m: EisensteinInt, max_elements: int) -> None:
+    """OverflowResult when the product and sum tables of Z[w]/(m), of
+    norm(m)^2 entries each, would pass ``max_elements``: before any ring."""
+    if m.norm() ** 2 > max_elements:
+        raise OverflowResult(
+            f"ring tables of norm(m)^2 = {m.norm() ** 2} entries exceed"
+            f" {max_elements} elements")
+
+
 def regularity_test(m: EisensteinInt, A: ScalarGroup) -> str:
     """"regular" if m divides its conjugate and A is conjugation-stable,
-    else "chiral"."""
-    if exact_divide(m.conjugate(), m) is not None and \
-            A.same_members(A.conjugated()):
+    else "chiral"; both are read in A's ring, Z[w]/(m): conj(m) is in the
+    zero class, and conjugating A's members keeps them in A."""
+    ring, c = A.ring, m.conjugate()
+    a, b = ring.a[A.positions], ring.b[A.positions]
+    if ring.class_index(c.a, c.b) == ring.class_index(0, 0) and \
+            np.isin(ring.class_index(a - b, -b), A.positions).all():
         return "regular"
     return "chiral"
 
@@ -264,16 +276,18 @@ def generate_group(
     rotation group.  Raises OverflowResult past ``max_elements``, or when a
     level starts after ``time_budget`` seconds.  The ring's product and sum
     tables have norm(m)^2 entries each, so a norm(m)^2 past
-    ``max_elements`` overflows before they are built.
+    ``max_elements`` overflows before they are built.  A must be a scalar
+    group of Z[w]/(m), else ConfigurationError.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     _check_norm(m)  # before any table is built
-    if m.norm() ** 2 > max_elements:
-        raise OverflowResult(
-            f"ring tables of norm(m)^2 = {m.norm() ** 2} entries exceed"
-            f" {max_elements} elements")
+    check_ring_size(m, max_elements)
     if A is None:
         A = ScalarGroup(ResidueRing(m))
+    elif canonical_associate(A.ring.modulus)[0] != canonical_associate(m)[0]:
+        raise ConfigurationError(
+            f"scalars mod {format_eisenstein(A.ring.modulus)} do not act"
+            f" mod {format_eisenstein(m)}")
     arith = _Arith(A.ring)
     sigmas = find_generators(arith)
     kind = regularity_test(m, A)

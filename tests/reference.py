@@ -8,7 +8,9 @@ right product of an element x with a generator g, and permutations
 multiplied with ``*`` by default.  ``cayley_table`` turns generators in
 such a form into the integer Cayley table the library validators take,
 and ``chain`` builds the Schreier-Sims oracle of an automorphism group
-from its image arrays.
+from its image arrays.  ``reduce`` is the residue class of one Eisenstein
+integer mod m, by nearest division, and ``regularity_kind`` the
+regularity rule on it: the oracles of ``ResidueRing``'s array arithmetic.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
 from medial.catalog import SchlafliType
+from medial.eisenstein import EisensteinInt, ScalarGroup
 from medial.graphsym import _prefix_orbit_sizes
 from medial.permgroup import Permutation, PermutationGroup
 from medial.polytope import PolytopeValidationError
@@ -111,6 +115,55 @@ class TableProduct:
 
     def __call__(self, element: int, generator: int) -> int:
         return self.rows[element][generator]
+
+
+# ---------------------------------------------------------------------------
+# Residue classes in Z[w], one element at a time
+# ---------------------------------------------------------------------------
+
+def divmod_nearest(x: EisensteinInt,
+                   y: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]:
+    """Division with remainder; norm(r) < norm(y) by nearest-lattice
+    rounding."""
+    if y.is_zero():
+        raise ZeroDivisionError("division by zero in Z[w]")
+    n = y.norm()
+    num = x * y.conjugate()
+    q = EisensteinInt(_round_half(Fraction(num.a, n)),
+                      _round_half(Fraction(num.b, n)))
+    r = x - q * y
+    assert r.norm() < n
+    return q, r
+
+
+def _round_half(f: Fraction) -> int:
+    return (2 * f.numerator + f.denominator) // (2 * f.denominator)
+
+
+def reduce(x: EisensteinInt, m: EisensteinInt) -> EisensteinInt:
+    """The member of least (norm, a, b) of the class of x mod m."""
+    _, r = divmod_nearest(x, m)
+    # The nearest-division remainder has norm < norm(m); the minimal-norm
+    # class member differs from it by a small multiple of m.
+    best = r
+    bkey = (r.norm(), r.a, r.b)
+    for ea in range(-2, 3):
+        for eb in range(-2, 3):
+            cand = r - EisensteinInt(ea, eb) * m
+            key = (cand.norm(), cand.a, cand.b)
+            if key < bkey:
+                best, bkey = cand, key
+    return best
+
+
+def regularity_kind(m: EisensteinInt, A: ScalarGroup) -> str:
+    """"regular" when m divides its conjugate exactly and the conjugates
+    of A's members, reduced mod m, are A's members again; else
+    "chiral"."""
+    _, r = divmod_nearest(m.conjugate(), m)
+    conjugates = {reduce(x.conjugate(), m) for x in A.members}
+    return "regular" if r.is_zero() and conjugates == set(A.members) \
+        else "chiral"
 
 
 # ---------------------------------------------------------------------------

@@ -232,10 +232,14 @@ def test_malformed_graph_file_exit_code(capsys, tmp_path, name, text,
     assert err.startswith("error:") and reason in err
 
 
-@pytest.mark.parametrize("name, text", [("k4.g6", "C~"), ("none.g6", "?")])
+@pytest.mark.parametrize("name, text", [
+    ("k4.g6", "C~"), ("none.g6", "?"), ("type-300.adj", "0 300: 1 2 3"),
+    ("huge-id.adj", "0 1: 1 2 99999999999999999999"),
+])
 def test_invalid_graph_file_exit_code(capsys, tmp_path, name, text):
-    # Decodable, but K4 is not bipartite and "?" has no vertices: a
-    # validation failure, not bad input.
+    # Decodable, but K4 is not bipartite, "?" has no vertices, a type
+    # label 300 is neither 1 nor 2 (nor an int8) and a neighbour id past
+    # int64 is out of range: validation failures, not bad input.
     path = tmp_path / name
     path.write_text(text)
     code, _, err = run(capsys, "classify", str(path))
@@ -312,17 +316,20 @@ def test_max_elements_below_the_bound_overflows_at_once(capsys,
 def test_ring_tables_past_max_elements_overflow_before_they_are_built(
         capsys):
     # norm(60) = 3600: the ring's product and sum tables would hold
-    # 3600^2 entries each, past the default cap of 2 * 10^6 elements.
-    tracemalloc.start()
-    try:
-        code, _, err = run(capsys, "build", "eisenstein:m=60:A=")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == EXIT_OVERFLOW
-    assert "ring tables of norm(m)^2 = 12960000 entries exceed 2000000" \
-        " elements" in err
-    assert peak < 8 * 2**20
+    # 3600^2 entries each, past the default cap of 2 * 10^6 elements.  The
+    # check runs before the ring itself is built, whose arrays grow with
+    # norm(m), 90000 at m = 300.
+    for m in (60, 300):
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "build", f"eisenstein:m={m}:A=")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OVERFLOW
+        assert f"ring tables of norm(m)^2 = {m ** 4} entries exceed" \
+            " 2000000 elements" in err
+        assert peak < 8 * 2**20
 
 
 def test_table1_overflow_rows_fast(capsys):

@@ -1,30 +1,30 @@
-"""Arithmetic in Z[w], residue rings, scalar groups, and the vertex-count
-formula, checked against brute-force oracles."""
+"""Arithmetic in Z[w], residue rings, scalar groups, the regularity rule
+and the vertex-count formula, checked against brute-force oracles: the
+per-element reduction ``reference.reduce`` above all."""
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from medial.eisenstein import (
-    RAMIFIED_PRIME,
     EisensteinInt,
     ResidueRing,
     ScalarGroup,
+    _prime_norms,
     admissible_subgroups,
     canonical_associate,
-    divmod_nearest,
-    euclid_gcd,
-    exact_divide,
-    factor,
     format_eisenstein,
     parse_eisenstein,
     vertex_count,
 )
-from reference import orbit
+from medial.matgroup import regularity_test
+from reference import divmod_nearest, orbit, reduce, regularity_kind
 
 RNG = random.Random(20240823)
+ONE = EisensteinInt(1, 0)
 
 
 def rand_eis(bound=30):
@@ -69,35 +69,6 @@ def test_divmod_nearest_remainder_small():
         assert r.norm() < y.norm()
 
 
-def test_gcd_divides_both():
-    for _ in range(100):
-        x, y = rand_eis(10), rand_eis(10)
-        if x.is_zero() and y.is_zero():
-            continue
-        g = euclid_gcd(x, y)
-        assert exact_divide(x, g) is not None
-        assert exact_divide(y, g) is not None
-
-
-def test_factor_reassembles():
-    for _ in range(60):
-        x = rand_eis(12)
-        if x.is_zero():
-            continue
-        f = factor(x)
-        assert f.value() == x
-        # Primes pairwise non-associated and canonical.
-        canon = [canonical_associate(p)[0] for p, _ in f.parts]
-        assert len(set(canon)) == len(canon)
-        assert all(p == c for (p, _), c in zip(f.parts, canon))
-
-
-def test_ramified_prime_norm_3():
-    assert RAMIFIED_PRIME.norm() == 3
-    f = factor(EisensteinInt(3, 0))
-    assert tuple(f.parts) == ((RAMIFIED_PRIME, 2),)
-
-
 @pytest.mark.parametrize("m", ["3", "2-2w", "3-3w", "5", "2+3w", "4-2w"])
 def test_residue_ring_cardinality_is_norm(m):
     m = parse_eisenstein(m)
@@ -107,10 +78,37 @@ def test_residue_ring_cardinality_is_norm(m):
     bound = abs(m.a) + abs(m.b) + 2
     box = [(a, b) for a in range(-bound, bound + 1)
            for b in range(-bound, bound + 1)]
-    reduced = [ring.reduce(EisensteinInt(a, b)) for a, b in box]
+    reduced = [reduce(EisensteinInt(a, b), m) for a, b in box]
     assert set(reduced) == set(ring.elements)
     a, b = np.array(box).T
     assert [ring.elements[i] for i in ring.class_index(a, b)] == reduced
+    assert [ring.reduce(EisensteinInt(*x)) for x in box] == reduced
+
+
+def canonical_moduli(max_norm):
+    """Every m = a + bw that is its own canonical associate, with norm at
+    most ``max_norm``: one generator per nonzero ideal."""
+    bound = int((2 * max_norm) ** 0.5) + 1  # norm >= (a^2 + b^2) / 2
+    return [m for a in range(1, bound + 1) for b in range(bound + 1)
+            if (m := EisensteinInt(a, b)).norm() <= max_norm
+            and canonical_associate(m)[0] == m]
+
+
+def test_ring_tables_match_reference_reduce():
+    # Every modulus with |a|, |b| <= 3: the elements are the distinct
+    # reductions in (norm, a, b) order, and class_index reduces each point
+    # of a box wider than the modulus as the per-element oracle does.
+    box = np.arange(-5, 6)
+    a, b = (x.ravel() for x in np.meshgrid(box, box, indexing="ij"))
+    for m in (EisensteinInt(x, y) for x in range(-3, 4) for y in range(-3, 4)):
+        if m.is_zero():
+            continue
+        ring = ResidueRing(m)
+        reduced = [reduce(EisensteinInt(x, y), m)
+                   for x, y in zip(a.tolist(), b.tolist())]
+        assert ring.elements == sorted(set(reduced),
+                                       key=lambda x: (x.norm(), x.a, x.b))
+        assert [ring.elements[i] for i in ring.class_index(a, b)] == reduced
 
 
 def test_residue_ring_arithmetic_well_defined():
@@ -118,36 +116,36 @@ def test_residue_ring_arithmetic_well_defined():
     m = ring.modulus
     for _ in range(100):
         x, y = rand_eis(), rand_eis()
-        rx, ry = ring.reduce(x), ring.reduce(y)
-        assert ring.reduce(x + y) == ring.reduce(rx + ry)
-        assert ring.reduce(x * y) == ring.reduce(rx * ry)
+        rx, ry = reduce(x, m), reduce(y, m)
+        assert reduce(x + y, m) == reduce(rx + ry, m)
+        assert reduce(x * y, m) == reduce(rx * ry, m)
         # times multiplies positions as reduce multiplies representatives.
         px, py = (ring.class_index(z.a, z.b) for z in (x, y))
-        assert ring.elements[ring.times(px, py)] == ring.reduce(x * y)
+        assert ring.elements[ring.times(px, py)] == reduce(x * y, m)
         shifted = x + m * rand_eis(3)
-        assert ring.reduce(shifted) == ring.reduce(x)
+        assert reduce(shifted, m) == reduce(x, m)
 
 
 def test_inverse_oracle():
     # The unit group's positions are exactly the elements with an inverse
     # under reduced Eisenstein arithmetic, and that inverse is unique.
-    ring = ResidueRing(parse_eisenstein("2-2w"))
+    m = parse_eisenstein("2-2w")
+    ring = ResidueRing(m)
     units = ring.unit_group().tolist()
-    one = ring.reduce(EisensteinInt(1, 0))
     for i, x in enumerate(ring.elements):
-        brute = [y for y in ring.elements if ring.reduce(x * y) == one]
+        brute = [y for y in ring.elements if reduce(x * y, m) == ONE]
         assert len(brute) <= 1
         assert (i in units) == bool(brute)
     assert units == sorted(units)
 
 
 def test_scalar_group_contains_minus_one_and_closed():
-    ring = ResidueRing(parse_eisenstein("3-3w"))
-    A = ScalarGroup(ring, [parse_eisenstein("w")])
+    m = parse_eisenstein("3-3w")
+    A = ScalarGroup(ResidueRing(m), [parse_eisenstein("w")])
     assert EisensteinInt(-1, 0) in A
     for x in A.members:
         for y in A.members:
-            assert ring.reduce(x * y) in A
+            assert reduce(x * y, m) in A
 
 
 def test_admissible_subgroups_all_contain_minus_one():
@@ -162,15 +160,15 @@ def reference_admissible_subgroups(ring):
     """The member lists of every subgroup of the unit group that contains
     -1, grown one unit at a time from {1, -1} and closed by the generic
     ``orbit`` over the ring's products of units, all reduced by
-    ``ring.reduce``."""
-    one = ring.reduce(EisensteinInt(1, 0))
+    ``reference.reduce``."""
+    m = ring.modulus
+    one = reduce(ONE, m)
     units = [x for x in ring.elements
-             if any(ring.reduce(x * y) == one for y in ring.elements)]
-    product = {(x, y): ring.reduce(x * y) for x in units for y in units}
+             if any(reduce(x * y, m) == one for y in ring.elements)]
+    product = {(x, y): reduce(x * y, m) for x in units for y in units}
 
     def closure(gens):
-        return frozenset(orbit([one],
-                               [ring.reduce(EisensteinInt(-1, 0)), *gens],
+        return frozenset(orbit([one], [reduce(-ONE, m), *gens],
                                lambda x, g: product[x, g]))
 
     found = frontier = {closure(())}
@@ -226,3 +224,30 @@ def test_vertex_count_chiral_modulus():
     m = parse_eisenstein("1-w") * parse_eisenstein("1+3w")
     A = ScalarGroup(ResidueRing(m))
     assert vertex_count(m, A) == 672
+
+
+def test_regularity_matches_the_reference_rule():
+    # Every ideal of norm 3k <= 48 with each of its admissible scalar
+    # groups: conj(m) in the zero class and A closed under conjugation on
+    # ring positions, against exact division and the reduced conjugates.
+    kinds = Counter()
+    for m in canonical_moduli(48):
+        if m.norm() % 3:
+            continue
+        for A in admissible_subgroups(ResidueRing(m)):
+            kind = regularity_test(m, A)
+            assert kind == regularity_kind(m, A), (m, A.members)
+            kinds[kind] += 1
+    assert kinds["regular"] and kinds["chiral"]
+
+
+def test_prime_norms_count_the_units():
+    # The unit group of Z[w]/(m) has norm(m) * prod(1 - 1/q) members, q
+    # over the norms of the distinct primes dividing m.
+    moduli = canonical_moduli(400)
+    assert len(moduli) == 243
+    for m in moduli:
+        count = Fraction(m.norm())
+        for q in _prime_norms(m):
+            count *= 1 - Fraction(1, q)
+        assert count == len(ResidueRing(m).unit_group()), m

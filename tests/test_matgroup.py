@@ -3,7 +3,7 @@ relations, order certificates at four moduli, regularity verdicts,
 canonicalization invariance, and the right-regular action on the
 elements, checked against the element-at-a-time tuple arithmetic
 (``NaiveArithmetic``); the index tables and the relation check, checked
-against Eisenstein-integer arithmetic reduced by ``ResidueRing.reduce``."""
+against Eisenstein-integer arithmetic reduced by ``reference.reduce``."""
 
 import random
 import re
@@ -35,7 +35,7 @@ from medial.matgroup import (
     regularity_test,
 )
 from medial.permgroup import Permutation, PermutationGroup, code_orbit
-from reference import orbit
+from reference import orbit, reduce
 
 RNG = random.Random(11)
 
@@ -46,18 +46,21 @@ def reference_matmul(ring, x, y):
     """The 2x2 product of entry tuples, reduced entry by entry."""
     a, b, c, d = x
     e, f, g, h = y
-    return tuple(ring.reduce(z) for z in (a * e + b * g, a * f + b * h,
-                                          c * e + d * g, c * f + d * h))
+    return tuple(reduce(z, ring.modulus)
+                 for z in (a * e + b * g, a * f + b * h,
+                           c * e + d * g, c * f + d * h))
 
 
 def reference_relations(ring, triple=SIGMA_TRIPLE):
     """The triple reduced mod the ring's modulus, and each relation word
-    evaluated on it with Eisenstein-integer arithmetic and ``ring.reduce``:
-    (name, entries, whether the entries are +-identity)."""
-    gens = [tuple(ring.reduce(z) for z in mat) for mat in triple]
-    zero, one = (ring.reduce(EisensteinInt(a, 0)) for a in (0, 1))
+    evaluated on it with Eisenstein-integer arithmetic and
+    ``reference.reduce``: (name, entries, whether the entries are
+    +-identity)."""
+    m = ring.modulus
+    gens = [tuple(reduce(z, m) for z in mat) for mat in triple]
+    zero, one = (reduce(EisensteinInt(a, 0), m) for a in (0, 1))
     identity = (one, zero, zero, one)
-    negated = tuple(ring.reduce(-z) for z in identity)
+    negated = tuple(reduce(-z, m) for z in identity)
     words = []
     for name, word in RELATION_WORDS:
         acc = identity
@@ -84,9 +87,10 @@ class NaiveArithmetic:
         self.size = len(ring.elements)
         self.places = [2 * self.size ** k for k in (3, 2, 1, 0)]
         self.mul, self.add, self.conj = (t.tolist() for t in arith.arrays)
-        self.scalar_rows = [self.mul[index[ring.reduce(a)]]
+        self.scalar_rows = [self.mul[index[reduce(a, ring.modulus)]]
                             for a in group.scalars.members]
-        one, zero = (index[ring.reduce(EisensteinInt(a, 0))] for a in (1, 0))
+        one, zero = (index[reduce(EisensteinInt(a, 0), ring.modulus)]
+                     for a in (1, 0))
         self.identity = self.canonical((one, zero, zero, one, 0))
         self.sigmas = [self.canonical(tuple(index[z] for z in s) + (0,))
                        for s in reference_relations(ring)[0]]
@@ -148,20 +152,21 @@ def test_index_tables_match_reduced_eisenstein_arithmetic(m):
     ring = arith.ring
     elems = ring.elements
     mul, add, conj = (t.tolist() for t in arith.arrays)
+    m = ring.modulus
     assert [[elems[k] for k in row] for row in mul] == \
-        [[ring.reduce(x * y) for y in elems] for x in elems]
+        [[reduce(x * y, m) for y in elems] for x in elems]
     assert [[elems[k] for k in row] for row in add] == \
-        [[ring.reduce(x + y) for y in elems] for x in elems]
+        [[reduce(x + y, m) for y in elems] for x in elems]
     assert [elems[k] for k in conj] == \
-        [ring.reduce(x.conjugate()) for x in elems]
-    assert [elems[k] for k in arith.neg] == [ring.reduce(-x) for x in elems]
-    zero, one = (ring.reduce(EisensteinInt(a, 0)) for a in (0, 1))
+        [reduce(x.conjugate(), m) for x in elems]
+    assert [elems[k] for k in arith.neg] == [reduce(-x, m) for x in elems]
+    zero, one = (reduce(EisensteinInt(a, 0), m) for a in (0, 1))
     assert [elems[k] for k in arith.identity] == [one, zero, zero, one]
 
 
 @pytest.mark.slow
 def test_sigma_triple_search_finds_the_frozen_triple():
-    # The search script, about 15 s; its hit may flip the signs of sigma1
+    # The search script, about 2.5 s; its hit may flip the signs of sigma1
     # and sigma3, as its docstring allows.
     root = Path(__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "tools/find_sigma_triple.py"],
@@ -227,6 +232,21 @@ def test_precondition_norm_3k():
             generate_group(m)
 
 
+def test_scalars_from_another_ring_are_refused():
+    # A's ring must be Z[w]/(m), the same ideal: not the ring of another
+    # modulus, nor of the conjugate ideal of the same norm; an associate
+    # of m, here 3w for 3, names the same ring.
+    for m, other in ((EisensteinInt(3, 0), EisensteinInt(2, -2)),
+                     (CHIRAL_M.conjugate(), CHIRAL_M)):
+        with pytest.raises(ConfigurationError) as info:
+            generate_group(m, ScalarGroup(ResidueRing(other)))
+        assert str(info.value) == (f"scalars mod {format_eisenstein(other)}"
+                                   f" do not act mod {format_eisenstein(m)}")
+    g = generate_group(EisensteinInt(0, 3),
+                       ScalarGroup(ResidueRing(EisensteinInt(3, 0))))
+    assert (g.kind, g.order) == ("regular", 324)
+
+
 def test_relation_failure_is_named():
     broken = list(SIGMA_TRIPLE)
     broken[0] = (EisensteinInt(1, 0), EisensteinInt(1, 0),
@@ -259,7 +279,7 @@ def test_canonicalization_scalar_invariance():
         code = int(RNG.choice(g.codes))
         element = naive.decode(code)
         a = RNG.choice(A.members)
-        scaled = tuple(index[ring.reduce(a * ring.elements[i])]
+        scaled = tuple(index[reduce(a * ring.elements[i], m)]
                        for i in element[:4])
         assert naive.canonical(scaled + (element[4],)) == element
         assert g._pack(np.array(scaled), element[4]) == code
@@ -369,7 +389,7 @@ def test_generators_require_unit_determinant():
     # message names its reduced form.
     singular[1] = (EisensteinInt(1, -1), EisensteinInt(0, 0),
                    EisensteinInt(0, 0), EisensteinInt(1, 0))
-    det = format_eisenstein(arith.ring.reduce(EisensteinInt(1, -1)))
+    det = format_eisenstein(reduce(EisensteinInt(1, -1), arith.ring.modulus))
     with pytest.raises(ConfigurationError) as info:
         find_generators(arith, singular)
     assert str(info.value) == f"matrix determinant {det} is not a unit mod 3"
