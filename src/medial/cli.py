@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -48,10 +49,10 @@ from .fpgroup import DEFAULT_MAX_COSETS
 from .matgroup import (
     DEFAULT_MAX_ELEMENTS,
     ConfigurationError,
-    OverflowResult,
     check_ring_size,
     generate_group,
 )
+from .permgroup import OverflowResult
 from .polytope import (
     PolytopeHandle,
     PolytopeValidationError,
@@ -120,7 +121,10 @@ def parse_eisenstein_product(text: str) -> EisensteinInt:
 
 
 def build_instance(spec: JobSpec) -> InstanceReport:
+    """Build the group and the graph of ``spec.key``.  The time budget
+    starts here, as one deadline for every enumeration and closure."""
     start = time.monotonic()
+    deadline = None if spec.time_budget is None else start + spec.time_budget
     parts = spec.key.split(":")
     if parts[0] == "universal":
         if len(parts) != 4 or parts[1] != "3,6":
@@ -133,7 +137,7 @@ def build_instance(spec: JobSpec) -> InstanceReport:
             raise BadInput(f"bad toroidal parameters in {spec.key!r}: {exc}")
         handle = handle_from_presentation(
             pres, spec.key, max_cosets=spec.max_cosets,
-            max_elements=spec.max_elements, time_budget=spec.time_budget)
+            max_elements=spec.max_elements, deadline=deadline)
         params = f"s=({s.s},{s.t}) t=({t.s},{t.t})"
     elif parts[0] == "eisenstein":
         if len(parts) != 3 or not parts[1].startswith("m=") \
@@ -147,7 +151,7 @@ def build_instance(spec: JobSpec) -> InstanceReport:
         except ValueError as exc:  # a zero modulus, a scalar not a unit
             raise BadInput(f"bad modulus or scalars in {spec.key!r}: {exc}")
         mg = generate_group(m, A, max_elements=spec.max_elements,
-                            time_budget=spec.time_budget)
+                            deadline=deadline)
         handle = handle_from_matrix_group(mg, spec.key)
         scalars = ",".join(format_eisenstein(x) for x in A.members)
         params = f"m={format_eisenstein(m)} A={{{scalars}}}"
@@ -345,7 +349,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 _CONFIG_KEYS = {
     "max_cosets": int, "max_elements": int, "time_budget": float,
-    "max_vertices": int, "fmt": str, "extended": lambda v: v == "true",
+    "max_vertices": int, "fmt": str,
+    "extended": {"true": True, "false": False}.__getitem__,
     "jobs": int, "output": str,
 }
 
@@ -367,8 +372,9 @@ def _apply_config(args: argparse.Namespace) -> None:
             if key not in args:
                 try:
                     setattr(args, key, _CONFIG_KEYS[key](value.strip()))
-                except ValueError as exc:
-                    raise BadInput(f"{args.config}:{lineno}: {exc}")
+                except (KeyError, ValueError) as exc:
+                    raise BadInput(f"{args.config}:{lineno}: bad config line"
+                                   f" {line!r} ({exc})")
 
 
 COMMANDS = {"build": cmd_build, "classify": cmd_classify,
@@ -377,7 +383,7 @@ COMMANDS = {"build": cmd_build, "classify": cmd_classify,
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  With --output FILE, FILE is written only once the
-    command has returned: an error exit leaves an existing FILE as it was."""
+    command has returned: an error exit leaves FILE as it was, or absent."""
     args = make_parser().parse_args(argv)
     try:
         if "config" in args:
@@ -385,8 +391,11 @@ def main(argv: list[str] | None = None) -> int:
         spec = JobSpec(key=getattr(args, "key", ""),
                        **{k: getattr(args, k) for k in _CONFIG_KEYS
                           if k in args and k != "output"})
-        if "output" in args:  # fails before any work; truncates nothing
+        if "output" in args:  # fails before any work; changes nothing
+            existed = os.path.lexists(args.output)
             open(args.output, "a").close()
+            if not existed:
+                os.remove(args.output)
     except (BadInput, OSError) as exc:  # OSError: the config or output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -196,14 +196,18 @@ class ResidueRing:
         # Divide each point by m to the nearest lattice point, rounding
         # x conj(m) / norm(m) half up; the remainder has norm < norm(m),
         # and the class member of least (norm, a, b) differs from it by
-        # (i + jw) m with |i|, |j| <= 2.
+        # (i + jw) m with |i|, |j| <= 2: kept as a running least over the
+        # 25 shifts, one shift at a time.
         qa, qb = ((2 * z + n) // (2 * n)
                   for z in _product(a, b, m.a - m.b, -m.b))
         ma, mb = _product(qa, qb, m.a, m.b)
-        sa, sb = _product(*np.indices((5, 5)).reshape(2, -1) - 2, m.a, m.b)
-        ca, cb = a - ma - sa[:, None], b - mb - sb[:, None]
-        least = np.lexsort((cb, ca, ca * ca - ca * cb + cb * cb), axis=0)[0]
-        a, b = ca[least, np.arange(n)], cb[least, np.arange(n)]
+        a, b = ra, rb = a - ma, b - mb
+        for sa, sb in zip(*_product(*np.indices((5, 5)).reshape(2, -1) - 2,
+                                    m.a, m.b)):
+            ca, cb = ra - sa, rb - sb
+            dn = ca * ca - ca * cb + cb * cb - (a * a - a * b + b * b)
+            less = (dn < 0) | (dn == 0) & ((ca < a) | (ca == a) & (cb < b))
+            a, b = np.where(less, ca, a), np.where(less, cb, b)
         order = np.lexsort((b, a, a * a - a * b + b * b))
         self.a, self.b = a[order], b[order]
         self.elements = list(map(EisensteinInt, self.a.tolist(),

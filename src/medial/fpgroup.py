@@ -2,9 +2,9 @@
 
 Words are tuples of letters; letter 2*g is generator g, letter 2*g + 1 its
 inverse.  Enumeration follows the HLT strategy (relator scanning with
-fill), with in-place coincidence processing and a single lookahead pass
-when the coset limit is reached.  Overflow is a first-class result, not an
-exception.
+fill), with in-place coincidence processing.  An enumeration that defines
+more cosets than its limit, dead ones included, or runs past its deadline
+raises ``permgroup.OverflowResult``; a ``CosetTable`` is always complete.
 
 A generator with the relator ``x x`` is an involution and gets a single
 table column, its own inverse, as in the standard enumerators (Holt, Eick
@@ -29,6 +29,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .permgroup import OverflowResult
 
 Word = tuple[int, ...]
 
@@ -84,25 +86,21 @@ class Presentation:
 
 @dataclass
 class CosetTable:
-    """Result of a coset enumeration.
+    """A complete coset table.
 
-    When complete, ``columns`` is an (ngens, num_cosets) int64 array:
-    ``columns[g, c]`` is the image of coset c under generator g, each row
-    a permutation of {0, ..., num_cosets - 1}, and coset 0 is the
-    subgroup.  An overflow result has no columns.
+    ``columns`` is an (ngens, num_cosets) int64 array: ``columns[g, c]`` is
+    the image of coset c under generator g, each row a permutation of
+    {0, ..., num_cosets - 1}, and coset 0 is the subgroup.
     """
 
     presentation: Presentation
     subgroup_words: tuple[Word, ...]
-    status: str  # "complete" | "overflow"
-    num_cosets: int
-    columns: np.ndarray | None = field(repr=False, default=None)
-    reason: str = ""
+    columns: np.ndarray = field(repr=False)
     cosets_defined: int = 0
 
     @property
-    def is_complete(self) -> bool:
-        return self.status == "complete"
+    def num_cosets(self) -> int:
+        return self.columns.shape[1]
 
 
 class _Enumerator:
@@ -138,9 +136,7 @@ class _Enumerator:
         self.deadline = deadline
         self.table: list[list[int]] = [[-1] * self.width]
         self.p = [0]
-        self.n_live = 1
         self.queue: list[int] = []
-        self.timed_out = False
 
     # union-find over cosets; p[i] <= i always
     def rep(self, k: int) -> int:
@@ -157,7 +153,6 @@ class _Enumerator:
         beta = len(self.table)
         self.table.append([-1] * self.width)
         self.p.append(beta)
-        self.n_live += 1
         self.table[alpha][x] = beta
         self.table[beta][self.inv[x]] = alpha
         return beta
@@ -167,7 +162,6 @@ class _Enumerator:
         if phi != psi:
             mu, nu = (phi, psi) if phi < psi else (psi, phi)
             self.p[nu] = mu
-            self.n_live -= 1
             self.queue.append(nu)
 
     def coincidence(self, alpha: int, beta: int):
@@ -220,26 +214,6 @@ class _Enumerator:
                 return
             self.define(f, w[i])
 
-    def over_limit(self) -> bool:
-        return len(self.table) > self.max_cosets
-
-    def check_deadline(self) -> bool:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.timed_out = True
-            return True
-        return False
-
-    def lookahead(self):
-        """Scan every relator at every live coset without defining cosets."""
-        alpha = 0
-        while alpha < len(self.table):
-            if self.p[alpha] == alpha:
-                for w in self.relators:
-                    self.scan(alpha, w, fill=False)
-                    if self.p[alpha] != alpha:
-                        break
-            alpha += 1
-
     def compact(self) -> np.ndarray:
         """The live cosets renumbered 0, 1, ..., as the (ngens, live)
         array of each generator's images.
@@ -265,12 +239,10 @@ class _Enumerator:
             self.scan(0, w, fill=True)
         relators = self.relators
         alpha = 0
-        did_lookahead = False
-        overflow = False
         while alpha < len(self.table):
-            if alpha % 512 == 0 and self.check_deadline():
-                overflow = True
-                break
+            if alpha % 512 == 0 and self.deadline is not None \
+                    and time.monotonic() > self.deadline:
+                raise OverflowResult("time budget exceeded")
             if self.p[alpha] != alpha:
                 alpha += 1
                 continue
@@ -282,35 +254,21 @@ class _Enumerator:
                 for x in range(self.width):
                     if self.table[alpha][x] == -1:
                         self.define(alpha, x)
-            if self.over_limit():
-                if not did_lookahead:
-                    self.lookahead()
-                    did_lookahead = True
-                if self.over_limit():
-                    overflow = True
-                    break
+            if len(self.table) > self.max_cosets:
+                raise OverflowResult(f"coset limit {self.max_cosets} exceeded")
             alpha += 1
-        if overflow:
-            reason = "time budget exceeded" if self.timed_out else \
-                f"coset limit {self.max_cosets} exceeded"
-            return CosetTable(
-                presentation=self.pres, subgroup_words=self.subgens,
-                status="overflow", num_cosets=self.n_live,
-                reason=reason, cosets_defined=len(self.table))
-        columns = self.compact()
-        return CosetTable(
-            presentation=self.pres, subgroup_words=self.subgens,
-            status="complete", num_cosets=columns.shape[1], columns=columns,
-            cosets_defined=len(self.table))
+        return CosetTable(self.pres, self.subgens, self.compact(),
+                          cosets_defined=len(self.table))
 
 
 def coset_enumeration(pres: Presentation, subgens: list[Word] | tuple[Word, ...] = (),
                       max_cosets: int = DEFAULT_MAX_COSETS,
-                      time_budget: float | None = None) -> CosetTable:
+                      deadline: float | None = None) -> CosetTable:
     """Enumerate cosets of the subgroup generated by ``subgens``.
 
-    Returns a complete table (index = num_cosets) or an overflow result when
-    the coset limit or time budget is hit.
+    Returns the complete table (index = num_cosets).  Raises OverflowResult
+    past ``max_cosets`` cosets or ``deadline``, a ``time.monotonic()``
+    value.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
@@ -319,5 +277,4 @@ def coset_enumeration(pres: Presentation, subgens: list[Word] | tuple[Word, ...]
     for w in subgens:
         if any(x < 0 or x >= width for x in w):
             raise ValueError(f"subgroup word letter out of range: {w}")
-    deadline = None if time_budget is None else time.monotonic() + time_budget
     return _Enumerator(pres, subgens, max_cosets, deadline).run()

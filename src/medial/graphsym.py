@@ -113,18 +113,20 @@ def validate(neighbors: Sequence[Iterable[int]] | np.ndarray,
     if not set(np.unique(t)) <= {1, 2}:
         raise GraphError("vertex types must be 1 or 2")
     if isinstance(neighbors, np.ndarray) and neighbors.shape == (n, 3):
-        adj = np.sort(neighbors.astype(np.int64), axis=1)
-        degree = np.full(n, 3)
+        rows, degree = neighbors, np.full(n, 3)
     else:
         rows = [[int(x) for x in nbrs] for nbrs in neighbors]
         degree = np.array([len(row) for row in rows])
-        adj = np.zeros((n, 3), dtype=np.int64)
-        if (degree == 3).any():
-            # Ids past int64 are out of range however they are clipped.
-            adj[degree == 3] = np.clip(np.sort(
-                [row for row in rows if len(row) == 3], axis=1),
-                -2 ** 63, 2 ** 63 - 1)
+        rows = [row for row in rows if len(row) == 3]
     three = degree == 3
+    adj = np.zeros((n, 3), dtype=np.int64)
+    if len(rows):
+        # Ids past int64 (objects, uint64) are out of range however clipped.
+        ids = np.asarray(rows)
+        if ids.dtype.kind != "i":
+            ids = np.clip(np.asarray(rows, dtype=object), -2 ** 63,
+                          2 ** 63 - 1)
+        adj[three] = np.sort(ids.astype(np.int64), axis=1)
     repeated = three & ((adj[:, 1:] == adj[:, :-1]).any(axis=1)
                         | (adj == np.arange(n)[:, None]).any(axis=1))
     outside = three & ((adj < 0) | (adj >= n)).any(axis=1)

@@ -46,7 +46,6 @@ multiplies group elements.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -59,7 +58,12 @@ from .eisenstein import (
     canonical_associate,
     format_eisenstein,
 )
-from .permgroup import code_cayley_table, code_orbit, face_action
+from .permgroup import (
+    OverflowResult,
+    code_cayley_table,
+    code_orbit,
+    face_action,
+)
 
 #: Frozen integral generator triple (row-major 2x2 entries a + b*w).
 SIGMA_TRIPLE: tuple[tuple[EisensteinInt, ...], ...] = (
@@ -87,10 +91,6 @@ DEFAULT_MAX_ELEMENTS = 2 * 10**6
 
 class ConfigurationError(ValueError):
     """A generator triple or modulus fails its defining requirements."""
-
-
-class OverflowResult(RuntimeError):
-    """Group closure exceeded the configured element cap."""
 
 
 def _check_norm(m: EisensteinInt) -> None:
@@ -265,7 +265,7 @@ def generate_group(
         m: EisensteinInt,
         A: ScalarGroup | None = None,
         max_elements: int = DEFAULT_MAX_ELEMENTS,
-        time_budget: float | None = None,
+        deadline: float | None = None,
 ) -> MatrixGroup:
     """Breadth-first closure of the frozen generators mod m, modulo the
     scalars in A (by default {1, -1}), one level at a time on int64
@@ -274,12 +274,11 @@ def generate_group(
     For regular (m, A) the entrywise-conjugation element is adjoined, so the
     result is the full polytope symmetry group; for chiral (m, A) it is the
     rotation group.  Raises OverflowResult past ``max_elements``, or when a
-    level starts after ``time_budget`` seconds.  The ring's product and sum
-    tables have norm(m)^2 entries each, so a norm(m)^2 past
-    ``max_elements`` overflows before they are built.  A must be a scalar
-    group of Z[w]/(m), else ConfigurationError.
+    level starts past ``deadline``, a ``time.monotonic()`` value.  The
+    ring's product and sum tables have norm(m)^2 entries each, so a
+    norm(m)^2 past ``max_elements`` overflows before they are built.  A
+    must be a scalar group of Z[w]/(m), else ConfigurationError.
     """
-    deadline = None if time_budget is None else time.monotonic() + time_budget
     _check_norm(m)  # before any table is built
     check_ring_size(m, max_elements)
     if A is None:
@@ -299,16 +298,10 @@ def generate_group(
     gen_codes = sigma_codes
     if kind == "regular":
         gen_codes += (int(group._pack(arith.identity, 1)),)
-    try:
-        codes = code_orbit(
-            [identity],
-            lambda x: np.concatenate([group._product(x, g) for g in gen_codes]),
-            max_elements, deadline)
-    except ValueError:
-        raise OverflowResult(
-            f"closure exceeded {max_elements} elements") from None
-    except TimeoutError:
-        raise OverflowResult("time budget exceeded") from None
+    codes = code_orbit(
+        [identity],
+        lambda x: np.concatenate([group._product(x, g) for g in gen_codes]),
+        max_elements, deadline)
     group.codes, group.identity = codes, identity
     group.generator_codes, group.sigma_codes = gen_codes, sigma_codes
     return group

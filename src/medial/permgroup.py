@@ -4,12 +4,14 @@ Permutations are numpy image arrays.  Closures go through ``code_orbit``,
 the package's one closure primitive, on points coded as integers, one
 breadth-first level per numpy pass: the point orbits of a group
 (``point_orbits``), and in ``graphsym`` its orbits on arcs, are
-``code_orbit`` over the generators' image arrays.  ``code_cayley_table``
-reads the Cayley table, ``right[g, j]`` = element g times generator j,
-off such an orbit when it is a whole group; both construction routes end
-in one.  ``face_action`` is the one action on the cosets of a subgroup,
-and every face action of either route is computed on such a table.  The
-pipeline needs nothing else from this module.
+``code_orbit`` over the generators' image arrays.  A closure past its
+element cap or its deadline raises ``OverflowResult``, the package's one
+signal that a limit was hit.  ``code_cayley_table`` reads the Cayley
+table, ``right[g, j]`` = element g times generator j, off such an orbit
+when it is a whole group; both construction routes end in one.
+``face_action`` is the one action on the cosets of a subgroup, and every
+face action of either route is computed on such a table.  The pipeline
+needs nothing else from this module.
 
 A deterministic Schreier-Sims stabilizer chain (base points chosen in
 ascending domain order, or as prescribed) gives exact orders, membership,
@@ -25,6 +27,10 @@ import time
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+
+class OverflowResult(RuntimeError):
+    """A cap or a deadline was hit before the result was complete."""
 
 
 class Permutation:
@@ -288,22 +294,22 @@ def code_orbit(seeds: Sequence[int], step: Callable[[np.ndarray], np.ndarray],
     int64 array.
 
     ``step`` maps an array of codes to the codes of their images under
-    every generator, in any order and with repeats.  Raises ValueError once
-    the orbit would exceed ``limit`` points, and TimeoutError when a level
-    starts past ``deadline`` (a ``time.monotonic()`` value).
+    every generator, in any order and with repeats.  Raises OverflowResult
+    once the orbit would exceed ``limit`` points, or when a level starts
+    past ``deadline`` (a ``time.monotonic()`` value).
     """
     seen = _sorted_distinct(np.asarray(seeds, dtype=np.int64))
     frontier = seen
     while len(frontier):
         if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("time budget exceeded")
+            raise OverflowResult("time budget exceeded")
         images = _sorted_distinct(step(frontier))
         at = np.searchsorted(seen, images)
         known = at < len(seen)
         known[known] = seen[at[known]] == images[known]
         frontier = images[~known]
         if limit is not None and len(seen) + len(frontier) > limit:
-            raise ValueError(f"orbit exceeds limit {limit}")
+            raise OverflowResult(f"orbit exceeded {limit} elements")
         # Both parts are sorted, so the stable sort is a linear merge.
         seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
     return seen

@@ -36,7 +36,6 @@ the diamond check, all as numpy array operations on the table, and
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -52,10 +51,14 @@ from .fpgroup import (
 from .matgroup import (
     DEFAULT_MAX_ELEMENTS,
     MatrixGroup,
-    OverflowResult,
     recover_reflection_codes,
 )
-from .permgroup import code_cayley_table, code_orbit, face_action
+from .permgroup import (
+    OverflowResult,
+    code_cayley_table,
+    code_orbit,
+    face_action,
+)
 
 # The validation functions (validate_string_cgroup, validate_rotation_group,
 # self_duality_test, is_directly_regular, generator_map_homomorphism) take
@@ -334,7 +337,7 @@ def handle_from_presentation(
         label: str,
         max_cosets: int = DEFAULT_MAX_COSETS,
         max_elements: int = DEFAULT_MAX_ELEMENTS,
-        time_budget: float | None = None) -> PolytopeHandle:
+        deadline: float | None = None) -> PolytopeHandle:
     """Regular route: the Cayley table of the group read off a certified
     orbit of base cosets (``_certified_cayley_table``), then everything on
     the table.
@@ -342,27 +345,23 @@ def handle_from_presentation(
     The cosets of the base 1-face stabilizer are enumerated first; when
     their certificate fails, those of the trivial subgroup, whose single
     base coset always certifies.  ``_checked_handle`` validates the group
-    on the table.  ``max_cosets`` bounds each enumeration,
-    ``max_elements`` each base orbit, and ``time_budget`` all of them
-    together.
+    on the table.  ``max_cosets`` bounds each enumeration and
+    ``max_elements`` each base orbit; past either, or past ``deadline`` (a
+    ``time.monotonic()`` value), OverflowResult is raised.
     """
-    deadline = None if time_budget is None else time.monotonic() + time_budget
     for subgroup in _ENUMERATED_SUBGROUPS:
-        table = _certified_cayley_table(pres, subgroup, label, max_cosets,
+        table = _certified_cayley_table(pres, subgroup, max_cosets,
                                         max_elements, deadline)
         if table is not None:
             break
-    else:
-        # The trivial subgroup's certificate fails only past the deadline.
-        raise OverflowResult(f"{label}: time budget exceeded")
     right, identity = table
     return _checked_handle(label, "regular", right, identity, range(4),
                            _PARABOLIC)
 
 
 def _certified_cayley_table(
-        pres: Presentation, subgroup: tuple[int, ...], label: str,
-        max_cosets: int, max_elements: int, deadline: float | None
+        pres: Presentation, subgroup: tuple[int, ...], max_cosets: int,
+        max_elements: int, deadline: float | None
 ) -> tuple[np.ndarray, int] | None:
     """The Cayley table of the group of ``pres`` on its generators, and the
     row of the identity, from the cosets of the subgroup H generated by
@@ -383,13 +382,9 @@ def _certified_cayley_table(
     OverflowResult, since the trivial subgroup's orbit, all of G, would
     pass it too.  None comes back only once the walk ends inside the cap.
     """
-    cosets = coset_enumeration(pres, [gen_word(g) for g in subgroup],
-                               max_cosets=max_cosets,
-                               time_budget=_remaining(deadline))
-    if not cosets.is_complete:
-        raise OverflowResult(f"{label}: coset enumeration overflow"
-                             f" ({cosets.reason})")
-    columns = cosets.columns
+    columns = coset_enumeration(pres, [gen_word(g) for g in subgroup],
+                                max_cosets=max_cosets,
+                                deadline=deadline).columns
     ngens, index = columns.shape
     # A bound above max_elements // index could only certify an orbit
     # past max_elements, so its enumeration stops there.
@@ -409,15 +404,9 @@ def _certified_cayley_table(
     base, fresh = [0], _base_walk(columns)
     while True:
         place = index ** np.arange(len(base) - 1, -1, -1, dtype=np.int64)
-        try:
-            elements = code_orbit([np.array(base) @ place],
-                                  stepper(place, range(ngens)),
-                                  max_elements, deadline)
-        except ValueError:
-            raise OverflowResult(f"{label}: base orbit exceeded"
-                                 f" {max_elements} elements") from None
-        except TimeoutError:
-            raise OverflowResult(f"{label}: time budget exceeded") from None
+        elements = code_orbit([np.array(base) @ place],
+                              stepper(place, range(ngens)), max_elements,
+                              deadline)
         if bound is not None and len(elements) == bound * index:
             break
         coset = next(fresh, None)
@@ -456,15 +445,12 @@ def _subgroup_order_bound(pres: Presentation, subgroup: tuple[int, ...],
                      for w in pres.relators
                      if all(x >> 1 in position for x in w))
     names = tuple(pres.names[g] for g in subgroup)
-    table = coset_enumeration(Presentation(names, relators), (),
-                              max_cosets=max_cosets,
-                              time_budget=_remaining(deadline))
-    return table.num_cosets if table.is_complete else None
-
-
-def _remaining(deadline: float | None) -> float | None:
-    """Seconds left until ``deadline``, a ``time.monotonic()`` value."""
-    return None if deadline is None else deadline - time.monotonic()
+    try:
+        return coset_enumeration(Presentation(names, relators), (),
+                                 max_cosets=max_cosets,
+                                 deadline=deadline).num_cosets
+    except OverflowResult:
+        return None
 
 
 def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> PolytopeHandle:

@@ -64,9 +64,7 @@ def naive_closure(generators: Sequence[Permutation],
 
 
 def generator_permutations(table) -> list[Permutation]:
-    """The generators of a complete coset table as permutations of its
-    cosets."""
-    assert table.is_complete
+    """The generators of a coset table as permutations of its cosets."""
     return [Permutation(images) for images in table.columns]
 
 

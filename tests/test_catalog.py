@@ -2,8 +2,13 @@
 v = s^2 + s*t + t^2 vertices, 3v edges, 2v faces, rotation order 6v and
 full order 12v."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from medial import catalog
 from medial.catalog import (
     ChiralFormUnsupported,
     SchlafliType,
@@ -15,6 +20,7 @@ from medial.catalog import (
     universal_locally_toroidal,
 )
 from medial.fpgroup import coset_enumeration, gen_word
+from medial.permgroup import OverflowResult
 
 CASES = [(1, 1), (2, 0), (3, 0), (2, 2)]
 
@@ -25,7 +31,7 @@ def test_toroidal_counts(s, t):
     v = params.v
     pres = toroidal_map(params)
     full = coset_enumeration(pres)
-    assert full.is_complete and full.num_cosets == 12 * v
+    assert full.num_cosets == 12 * v
     # Vertices, edges, faces: cosets of <r1,r2>, <r0,r2>, <r0,r1>.
     for sub, count in (((1, 2), v), ((0, 2), 3 * v), ((0, 1), 2 * v)):
         table = coset_enumeration(pres, [gen_word(i) for i in sub])
@@ -66,8 +72,8 @@ def test_coxeter_333_simplex():
 
 def test_coxeter_rank3_hexagonal_quotient_is_infinite_guard():
     # [3,6] is infinite; a bounded enumeration must overflow.
-    table = coset_enumeration(coxeter_string_rank3(3, 6), max_cosets=300)
-    assert not table.is_complete
+    with pytest.raises(OverflowResult, match="coset limit 300 exceeded"):
+        coset_enumeration(coxeter_string_rank3(3, 6), max_cosets=300)
 
 
 def test_universal_smallest_instance():
@@ -77,10 +83,27 @@ def test_universal_smallest_instance():
 
 def test_simplex_toroidal_order_1296():
     table = coset_enumeration(simplex_toroidal_1296())
-    assert table.is_complete and table.num_cosets == 1296
+    assert table.num_cosets == 1296
 
 
 def test_schlafli_validation():
     with pytest.raises(ValueError):
         SchlafliType(1, 3)
     assert str(SchlafliType(3, 6, 3)) == "{3,6,3}"
+
+
+@pytest.mark.slow
+def test_toroidal_word_search_accepts_the_frozen_words():
+    # The search script, about 3 s.  It rejects a candidate word once its
+    # enumeration overflows the coset limit.  The first (s,s) candidate is
+    # the frozen word X_B.
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "tools/find_toroidal_words.py"],
+                         cwd=root, capture_output=True, text=True,
+                         check=True).stdout
+    assert "length 6 -> (0, 2, 0, 4, 2, 4)" in out
+    candidates = [line.split() for line in out.splitlines()
+                  if line.startswith("   t * s2")]
+    assert len(candidates) == 2
+    assert all(words[-1] == "accepted" for words in candidates)
+    assert f"{catalog._TRANSLATION_SS} accepted" in out

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import time
 import tracemalloc
 
 import pytest
@@ -18,6 +19,7 @@ from medial.cli import (
 )
 from medial.eisenstein import EisensteinInt
 from medial.fpgroup import coset_enumeration, gen_word
+from medial.permgroup import OverflowResult
 
 
 def run(capsys, *argv):
@@ -201,6 +203,11 @@ def test_failed_command_keeps_the_output_file(capsys, tmp_path, argv,
     assert code == expected
     assert out == ""
     assert path.read_text() == "an earlier run\n"
+    # Probing a new path for writing leaves no file behind.
+    code, out, _ = run(capsys, *argv, "--output", str(tmp_path / "new.txt"))
+    assert code == expected
+    assert out == ""
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_output_file_replaced_on_success(capsys, tmp_path):
@@ -285,7 +292,7 @@ def test_max_elements_bounds_presentation_route(capsys):
     code, _, err = run(capsys, "build", "universal:3,6:2,0:2,2",
                        "--max-elements", "719")
     assert code == EXIT_OVERFLOW
-    assert "base orbit exceeded 719 elements" in err
+    assert "exceeded 719 elements" in err
     code, out, _ = run(capsys, "build", "universal:3,6:2,0:2,2",
                        "--max-elements", "720")
     assert code == EXIT_OK
@@ -308,7 +315,7 @@ def test_max_elements_below_the_bound_overflows_at_once(capsys,
     code, _, err = run(capsys, "build", "universal:3,6:3,0:2,2",
                        "--max-elements", "40000")
     assert code == EXIT_OVERFLOW
-    assert "base orbit exceeded 40000 elements" in err
+    assert "exceeded 40000 elements" in err
     assert [subgens for ngens, subgens in enumerated if ngens == 4] == \
         [[gen_word(i) for i in polytope._PARABOLIC[1]]]
 
@@ -342,6 +349,26 @@ def test_table1_overflow_rows_fast(capsys):
     assert rows[0] == CSV_COLUMNS
     assert len(rows) == 1 + 6  # extended row skipped by default
     assert all(r[4] == "overflow" for r in rows[1:])
+
+
+def test_time_budget_is_one_deadline_per_instance(capsys, monkeypatch):
+    # The budget becomes one time.monotonic() deadline when an instance
+    # starts building; each table1 row takes its own.
+    calls = []
+
+    def recording(pres, label, deadline=None, **kwargs):
+        calls.append((time.monotonic(), deadline))
+        raise OverflowResult("stopped")
+
+    monkeypatch.setattr(cli, "handle_from_presentation", recording)
+    start = time.monotonic()
+    code, out, _ = run(capsys, "table1", "--time-budget", "100")
+    assert code == EXIT_OK
+    assert [r[4] for r in parse_csv(out)[1:]] == ["overflow"] * 6
+    begun = [deadline - 100 for _, deadline in calls]
+    called = [start] + [at for at, _ in calls]
+    assert all(called[i] <= begun[i] <= called[i + 1]
+               for i in range(len(calls)))
 
 
 def test_table1_jobs_match_serial_rows(capsys):
@@ -397,6 +424,17 @@ def test_bad_config_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
                        "--config", str(tmp_path))
     assert code == EXIT_BAD_INPUT and err.startswith("error:")
+    # extended takes true or false only; anything else is not read as false.
+    for value in ("True", "yes", "1", ""):
+        cfg.write_text(f"extended={value}\n")
+        code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
+                           "--config", str(cfg))
+        assert code == EXIT_BAD_INPUT and "bad config line" in err, value
+    for value in ("true", "false"):
+        cfg.write_text(f"extended = {value}\n")
+        code, _, _ = run(capsys, "build", "universal:3,6:1,1:1,1",
+                         "--config", str(cfg))
+        assert code == EXIT_OK, value
 
 
 def test_gray_verify(capsys):

@@ -3,6 +3,7 @@ and the vertex-count formula, checked against brute-force oracles: the
 per-element reduction ``reference.reduce`` above all."""
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -109,6 +110,21 @@ def test_ring_tables_match_reference_reduce():
         assert ring.elements == sorted(set(reduced),
                                        key=lambda x: (x.norm(), x.a, x.b))
         assert [ring.elements[i] for i in ring.class_index(a, b)] == reduced
+
+
+def test_ring_enumeration_keeps_one_shift_at_a_time():
+    # The least of the 25 shifts is kept as a running least, so building
+    # ResidueRing(150), norm 22500, peaks at about 5.5 MiB, 3.3 MiB of it
+    # the elements list; with all 25 shifts held at once it peaked at
+    # 18.2 MiB (22 and 73 MiB at m = 300).
+    tracemalloc.start()
+    try:
+        ring = ResidueRing(EisensteinInt(150, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ring.elements) == 22500
+    assert peak < 8 * 2**20
 
 
 def test_residue_ring_arithmetic_well_defined():

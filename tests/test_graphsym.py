@@ -117,6 +117,24 @@ def test_validate_rejects_asymmetric_adjacency():
         validate(nbrs, [1, 2, 2, 2])
 
 
+@pytest.mark.filterwarnings("error")  # no cast out of the int64 range
+@pytest.mark.parametrize("big", [10**20, 2**64 - 1, -10**20])
+def test_validate_rejects_ids_past_int64_on_both_paths(big):
+    # Lists and (n, 3) arrays (object or uint64) share one clipped int64
+    # conversion, so an id past int64 is out of range, not an OverflowError.
+    rows = [[1, 2, big]] * 4
+    forms = [rows, np.array(rows, dtype=object)]
+    if 0 < big < 2 ** 64:
+        forms.append(np.array(rows, dtype=np.uint64))
+    for neighbors in forms:
+        with pytest.raises(GraphError, match="vertex 0 has a neighbor out"):
+            validate(neighbors, [1, 2, 1, 2])
+    # An in-range object array is read like the list.
+    nbrs = [[int(x) for x in k33().neighbors(v)] for v in range(6)]
+    assert validate(np.array(nbrs, dtype=object),
+                    [1, 1, 1, 2, 2, 2]).adj.tolist() == k33().adj.tolist()
+
+
 def test_validate_rejects_disconnected():
     one = k33()
     nbrs = [[int(x) for x in one.neighbors(v)] for v in range(6)]

@@ -27,6 +27,7 @@ from medial.matgroup import (
     RELATION_WORDS,
     SIGMA_TRIPLE,
     ConfigurationError,
+    MatrixGroup,
     OverflowResult,
     _Arith,
     find_generators,
@@ -327,6 +328,18 @@ def test_closure_matches_element_at_a_time_orbit(m):
 def test_overflow_cap():
     with pytest.raises(OverflowResult):
         generate_group(parse_eisenstein("3-3w"), max_elements=100)
+
+
+def test_error_inside_the_closure_is_not_an_overflow(monkeypatch):
+    # Only the element cap and the deadline overflow; a ValueError raised
+    # while multiplying comes out as itself, not as a closure overflow
+    # (exit 2 in the CLI).
+    def broken(self, x, y):
+        raise ValueError("broken product")
+
+    monkeypatch.setattr(MatrixGroup, "_product", broken)
+    with pytest.raises(ValueError, match="broken product"):
+        generate_group(parse_eisenstein("3"))
 
 
 def test_reflection_recovery_regular_only():

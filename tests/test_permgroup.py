@@ -4,6 +4,7 @@ pipeline's orbit computations are tested against."""
 
 import ast
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import medial
 from medial.permgroup import (
+    OverflowResult,
     Permutation,
     PermutationGroup,
     code_cayley_table,
@@ -133,6 +135,18 @@ def test_cayley_table_from_coded_orbit():
         code_cayley_table(codes, [steps[0], lambda x: x + 5])
     with pytest.raises(ValueError, match="generator 0"):
         code_cayley_table(codes, [lambda x: x + 10])
+
+
+def test_code_orbit_overflows_at_its_cap_or_deadline():
+    # Z12 as above.
+    def step(x):
+        return np.concatenate([(x + 30) % 120, (x + 40) % 120])
+
+    assert len(code_orbit([0], step, limit=12)) == 12
+    with pytest.raises(OverflowResult, match="^orbit exceeded 11 elements$"):
+        code_orbit([0], step, limit=11)
+    with pytest.raises(OverflowResult, match="^time budget exceeded$"):
+        code_orbit([0], step, deadline=time.monotonic() - 1)
 
 
 def test_only_permgroup_imports_the_permutation_forms():

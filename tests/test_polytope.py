@@ -1,6 +1,8 @@
 """String C-group / rotation-group validation, reflection recovery,
 direct regularity, self-duality, and medial-graph construction."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -471,10 +473,10 @@ def test_time_budget_bounds_base_orbit(monkeypatch):
     monkeypatch.setattr(
         polytope, "coset_enumeration",
         lambda p, subgens=(), max_cosets=DEFAULT_MAX_COSETS,
-        time_budget=None: coset_enumeration(p, subgens, max_cosets))
+        deadline=None: coset_enumeration(p, subgens, max_cosets))
     pres = universal_locally_toroidal(ToroidalParams(3, 0), ToroidalParams(3, 0))
     with pytest.raises(OverflowResult, match="time budget exceeded"):
-        handle_from_presentation(pres, "row 5", time_budget=0)
+        handle_from_presentation(pres, "row 5", deadline=time.monotonic())
 
 
 def test_diamond_check_rejects_broken_action():
@@ -543,7 +545,7 @@ def presentation_tables(name):
         pres = universal_locally_toroidal(ToroidalParams(*s),
                                           ToroidalParams(*t))
         return polytope._certified_cayley_table(
-            pres, polytope._PARABOLIC[1], name, DEFAULT_MAX_COSETS,
+            pres, polytope._PARABOLIC[1], DEFAULT_MAX_COSETS,
             DEFAULT_MAX_ELEMENTS, None)
     p1, p2, p3, petrie = STRING_GROUPS[name]
     pres = coxeter_string(p1, p2, p3)
