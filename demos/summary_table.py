@@ -9,15 +9,14 @@ graph on its 1- and 2-faces, and classifies its symmetry:
     symmetric graphs get a label t^+ / t^- (arc-transitivity + sign),
     semisymmetric graphs a per-type pair ss-(t1, t2).
 
-The first five rows take seconds.  Pass --extended to also attempt the
-6912-vertex row (a few seconds more).  The last row (N = 40320) is built but
-its classification exceeds the default search cap, so it reports
-"undecided" — matching the known computational limit for that instance.
+The first six rows take a few seconds together.  The last row (N = 40320)
+is built but its classification exceeds the default search cap, so it
+reports "undecided" — matching the known computational limit for that
+instance.
 
-Run from the repository root:  python3 demos/summary_table.py [--extended]
+Run from the repository root:  python3 demos/summary_table.py
 """
 
-import argparse
 import time
 
 from medial.catalog import TABLE1_ROWS, ToroidalParams, universal_locally_toroidal
@@ -26,18 +25,9 @@ from medial.polytope import handle_from_presentation, medial_layer_graph
 
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--extended", action="store_true",
-                        help="include the 6912-vertex row (slow)")
-    args = parser.parse_args()
-
     print(f"{'facet':>8} {'vertex fig':>10} {'group':>8} {'N':>6}"
           f" {'verdict':>10} {'seconds':>8}")
     for s, t in TABLE1_ROWS:
-        if (s, t) == ((3, 0), (2, 2)) and not args.extended:
-            print(f"{str(s):>8} {str(t):>10} {'-':>8} {'6912':>6}"
-                  f" {'(skipped; use --extended)':>10}")
-            continue
         start = time.monotonic()
         pres = universal_locally_toroidal(ToroidalParams(*s),
                                           ToroidalParams(*t))

@@ -40,7 +40,6 @@ from .graphsym import (
     Classification,
     GraphError,
     InconsistencyError,
-    automorphism_group,
     classify,
     gray_oracle,
     is_isomorphic,
@@ -85,7 +84,6 @@ class JobSpec:
     time_budget: float | None = None
     max_vertices: int = graphsym.DEFAULT_VERTEX_CAP
     fmt: str = "csv"
-    extended: bool = False
     jobs: int = 1
 
     def __post_init__(self):
@@ -95,8 +93,6 @@ class JobSpec:
         # Written so that nan, which compares false, is rejected too.
         if self.time_budget is not None and not self.time_budget > 0:
             raise BadInput("time budget must be positive")
-        if self.fmt not in FORMATS:
-            raise BadInput(f"unknown format {self.fmt!r}")
 
 
 @dataclass
@@ -164,8 +160,7 @@ def build_instance(spec: JobSpec) -> InstanceReport:
 
 def classify_instance(spec: JobSpec, report: InstanceReport) -> InstanceReport:
     start = time.monotonic()
-    aut = automorphism_group(report.graph, max_vertices=spec.max_vertices)
-    report.classification = classify(report.graph, aut,
+    report.classification = classify(report.graph,
                                      max_vertices=spec.max_vertices)
     report.seconds += time.monotonic() - start
     return report
@@ -242,20 +237,22 @@ def _load_graph(path: str) -> BipartiteCubicGraph:
 
 
 def cmd_classify(spec: JobSpec, out) -> int:
+    """One row; an undecided verdict also prints its reason on stderr."""
     if ":" in spec.key:
         report = classify_instance(spec, build_instance(spec))
-        rows = [_row(report)]
-        verdict = report.classification.verdict
+        row, c = _row(report), report.classification
     else:
         graph = _load_graph(spec.key)
         start = time.monotonic()
         c = classify(graph, max_vertices=spec.max_vertices)
-        rows = [[spec.key, "", "", str(graph.n), c.label(),
-                 str(c.aut_order) if c.verdict != "undecided" else "",
-                 f"{time.monotonic() - start:.1f}"]]
-        verdict = c.verdict
-    _emit_rows(rows, spec.fmt if spec.fmt in ("csv", "md") else "csv", out)
-    return EXIT_OVERFLOW if verdict == "undecided" else EXIT_OK
+        row = [spec.key, "", "", str(graph.n), c.label(),
+               str(c.aut_order) if c.verdict != "undecided" else "",
+               f"{time.monotonic() - start:.1f}"]
+    _emit_rows([row], spec.fmt if spec.fmt in ("csv", "md") else "csv", out)
+    if c.verdict == "undecided":
+        print(f"undecided: {c.reason}", file=sys.stderr)
+        return EXIT_OVERFLOW
+    return EXIT_OK
 
 
 def _table1_row(spec: JobSpec) -> list[str]:
@@ -270,8 +267,7 @@ def _table1_row(spec: JobSpec) -> list[str]:
 
 def cmd_table1(spec: JobSpec, out) -> int:
     specs = [replace(spec, key=f"universal:3,6:{s[0]},{s[1]}:{t[0]},{t[1]}")
-             for s, t in TABLE1_ROWS
-             if spec.extended or (s, t) != ((3, 0), (2, 2))]
+             for s, t in TABLE1_ROWS]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             rows = list(pool.map(_table1_row, specs))
@@ -316,7 +312,7 @@ class _Parser(argparse.ArgumentParser):
 
 def make_parser() -> argparse.ArgumentParser:
     # Options left off the command line stay unset, so a config file can
-    # fill them in and JobSpec supplies the rest.
+    # supply them and JobSpec the rest.
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
     common.add_argument("--max-cosets", type=int)
@@ -328,8 +324,6 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-vertices", type=int,
                         help="automorphism search cap")
     common.add_argument("--format", dest="fmt", choices=FORMATS)
-    common.add_argument("--extended", action="store_true",
-                        help="attempt the long-running table row")
     common.add_argument("--jobs", type=int)
     common.add_argument("--output", help="write to file")
     common.add_argument("--config",
@@ -347,16 +341,21 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format(value: str) -> str:
+    if value not in FORMATS:
+        raise ValueError(f"unknown format {value!r}")
+    return value
+
+
 _CONFIG_KEYS = {
     "max_cosets": int, "max_elements": int, "time_budget": float,
-    "max_vertices": int, "fmt": str,
-    "extended": {"true": True, "false": False}.__getitem__,
-    "jobs": int, "output": str,
+    "max_vertices": int, "fmt": _format, "jobs": int, "output": str,
 }
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Config-file values fill in any option not given as a flag."""
+    """Config-file values stand in for any option not given as a flag.
+    Every value is parsed, also where a flag overrides it."""
     with open(args.config) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -369,12 +368,13 @@ def _apply_config(args: argparse.Namespace) -> None:
             if not sep or key not in _CONFIG_KEYS:
                 raise BadInput(f"{args.config}:{lineno}: bad config line"
                                f" {line!r}")
+            try:
+                parsed = _CONFIG_KEYS[key](value.strip())
+            except ValueError as exc:
+                raise BadInput(f"{args.config}:{lineno}: bad config line"
+                               f" {line!r} ({exc})")
             if key not in args:
-                try:
-                    setattr(args, key, _CONFIG_KEYS[key](value.strip()))
-                except (KeyError, ValueError) as exc:
-                    raise BadInput(f"{args.config}:{lineno}: bad config line"
-                                   f" {line!r} ({exc})")
+                setattr(args, key, parsed)
 
 
 COMMANDS = {"build": cmd_build, "classify": cmd_classify,

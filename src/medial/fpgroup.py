@@ -2,9 +2,10 @@
 
 Words are tuples of letters; letter 2*g is generator g, letter 2*g + 1 its
 inverse.  Enumeration follows the HLT strategy (relator scanning with
-fill), with in-place coincidence processing.  An enumeration that defines
-more cosets than its limit, dead ones included, or runs past its deadline
-raises ``permgroup.OverflowResult``; a ``CosetTable`` is always complete.
+definition), with in-place coincidence processing.  An enumeration that
+defines more cosets than its limit, dead ones included, or runs past its
+deadline raises ``permgroup.OverflowResult``; a ``CosetTable`` is always
+complete.
 
 A generator with the relator ``x x`` is an involution and gets a single
 table column, its own inverse, as in the standard enumerators (Holt, Eick
@@ -93,8 +94,6 @@ class CosetTable:
     {0, ..., num_cosets - 1}, and coset 0 is the subgroup.
     """
 
-    presentation: Presentation
-    subgroup_words: tuple[Word, ...]
     columns: np.ndarray = field(repr=False)
     cosets_defined: int = 0
 
@@ -113,8 +112,6 @@ class _Enumerator:
 
     def __init__(self, pres: Presentation, subgens: tuple[Word, ...],
                  max_cosets: int, deadline: float | None):
-        self.pres = pres
-        self.subgens = subgens
         involutions = {w[0] >> 1 for w in pres.relators if _is_square(w)}
         col: list[int] = []
         inv: list[int] = []
@@ -186,7 +183,7 @@ class _Enumerator:
                     table[mu][x] = nu
                     table[nu][xi] = mu
 
-    def scan(self, alpha: int, w: Word, fill: bool):
+    def scan(self, alpha: int, w: Word):
         table = self.table
         inv = self.inv
         f, i = alpha, 0
@@ -209,8 +206,6 @@ class _Enumerator:
                 # deduction closing the gap
                 table[f][w[i]] = b
                 table[b][inv[w[i]]] = f
-                return
-            if not fill:
                 return
             self.define(f, w[i])
 
@@ -236,7 +231,7 @@ class _Enumerator:
 
     def run(self) -> CosetTable:
         for w in self.sub_columns:
-            self.scan(0, w, fill=True)
+            self.scan(0, w)
         relators = self.relators
         alpha = 0
         while alpha < len(self.table):
@@ -247,7 +242,7 @@ class _Enumerator:
                 alpha += 1
                 continue
             for w in relators:
-                self.scan(alpha, w, fill=True)
+                self.scan(alpha, w)
                 if self.p[alpha] != alpha:
                     break
             if self.p[alpha] == alpha:
@@ -257,8 +252,7 @@ class _Enumerator:
             if len(self.table) > self.max_cosets:
                 raise OverflowResult(f"coset limit {self.max_cosets} exceeded")
             alpha += 1
-        return CosetTable(self.pres, self.subgens, self.compact(),
-                          cosets_defined=len(self.table))
+        return CosetTable(self.compact(), cosets_defined=len(self.table))
 
 
 def coset_enumeration(pres: Presentation, subgens: list[Word] | tuple[Word, ...] = (),

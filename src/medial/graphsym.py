@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .permgroup import code_orbit, point_orbits
+from .permgroup import OverflowResult, code_orbit, point_orbits
 
 MAX_SYMMETRIC_T = 5   # Tutte's bound for cubic symmetric graphs
 MAX_SEMI_T = 7        # bound for per-type arc transitivity
@@ -266,16 +266,13 @@ def _individualized(n: int, fixed: Sequence[int]) -> np.ndarray:
 
 @dataclass
 class AutomorphismResult:
-    """Automorphism group of a graph, or an explicit undecided marker."""
+    """Automorphism group of a graph."""
 
-    status: str  # "ok" | "undecided"
-    order: int = 0
+    order: int
     # One generator a row, as the image array of a vertex permutation.
-    generators: np.ndarray = field(
-        default_factory=lambda: np.zeros((0, 0), dtype=np.int64))
-    vertex_orbits: list[set[int]] = field(default_factory=list)
-    reason: str = ""
-    adj: np.ndarray | None = None  # the graph the generators act on
+    generators: np.ndarray
+    vertex_orbits: list[set[int]]
+    adj: np.ndarray  # the graph the generators act on
 
 
 def automorphism_group(G: BipartiteCubicGraph,
@@ -294,12 +291,11 @@ def automorphism_group(G: BipartiteCubicGraph,
     base (McKay & Piperno 2014, section 3).  So once the generators are
     transitive on the other type, one failed search rules out a type swap.
     Those orbits are ``code_orbit`` closures over the generators' image
-    arrays, and the skipped candidates a boolean mask.
+    arrays, and the skipped candidates a boolean mask.  Raises
+    OverflowResult on a graph of more than ``max_vertices`` vertices.
     """
     if G.n > max_vertices:
-        return AutomorphismResult(
-            "undecided",
-            reason=f"{G.n} vertices exceed the cap {max_vertices}")
+        raise OverflowResult(f"{G.n} vertices exceed the cap {max_vertices}")
     adj = G.adj
     gens: list[np.ndarray] = []
     order = 1
@@ -342,8 +338,7 @@ def automorphism_group(G: BipartiteCubicGraph,
         order *= len(orbit_of([b]))
         fixed.append(b)
     images = np.array(gens, dtype=np.int64).reshape(-1, G.n)
-    return AutomorphismResult("ok", order=order, generators=images,
-                              vertex_orbits=point_orbits(images), adj=adj)
+    return AutomorphismResult(order, images, point_orbits(images), adj)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +433,6 @@ class Classification:
     verdict: str  # "symmetric" | "semisymmetric" | "not-edge-transitive" | "undecided"
     n: int
     aut_order: int = 0
-    vertex_orbit_count: int = 0
-    edge_orbit_count: int = 0
     t: int | None = None
     sign: str | None = None           # "+" | "-" for symmetric verdicts
     t_pair: tuple[int, int] | None = None  # (t1, t2) for semisymmetric
@@ -508,8 +501,8 @@ def _max_arc_transitivity(G: BipartiteCubicGraph, aut: AutomorphismResult,
     return best, probe, sizes
 
 
-def shunts_and_sign(G: BipartiteCubicGraph, aut: AutomorphismResult,
-                    arc: Arc) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+def shunts_and_sign(G: BipartiteCubicGraph, arc: Arc
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """The two shunts, the reverser, and the sign of a symmetric graph; the
     automorphisms as image arrays.
 
@@ -555,15 +548,16 @@ def classify(G: BipartiteCubicGraph,
              aut: AutomorphismResult | None = None,
              max_vertices: int = DEFAULT_VERTEX_CAP) -> Classification:
     """Full symmetry classification; symmetric verdicts are verified against
-    the structural constraints (order formula, stabilizer tower, sign)."""
+    the structural constraints (order formula, stabilizer tower, sign).
+    Without ``aut``, a graph past the ``max_vertices`` cap is undecided."""
     if aut is None:
-        aut = automorphism_group(G, max_vertices=max_vertices)
-    if aut.status != "ok":
-        return Classification("undecided", n=G.n, reason=aut.reason)
+        try:
+            aut = automorphism_group(G, max_vertices=max_vertices)
+        except OverflowResult as exc:
+            return Classification("undecided", n=G.n, reason=str(exc))
     n = G.n
     orbit_count = len(aut.vertex_orbits)
-    result = Classification("not-edge-transitive", n=n, aut_order=aut.order,
-                            vertex_orbit_count=orbit_count)
+    result = Classification("not-edge-transitive", n=n, aut_order=aut.order)
     if orbit_count == 1:
         # One vertex orbit: arcs from both types lie in one orbit family,
         # so totals count starts of both types.
@@ -584,12 +578,11 @@ def classify(G: BipartiteCubicGraph,
             raise InconsistencyError(
                 f"|Aut| = {aut.order} differs from 3N*2^(t-1)"
                 f" = {3 * n * 2 ** (t - 1)}")
-        _, _, _, sign = shunts_and_sign(G, aut, arc)
+        _, _, _, sign = shunts_and_sign(G, arc)
         result.verdict = "symmetric"
         result.t = t
         result.sign = sign
         result.stabilizer_orders = seq
-        result.edge_orbit_count = 1
         return result
     if orbit_count == 2:
         t1, _, _ = _max_arc_transitivity(G, aut, (1,), MAX_SEMI_T)
@@ -597,7 +590,6 @@ def classify(G: BipartiteCubicGraph,
         if t1 >= 1 and t2 >= 1:
             result.verdict = "semisymmetric"
             result.t_pair = (t1, t2)
-            result.edge_orbit_count = 1
             return result
     return result
 
@@ -686,8 +678,8 @@ def from_adjacency_text(text: str) -> BipartiteCubicGraph:
                     [types[v] for v in range(n)])
 
 
-def to_dot(G: BipartiteCubicGraph, name: str = "medial") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(G: BipartiteCubicGraph) -> str:
+    lines = ["graph medial {"]
     for v in range(G.n):
         shape = "circle" if G.types[v] == 1 else "box"
         lines.append(f"  {v} [shape={shape}];")
@@ -721,9 +713,8 @@ def to_graph6(G: BipartiteCubicGraph) -> str:
     return header + body.decode("ascii")
 
 
-def from_graph6(text: str, types: Sequence[int] | None = None
-                ) -> BipartiteCubicGraph:
-    """Decode graph6; types default to a BFS 2-coloring (class containing
+def from_graph6(text: str) -> BipartiteCubicGraph:
+    """Decode graph6; the types are a BFS 2-coloring (class containing
     vertex 0 becomes type 1), flagged as convention, not provenance.
 
     Only the set bits are decoded: bit k of the upper triangle is the edge
@@ -763,18 +754,16 @@ def from_graph6(text: str, types: Sequence[int] | None = None
                 i = k - j * (j - 1) // 2
                 neighbors[i].append(j)
                 neighbors[j].append(i)
-    if types is None:
-        color = [0] * n
-        for start in range(n):  # every component, so validate can say why
-            if color[start]:
-                continue
-            color[start] = 1
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for w in neighbors[v]:
-                    if color[w] == 0:
-                        color[w] = 3 - color[v]
-                        frontier.append(w)
-        types = color
-    return validate(neighbors, types)
+    color = [0] * n
+    for start in range(n):  # every component, so validate can say why
+        if color[start]:
+            continue
+        color[start] = 1
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in neighbors[v]:
+                if color[w] == 0:
+                    color[w] = 3 - color[v]
+                    frontier.append(w)
+    return validate(neighbors, color)

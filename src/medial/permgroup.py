@@ -109,9 +109,9 @@ class _ChainLevel:
         self.gens = gens
         self.orbit: dict[int, None] = {base: None}
         self.transversal: dict[int, Permutation] = {base: Permutation.identity(n)}
-        self.extend_orbit(gens)
+        self.extend_orbit()
 
-    def extend_orbit(self, new_gens: list[Permutation]) -> list[int]:
+    def extend_orbit(self) -> list[int]:
         added = []
         frontier = list(self.orbit)
         gens = self.gens
@@ -191,7 +191,7 @@ class PermutationGroup:
             else:
                 lvl = levels[idx]
                 lvl.gens.append(g)
-                new_pts = lvl.extend_orbit(lvl.gens)
+                new_pts = lvl.extend_orbit()
                 # Old orbit points also yield new Schreier generators with g.
                 new_pairs = [(p, h) for p in lvl.orbit for h in (g,)]
                 for p, h in new_pairs:

@@ -139,7 +139,7 @@ def _symmetric_structure_suite(g, c):
     assert stabilizer_sequence(g, aut, arc) == expected
     group = chain(aut)
     assert group.prefix_stabilizer_orders(arc.vertices)[-1] == 1
-    shunts_and_sign(g, aut, arc)  # raises if the sign is not well-defined
+    shunts_and_sign(g, arc)  # raises if the sign is not well-defined
     for r in range(1, c.t + 1):
         total = t_arc_count(g, 1, r) + t_arc_count(g, 2, r)
         orbit = c.aut_order // group.prefix_stabilizer_orders(

@@ -134,10 +134,11 @@ def test_classify_row7_with_lifted_cap(capsys):
 
 
 def test_classify_undecided_exit_code(capsys):
-    code, out, _ = run(capsys, "classify", "universal:3,6:1,1:1,1",
-                       "--max-vertices", "4")
+    code, out, err = run(capsys, "classify", "universal:3,6:1,1:1,1",
+                         "--max-vertices", "4")
     assert code == EXIT_OVERFLOW
     assert parse_csv(out)[1][4] == "undecided"
+    assert err == "undecided: 18 vertices exceed the cap 4\n"
 
 
 def test_md_format(capsys):
@@ -164,7 +165,9 @@ def test_bad_key_exit_code(capsys):
     (["build"], EXIT_BAD_INPUT),
     (["frob"], EXIT_BAD_INPUT),
     (["build", "--help"], EXIT_OK),
-], ids=["bad-option-value", "no-key", "unknown-command", "help"])
+    (["table1", "--extended"], EXIT_BAD_INPUT),
+], ids=["bad-option-value", "no-key", "unknown-command", "help",
+        "unknown-option"])
 def test_usage_error_exits_4(capsys, argv, expected):
     # Exit 2 means overflow or undecided, so argparse's usage errors exit 4;
     # --help still exits 0.
@@ -347,7 +350,7 @@ def test_table1_overflow_rows_fast(capsys):
     assert code == EXIT_OK
     rows = parse_csv(out)
     assert rows[0] == CSV_COLUMNS
-    assert len(rows) == 1 + 6  # extended row skipped by default
+    assert len(rows) == 1 + 7
     assert all(r[4] == "overflow" for r in rows[1:])
 
 
@@ -364,7 +367,7 @@ def test_time_budget_is_one_deadline_per_instance(capsys, monkeypatch):
     start = time.monotonic()
     code, out, _ = run(capsys, "table1", "--time-budget", "100")
     assert code == EXIT_OK
-    assert [r[4] for r in parse_csv(out)[1:]] == ["overflow"] * 6
+    assert [r[4] for r in parse_csv(out)[1:]] == ["overflow"] * 7
     begun = [deadline - 100 for _, deadline in calls]
     called = [start] + [at for at, _ in calls]
     assert all(called[i] <= begun[i] <= called[i + 1]
@@ -372,9 +375,8 @@ def test_time_budget_is_one_deadline_per_instance(capsys, monkeypatch):
 
 
 def test_table1_jobs_match_serial_rows(capsys):
-    # With 3000 cosets rows 1-5 are classified and row 7 overflows (row 6
-    # needs --extended); worker processes give the serial run's rows, in
-    # order.
+    # With 3000 cosets rows 1-5 are classified and rows 6 and 7 overflow;
+    # worker processes give the serial run's rows, in order.
     tables = []
     for jobs in ("1", "2"):
         code, out, _ = run(capsys, "table1", "--max-cosets", "3000",
@@ -383,7 +385,7 @@ def test_table1_jobs_match_serial_rows(capsys):
         tables.append([r[:-1] for r in parse_csv(out)])  # mask seconds
     assert tables[0] == tables[1]
     assert [r[4] for r in tables[0][1:]] == \
-        ["3+", "ss-(4,3)", "3+", "ss-(3,3)", "3+", "overflow"]
+        ["3+", "ss-(4,3)", "3+", "ss-(3,3)", "3+", "overflow", "overflow"]
 
 
 def test_classify_deterministic_apart_from_timing(capsys):
@@ -424,17 +426,22 @@ def test_bad_config_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
                        "--config", str(tmp_path))
     assert code == EXIT_BAD_INPUT and err.startswith("error:")
-    # extended takes true or false only; anything else is not read as false.
-    for value in ("True", "yes", "1", ""):
-        cfg.write_text(f"extended={value}\n")
+    # extended is no option any more, so no config key either.
+    for value in ("true", "false"):
+        cfg.write_text(f"extended = {value}\n")
         code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
                            "--config", str(cfg))
         assert code == EXIT_BAD_INPUT and "bad config line" in err, value
-    for value in ("true", "false"):
-        cfg.write_text(f"extended = {value}\n")
-        code, _, _ = run(capsys, "build", "universal:3,6:1,1:1,1",
-                         "--config", str(cfg))
-        assert code == EXIT_OK, value
+    # Every value is parsed, also where a flag overrides it.
+    for line, flag in (("max_cosets=abc", ["--max-cosets", "100"]),
+                       ("format=nope", ["--format", "csv"]),
+                       ("time-budget=soon", ["--time-budget", "5"])):
+        cfg.write_text(line + "\n")
+        for flags in ([], flag):
+            code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
+                               "--config", str(cfg), *flags)
+            assert code == EXIT_BAD_INPUT and "bad config line" in err, \
+                (line, flags)
 
 
 def test_gray_verify(capsys):

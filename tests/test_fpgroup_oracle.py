@@ -54,14 +54,14 @@ def sympy_indexer(pres):
     return index
 
 
-def assert_closed(pres, table):
+def assert_closed(pres, subgens, table):
     n = table.num_cosets
     assert table.columns.shape == (pres.ngens, n)
     for column in table.columns:
         assert sorted(column.tolist()) == list(range(n))
     for w in pres.relators:
         assert apply_word(table, w).tolist() == list(range(n))
-    for w in table.subgroup_words:
+    for w in subgens:
         assert apply_word(table, w)[0] == 0
 
 
@@ -73,4 +73,4 @@ def test_orders_and_parabolic_indices_match_sympy(name):
         subgens = [(x,) for x in subgens]
         table = coset_enumeration(pres, subgens)
         assert table.num_cosets == sympy_index(subgens)
-        assert_closed(pres, table)
+        assert_closed(pres, subgens, table)
