@@ -355,7 +355,8 @@ _CONFIG_KEYS = {
 
 def _apply_config(args: argparse.Namespace) -> None:
     """Config-file values stand in for any option not given as a flag.
-    Every value is parsed, also where a flag overrides it."""
+    Every value is parsed and range-checked, also where a flag overrides
+    it."""
     with open(args.config) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -370,7 +371,9 @@ def _apply_config(args: argparse.Namespace) -> None:
                                f" {line!r}")
             try:
                 parsed = _CONFIG_KEYS[key](value.strip())
-            except ValueError as exc:
+                if key != "output":
+                    JobSpec("", **{key: parsed})  # its range checks
+            except ValueError as exc:  # BadInput from JobSpec too
                 raise BadInput(f"{args.config}:{lineno}: bad config line"
                                f" {line!r} ({exc})")
             if key not in args:

@@ -17,11 +17,11 @@ The finished table keeps one int64 row of images per generator
 (``CosetTable.columns``); an inverse letter acts by the inverse
 permutation.
 
-The polytope pipeline does not enumerate the whole group.  It enumerates
-the cosets of the stabilizer of the base 1-face (index |G| / 12 on the
-Table 1 presentations) and the group that the stabilizer's own relators
-present (order 12 there), which bounds the stabilizer's order; see
-``polytope._certified_cayley_table``.
+The polytope pipeline enumerates the cosets of the stabilizer of the
+base 1-face (index |G| / 12 on the Table 1 presentations) and the group
+that the stabilizer's own relators present (order 12 there), which
+bounds the stabilizer's order; see ``polytope._certified_cayley_table``.
+It enumerates the whole group only when that certificate fails.
 """
 
 from __future__ import annotations

@@ -23,21 +23,22 @@ under simultaneous right multiplication by the group generators.
 
 Both construction routes end in one integer Cayley table of the group,
 ``right[g, j]`` = element g times generator j.  The presentation route
-enumerates the cosets of the base 1-face stabilizer, not of the trivial
-subgroup, and reads the table off the orbit of a tuple of those cosets,
-once the orbit's size proves that the group acts on it regularly
-(``_certified_cayley_table``).  The matrix route takes one vectorized
-product per generator.  From there one path (``_checked_handle``)
-validates the group, computes the four face actions, the incidences and
-the diamond check, all as numpy array operations on the table, and
-``medial_layer_graph`` extracts the graph the same way.
+enumerates the cosets of the base 1-face stabilizer and reads the table
+off the orbit of one tuple of those cosets, once the orbit's size proves
+that the group acts on it regularly (``_certified_cayley_table``); else
+the coset table of the whole group is the Cayley table.  The matrix
+route takes one vectorized product per generator.  From there one path
+(``_checked_handle``) validates the group, computes the four face
+actions, the incidences and the diamond check, all as numpy array
+operations on the table, and ``medial_layer_graph`` extracts the graph
+the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -326,12 +327,6 @@ class PolytopeHandle:
                 f" group order {self.group_order} and stabilizer order {stab}")
 
 
-#: The subgroups whose cosets the regular route enumerates, in turn: the
-#: stabilizer of the base 1-face, then the trivial subgroup, whose
-#: certificate always holds.
-_ENUMERATED_SUBGROUPS = (_PARABOLIC[1], ())
-
-
 def handle_from_presentation(
         pres: Presentation,
         label: str,
@@ -343,17 +338,21 @@ def handle_from_presentation(
     the table.
 
     The cosets of the base 1-face stabilizer are enumerated first; when
-    their certificate fails, those of the trivial subgroup, whose single
-    base coset always certifies.  ``_checked_handle`` validates the group
-    on the table.  ``max_cosets`` bounds each enumeration and
-    ``max_elements`` each base orbit; past either, or past ``deadline`` (a
-    ``time.monotonic()`` value), OverflowResult is raised.
+    their certificate fails, the whole group is enumerated once, and its
+    coset table, with coset 0 the identity, is the Cayley table.
+    ``_checked_handle`` validates the group on the table.  ``max_cosets``
+    bounds each enumeration and ``max_elements`` the base orbit or the
+    group; past either, or past ``deadline`` (a ``time.monotonic()``
+    value), OverflowResult is raised.
     """
-    for subgroup in _ENUMERATED_SUBGROUPS:
-        table = _certified_cayley_table(pres, subgroup, max_cosets,
-                                        max_elements, deadline)
-        if table is not None:
-            break
+    table = _certified_cayley_table(pres, _PARABOLIC[1], max_cosets,
+                                    max_elements, deadline)
+    if table is None:
+        right = coset_enumeration(pres, max_cosets=max_cosets,
+                                  deadline=deadline).columns.T
+        if len(right) > max_elements:
+            raise OverflowResult(f"orbit exceeded {max_elements} elements")
+        table = right, 0
     right, identity = table
     return _checked_handle(label, "regular", right, identity, range(4),
                            _PARABOLIC)
@@ -372,15 +371,12 @@ def _certified_cayley_table(
     bound * index bounds |G|.  The orbit of a tuple of cosets has at most
     |G| elements, so an orbit with bound * index elements proves that G
     acts on it regularly: its points are the group elements.  The tuple
-    starts at coset 0 and grows along coset 0 times r1, r1 r2, r1 r2 r3,
-    r1 r2 r3 r0, ..., one new coset at a time while its mixed-radix codes
-    fit in int64.  For the trivial subgroup the bound is 1 and coset 0
-    alone certifies.
+    is the cosets 0, 1, ..., k - 1, with k as large as the index and
+    int64 mixed-radix codes allow.
 
-    When the bound's enumeration overflows, no orbit certifies, but the
-    tuple still grows: an orbit past ``max_elements`` raises
-    OverflowResult, since the trivial subgroup's orbit, all of G, would
-    pass it too.  None comes back only once the walk ends inside the cap.
+    The orbit is closed even when the bound's enumeration overflows and
+    nothing can certify, so that an orbit past ``max_elements`` raises
+    OverflowResult.
     """
     columns = coset_enumeration(pres, [gen_word(g) for g in subgroup],
                                 max_cosets=max_cosets,
@@ -391,47 +387,27 @@ def _certified_cayley_table(
     bound = _subgroup_order_bound(
         pres, subgroup, min(max_cosets, max(1, max_elements // index)),
         deadline)
+    k = 1
+    while k < index and index ** (k + 1) <= 2 ** 63:
+        k += 1
+    place = index ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    base = np.arange(k) @ place
 
-    def stepper(place: np.ndarray, generators: Iterable[int]) -> Callable:
-        """Images of tuple codes with digit places ``place`` under each of
-        ``generators``."""
+    def stepper(generators: Iterable[int]) -> Callable:
+        """Images of tuple codes under each of ``generators``."""
         def step(codes: np.ndarray) -> np.ndarray:
             digits = codes[:, None] // place % index
             return np.concatenate([columns[g][digits] @ place
                                    for g in generators])
         return step
 
-    base, fresh = [0], _base_walk(columns)
-    while True:
-        place = index ** np.arange(len(base) - 1, -1, -1, dtype=np.int64)
-        elements = code_orbit([np.array(base) @ place],
-                              stepper(place, range(ngens)), max_elements,
-                              deadline)
-        if bound is not None and len(elements) == bound * index:
-            break
-        coset = next(fresh, None)
-        if coset is None or index ** (len(base) + 1) > 2 ** 63:
-            return None
-        base.append(coset)
-    identity = int(np.searchsorted(elements, np.array(base) @ place))
-    return (code_cayley_table(elements, [stepper(place, (g,))
+    elements = code_orbit([base], stepper(range(ngens)), max_elements,
+                          deadline)
+    if bound is None or len(elements) != bound * index:
+        return None
+    return (code_cayley_table(elements, [stepper((g,))
                                          for g in range(ngens)]),
-            identity)
-
-
-def _base_walk(columns: np.ndarray) -> Iterator[int]:
-    """The cosets 0 times r1, r1 r2, r1 r2 r3, r1 r2 r3 r0, ... other than
-    0, each at its first appearance, until the walk repeats a step."""
-    ngens = len(columns)
-    coset, seen, steps = 0, {0}, set()
-    for g in itertools.cycle([*range(1, ngens), 0]):
-        if (coset, g) in steps:
-            return
-        steps.add((coset, g))
-        coset = int(columns[g, coset])
-        if coset not in seen:
-            seen.add(coset)
-            yield coset
+            int(np.searchsorted(elements, base)))
 
 
 def _subgroup_order_bound(pres: Presentation, subgroup: tuple[int, ...],

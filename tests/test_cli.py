@@ -307,7 +307,7 @@ def test_max_elements_below_the_bound_overflows_at_once(capsys,
     # Row 6: |G| = 41472, 3456 cosets of the 1-face stabilizer.  A cap of
     # 40000 stops the stabilizer's bound enumeration at 11 cosets, so no
     # orbit certifies; the base orbit passes the cap, which proves that
-    # the trivial subgroup's orbit would too, so it is never enumerated.
+    # the whole group would too, so it is never enumerated.
     enumerated = []
 
     def recording(pres, subgens=(), **kwargs):
@@ -432,10 +432,14 @@ def test_bad_config_rejected(capsys, tmp_path):
         code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
                            "--config", str(cfg))
         assert code == EXIT_BAD_INPUT and "bad config line" in err, value
-    # Every value is parsed, also where a flag overrides it.
+    # Every value is parsed and range-checked, also where a flag
+    # overrides it.
     for line, flag in (("max_cosets=abc", ["--max-cosets", "100"]),
                        ("format=nope", ["--format", "csv"]),
-                       ("time-budget=soon", ["--time-budget", "5"])):
+                       ("time-budget=soon", ["--time-budget", "5"]),
+                       ("max_cosets=0", ["--max-cosets", "100"]),
+                       ("time_budget=-1", ["--time-budget", "5"]),
+                       ("jobs=0", ["--jobs", "1"])):
         cfg.write_text(line + "\n")
         for flags in ([], flag):
             code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",

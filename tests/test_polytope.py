@@ -11,6 +11,7 @@ from medial.catalog import (
     TABLE1_ROWS,
     ToroidalParams,
     coxeter_string,
+    simplex_toroidal_1296,
     universal_locally_toroidal,
 )
 from medial.eisenstein import parse_eisenstein
@@ -29,7 +30,12 @@ from medial.matgroup import (
     generate_group,
     recover_reflection_codes,
 )
-from medial.permgroup import Permutation, PermutationGroup, face_action
+from medial.permgroup import (
+    Permutation,
+    PermutationGroup,
+    code_orbit,
+    face_action,
+)
 from medial.polytope import (
     PolytopeValidationError,
     _diamond_check,
@@ -370,23 +376,68 @@ def test_face_action_matches_todd_coxeter(s, t):
         assert len(_pair_orbit(action, images)) == oracle.num_cosets
 
 
-def test_presentation_route_enumerates_once(monkeypatch):
-    calls = []
+STRING_GROUPS = {"[3,3,3]": (3, 3, 3, 0), "[3,4,3]": (3, 4, 3, 0),
+                 "11-cell": (3, 5, 3, 5)}
+
+
+def string_group(name):
+    """The string Coxeter group of ``STRING_GROUPS[name]``, with the
+    relators (rho0 rho1 rho2)^k and (rho1 rho2 rho3)^k where k is not 0."""
+    p1, p2, p3, petrie = STRING_GROUPS[name]
+    pres = coxeter_string(p1, p2, p3)
+    if petrie:
+        pres = Presentation(pres.names, pres.relators
+                            + (gen_word(0, 1, 2) * petrie,
+                               gen_word(1, 2, 3) * petrie))
+    return pres
+
+
+PRESENTATIONS = {
+    **{f"row {i + 1}": universal_locally_toroidal(ToroidalParams(*s),
+                                                  ToroidalParams(*t))
+       for i, (s, t) in enumerate(TABLE1_ROWS[:6])},
+    **{name: string_group(name) for name in STRING_GROUPS},
+}
+
+#: The group order of each presentation of the certified route.
+ORDERS = {"row 1": 108, "row 2": 324, "row 3": 240, "row 4": 720,
+          "row 5": 2916, "row 6": 41472, "[3,3,3]": 120, "[3,4,3]": 1152,
+          "11-cell": 660, "{3,3,6}": 1296}
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_presentation_route_enumerates_once(monkeypatch, name):
+    pres = PRESENTATIONS.get(name) or simplex_toroidal_1296()
+    enumerations, orbits = [], []
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        enumerations.append(args)
         return coset_enumeration(*args, **kwargs)
 
+    def spying(*args, **kwargs):
+        orbits.append(args)
+        return code_orbit(*args, **kwargs)
+
     monkeypatch.setattr(polytope, "coset_enumeration", counting)
-    pres = universal_locally_toroidal(ToroidalParams(2, 0), ToroidalParams(2, 2))
-    assert handle_from_presentation(pres, "row 4").group_order == 720
-    # The group is enumerated once, over the base 1-face stabilizer, and
-    # never over the trivial subgroup; the only other enumeration is the
-    # stabilizer's own 12-element bound.
-    on_pres = [args for args in calls if args[0] is pres]
-    assert on_pres == [(pres, [gen_word(i) for i in polytope._PARABOLIC[1]])]
-    assert [coset_enumeration(*args).num_cosets for args in calls
-            if args[0] is not pres] == [12]
+    monkeypatch.setattr(polytope, "code_orbit", spying)
+    right, _ = polytope._certified_cayley_table(
+        pres, polytope._PARABOLIC[1], DEFAULT_MAX_COSETS,
+        DEFAULT_MAX_ELEMENTS, None)
+    assert len(right) == ORDERS[name]
+    # One orbit certifies.  The group is enumerated once, over the base
+    # 1-face stabilizer, and never over the trivial subgroup; the only
+    # other enumeration is the bound on the stabilizer's order.
+    assert len(orbits) == 1
+    stabilizer = (pres, [gen_word(i) for i in polytope._PARABOLIC[1]])
+    assert [args for args in enumerations if args[0] is pres] == [stabilizer]
+    index = coset_enumeration(*stabilizer).num_cosets
+    assert [coset_enumeration(*args).num_cosets for args in enumerations
+            if args[0] is not pres] == [ORDERS[name] // index]
+    if name in PRESENTATIONS:  # {3,3,6} has no cubic medial layer graph
+        enumerations.clear()
+        handle_from_presentation(pres, name)
+        assert [args for args in enumerations if args[0] is pres] \
+            == [stabilizer]
 
 
 def handle_summary(handle):
@@ -396,40 +447,6 @@ def handle_summary(handle):
             to_graph6(medial_layer_graph(handle)))
 
 
-def trivial_subgroup_handle(monkeypatch, pres, label):
-    """The handle when the route enumerates the trivial subgroup only."""
-    with monkeypatch.context() as m:
-        m.setattr(polytope, "_ENUMERATED_SUBGROUPS", ((),))
-        return handle_from_presentation(pres, label)
-
-
-PRESENTATIONS = {
-    **{f"row {i + 1}": universal_locally_toroidal(ToroidalParams(*s),
-                                                  ToroidalParams(*t))
-       for i, (s, t) in enumerate(TABLE1_ROWS[:6])},
-    "[3,3,3]": coxeter_string(3, 3, 3),
-}
-
-
-@pytest.mark.parametrize("name", PRESENTATIONS)
-def test_certified_stabilizer_route_matches_trivial_subgroup(monkeypatch,
-                                                             name):
-    pres = PRESENTATIONS[name]
-    assert handle_summary(handle_from_presentation(pres, name)) \
-        == handle_summary(trivial_subgroup_handle(monkeypatch, pres, name))
-
-
-@pytest.mark.slow
-def test_certified_stabilizer_route_matches_trivial_subgroup_row_7(
-        monkeypatch):
-    s, t = TABLE1_ROWS[6]
-    pres = universal_locally_toroidal(ToroidalParams(*s), ToroidalParams(*t))
-    handle = handle_from_presentation(pres, "row 7")
-    assert handle.group_order == 241920
-    assert handle_summary(handle) \
-        == handle_summary(trivial_subgroup_handle(monkeypatch, pres, "row 7"))
-
-
 def plain_enumeration_route(pres, label):
     """The handle the way a single enumeration of the whole group gives
     it: coset indices as elements, the table's generator columns as the
@@ -437,6 +454,23 @@ def plain_enumeration_route(pres, label):
     right = coset_enumeration(pres).columns.T
     return polytope._checked_handle(label, "regular", right, 0, range(4),
                                     polytope._PARABOLIC)
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_certified_stabilizer_route_matches_trivial_subgroup(name):
+    pres = PRESENTATIONS[name]
+    assert handle_summary(handle_from_presentation(pres, name)) \
+        == handle_summary(plain_enumeration_route(pres, name))
+
+
+@pytest.mark.slow
+def test_certified_stabilizer_route_matches_trivial_subgroup_row_7():
+    s, t = TABLE1_ROWS[6]
+    pres = universal_locally_toroidal(ToroidalParams(*s), ToroidalParams(*t))
+    handle = handle_from_presentation(pres, "row 7")
+    assert handle.group_order == 241920
+    assert handle_summary(handle) \
+        == handle_summary(plain_enumeration_route(pres, "row 7"))
 
 
 def outcome(route, pres, label):
@@ -547,17 +581,8 @@ def presentation_tables(name):
         return polytope._certified_cayley_table(
             pres, polytope._PARABOLIC[1], DEFAULT_MAX_COSETS,
             DEFAULT_MAX_ELEMENTS, None)
-    p1, p2, p3, petrie = STRING_GROUPS[name]
-    pres = coxeter_string(p1, p2, p3)
-    if petrie:
-        pres = Presentation(pres.names, pres.relators
-                            + (gen_word(0, 1, 2) * petrie,
-                               gen_word(1, 2, 3) * petrie))
-    return coset_enumeration(pres).columns.T, 0
+    return coset_enumeration(string_group(name)).columns.T, 0
 
-
-STRING_GROUPS = {"[3,3,3]": (3, 3, 3, 0), "[3,4,3]": (3, 4, 3, 0),
-                 "11-cell": (3, 5, 3, 5)}
 
 #: Self-duality of each regular instance, as its ``medial build`` prints
 #: it; the string groups are the self-dual ones of the ROADMAP baseline.

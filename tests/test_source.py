@@ -1,10 +1,31 @@
 """Checks over the package source: no function takes a parameter that its
-body never reads."""
+body never reads, and every function, class and method is read somewhere
+in the package, the tools or the demos."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "medial"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "medial"
+
+#: The definitions that nothing in the package, the tools or the demos
+#: names, each with the reason it stays.
+UNREAD = {
+    "_Parser.error": "argparse calls it",
+    "admissible_subgroups": "the Eisenstein census of ROADMAP items 2-3",
+    "vertex_count": "the Eisenstein census of ROADMAP items 2-3",
+    "MatrixGroup.coset_action": "bench/tracing.py wraps it (ROADMAP item 1)",
+    "PermutationGroup": "the tests' oracle (ROADMAP item 7)",
+    "PermutationGroup.prefix_stabilizer_orders":
+        "bench/tracing.py wraps it (ROADMAP item 1)",
+    "PermutationGroup.transporter":
+        "bench/tracing.py wraps it (ROADMAP item 1)",
+    "Permutation.from_cycles": "only tests read it (ROADMAP item 7)",
+    "BipartiteCubicGraph.relabeled": "only tests read it (ROADMAP item 7)",
+    "toroidal_map": "only tests read it (ROADMAP item 7)",
+    "simplex_toroidal_1296": "only tests read it (ROADMAP item 7)",
+}
 
 
 def unread_parameters(source: str) -> list[str]:
@@ -33,6 +54,69 @@ def test_check_finds_an_unread_parameter():
               "        return a + rest[0]\n"
               "    return g() + (lambda x, y: y)(c, 2)\n")
     assert unread_parameters(source) == ["f(b)", "f(extra)", "lambda(x)"]
+
+
+def names_in(node: ast.AST) -> Counter:
+    """How often each name occurs under ``node``, as a Name, as the
+    attribute of an Attribute or as an imported name."""
+    return Counter(n.id if isinstance(n, ast.Name)
+                   else n.attr if isinstance(n, ast.Attribute) else n.name
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def definitions(tree: ast.Module):
+    """``(name, node)`` for each top-level function and class, and
+    ``(Class.method, node)`` for each method other than a dunder."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item)
+                        for item in node.body if isinstance(item, functions)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__")))
+
+
+def unread_definitions(package: list[str], readers: list[str]) -> list[str]:
+    """The definitions in the ``package`` sources whose name occurs
+    nowhere outside their own body, in the package or in ``readers``."""
+    trees = [ast.parse(source) for source in package]
+    total = sum((names_in(tree) for tree in trees), Counter())
+    total += sum((names_in(ast.parse(source)) for source in readers),
+                 Counter())
+    return [qualified for tree in trees
+            for qualified, node in definitions(tree)
+            if total[node.name] == names_in(node)[node.name]]
+
+
+def test_check_finds_an_unread_definition():
+    source = ("import os as alias\n"
+              "class A:\n"
+              "    def __init__(self):\n"
+              "        self.used()\n"
+              "    def used(self):\n"
+              "        return alias\n"
+              "    def recursive(self):\n"
+              "        return self.recursive()\n"
+              "def f():\n"
+              "    return g\n"
+              "def g():\n"
+              "    return f()\n"
+              "class B:\n"
+              "    pass\n")
+    assert unread_definitions([source], []) == ["A", "A.recursive", "B"]
+    assert unread_definitions([source], ["from package import A, B\n"]) \
+        == ["A.recursive"]
+
+
+def test_every_definition_is_read():
+    package = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    readers = [path.read_text() for folder in ("tools", "demos")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    assert len(package) > 8 and len(readers) >= 5
+    assert sorted(unread_definitions(package, readers)) == sorted(UNREAD)
 
 
 def test_every_parameter_is_read():
