@@ -16,7 +16,11 @@ Run from the repository root:  python3 demos/chiral_instance.py
 from medial.eisenstein import format_eisenstein, parse_eisenstein
 from medial.graphsym import automorphism_group, classify
 from medial.matgroup import generate_group
-from medial.polytope import handle_from_matrix_group, medial_layer_graph
+from medial.polytope import (
+    graph_automorphisms,
+    handle_from_matrix_group,
+    medial_layer_graph,
+)
 
 
 def main():
@@ -34,11 +38,15 @@ def main():
           f" {handle.group_order}; (R') and (C') hold and the rotation group"
           " is not directly regular: no reflection exists")
 
+    # The rotation group acts on the graph; the Aut search starts from its
+    # generators and looks only for the automorphisms outside it.
     graph = medial_layer_graph(handle)
-    aut = automorphism_group(graph)
+    aut = automorphism_group(graph, known=graph_automorphisms(handle))
     verdict = classify(graph, aut)
     print(f"medial layer graph: N = {graph.n}, |Aut| = {aut.order},"
           f" vertex orbits = {len(aut.vertex_orbits)}")
+    print(f"index |Aut : G| = {aut.order // handle.group_order}: every"
+          " automorphism comes from the rotation group")
     print(f"verdict: {verdict.verdict}, label {verdict.label()}")
 
 

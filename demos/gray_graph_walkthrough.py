@@ -21,7 +21,11 @@ Run from the repository root:  python3 demos/gray_graph_walkthrough.py
 from medial.eisenstein import parse_eisenstein
 from medial.graphsym import automorphism_group, classify, gray_oracle, is_isomorphic
 from medial.matgroup import generate_group
-from medial.polytope import handle_from_matrix_group, medial_layer_graph
+from medial.polytope import (
+    graph_automorphisms,
+    handle_from_matrix_group,
+    medial_layer_graph,
+)
 
 
 def main():
@@ -50,10 +54,14 @@ def main():
           " ".join(str(v) for v in witness[:12]), "...")
 
     print("\n== 5. symmetry classification ==")
-    aut = automorphism_group(graph)
+    # The Aut search starts from the polytope group's generators and looks
+    # only for the automorphisms outside it.
+    aut = automorphism_group(graph, known=graph_automorphisms(handle))
     verdict = classify(graph, aut)
     print(f"|Aut| = {aut.order} = {aut.order // handle.group_order}"
           f" x {handle.group_order}")
+    print(f"index |Aut : G| = {aut.order // handle.group_order}: the graph"
+          " has symmetries that no polytope symmetry induces")
     print(f"vertex orbits: {len(aut.vertex_orbits)}, verdict:"
           f" {verdict.verdict}, label: {verdict.label()}")
     print("edge-transitive but not vertex-transitive: every symmetry"

@@ -55,6 +55,7 @@ from .permgroup import OverflowResult
 from .polytope import (
     PolytopeHandle,
     PolytopeValidationError,
+    graph_automorphisms,
     handle_from_matrix_group,
     handle_from_presentation,
     medial_layer_graph,
@@ -159,9 +160,24 @@ def build_instance(spec: JobSpec) -> InstanceReport:
 
 
 def classify_instance(spec: JobSpec, report: InstanceReport) -> InstanceReport:
+    """Classify the graph, its Aut search seeded with the polytope group,
+    and check the verdict against the handle: G is transitive on the
+    edges, and a self-dual regular polytope gives a symmetric graph with
+    t >= 3.  A contradiction raises InconsistencyError."""
     start = time.monotonic()
-    report.classification = classify(report.graph,
-                                     max_vertices=spec.max_vertices)
+    handle = report.handle
+    c = classify(report.graph, max_vertices=spec.max_vertices,
+                 known=graph_automorphisms(handle))
+    if c.verdict == "not-edge-transitive":
+        raise InconsistencyError(
+            f"{report.key}: the polytope group is transitive on the edges,"
+            " but the verdict is not-edge-transitive")
+    if handle.self_dual and c.verdict != "undecided" \
+            and not (c.verdict == "symmetric" and c.t >= 3):
+        raise InconsistencyError(
+            f"{report.key}: the polytope is regular and self-dual, but the"
+            f" verdict is {c.label()}, not symmetric with t >= 3")
+    report.classification = c
     report.seconds += time.monotonic() - start
     return report
 

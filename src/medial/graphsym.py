@@ -18,6 +18,13 @@ machinery, and the classification of a graph as
   per-type maximal arc-transitivity levels.
 * NotEdgeTransitive otherwise, or Undecided past the configured caps.
 
+The search may be seeded with automorphisms already known, such as the
+actions of a polytope group that is edge-transitive on its medial layer
+graph.  Each seed is checked to be an automorphism and then prunes like
+a generator found by the search, so only the automorphisms outside the
+group the seeds generate are searched for.  The order stays exact, since
+seeding only adds checked automorphisms to the generators.
+
 Arc transitivity is read off its definition: the Aut-orbit of one probe
 arc is enumerated with ``permgroup.code_orbit`` on integer arc codes, the
 orbit of each prefix probe[:k] is the set of k-prefixes of that orbit, and
@@ -275,8 +282,22 @@ class AutomorphismResult:
     adj: np.ndarray  # the graph the generators act on
 
 
+def _checked_automorphism(adj: np.ndarray, images) -> np.ndarray:
+    """The image array ``images`` as int64, once it maps ``adj`` onto
+    itself: each vertex's neighbours onto the neighbours of its image.
+    Such a map of a connected graph onto itself is a permutation."""
+    g = np.asarray(images, dtype=np.int64)
+    n = len(adj)
+    if g.shape != (n,) or ((g < 0) | (g >= n)).any() \
+            or not np.array_equal(np.sort(g[adj], axis=1), adj[g]):
+        raise InconsistencyError("a known automorphism does not map the"
+                                 " graph onto itself")
+    return g
+
+
 def automorphism_group(G: BipartiteCubicGraph,
-                       max_vertices: int = DEFAULT_VERTEX_CAP) -> AutomorphismResult:
+                       max_vertices: int = DEFAULT_VERTEX_CAP,
+                       known: np.ndarray | None = None) -> AutomorphismResult:
     """Generators and exact order of Aut(G), vertex types ignored.
 
     Orbit-stabilizer over a base of individualized vertices: each level
@@ -293,11 +314,22 @@ def automorphism_group(G: BipartiteCubicGraph,
     Those orbits are ``code_orbit`` closures over the generators' image
     arrays, and the skipped candidates a boolean mask.  Raises
     OverflowResult on a graph of more than ``max_vertices`` vertices.
+
+    ``known`` seeds the search with automorphisms already at hand, one
+    image array a row, such as a polytope group's face actions.  Each row
+    is checked to map ``adj`` onto itself (InconsistencyError otherwise)
+    and joins the generators before level 0, so each level's skipped
+    candidates start from their orbits and only automorphisms outside the
+    group they generate are searched for.  The order stays exact: the
+    levels' orbits are still closed under every generator that fixes the
+    base, and seeding only adds generators, each checked.
     """
     if G.n > max_vertices:
         raise OverflowResult(f"{G.n} vertices exceed the cap {max_vertices}")
     adj = G.adj
     gens: list[np.ndarray] = []
+    if known is not None:
+        gens = [_checked_automorphism(adj, row) for row in known]
     order = 1
     fixed: list[int] = []
     while True:
@@ -546,13 +578,16 @@ def shunts_and_sign(G: BipartiteCubicGraph, arc: Arc
 
 def classify(G: BipartiteCubicGraph,
              aut: AutomorphismResult | None = None,
-             max_vertices: int = DEFAULT_VERTEX_CAP) -> Classification:
+             max_vertices: int = DEFAULT_VERTEX_CAP,
+             known: np.ndarray | None = None) -> Classification:
     """Full symmetry classification; symmetric verdicts are verified against
     the structural constraints (order formula, stabilizer tower, sign).
-    Without ``aut``, a graph past the ``max_vertices`` cap is undecided."""
+    Without ``aut``, a graph past the ``max_vertices`` cap is undecided,
+    and the search is seeded with the ``known`` automorphisms, if any."""
     if aut is None:
         try:
-            aut = automorphism_group(G, max_vertices=max_vertices)
+            aut = automorphism_group(G, max_vertices=max_vertices,
+                                     known=known)
         except OverflowResult as exc:
             return Classification("undecided", n=G.n, reason=str(exc))
     n = G.n

@@ -318,13 +318,18 @@ class PolytopeHandle:
     self_dual: bool | None = None  # regular kind only
 
     def __post_init__(self):
+        # A 1-face's stabilizer in the full group is <rho0> x <rho2, rho3>,
+        # of order 4 p3, and a 2-face's is <rho0, rho1> x <rho3>, of order
+        # 4 p1; the rotation group has half the order and half of each.
         n1, n2 = len(self.rank1_images[0]), len(self.rank2_images[0])
-        stab = 12 if self.kind == "regular" else 6
-        expect1 = self.group_order // stab
-        if n1 != expect1 or n2 != expect1:
+        h = 1 if self.kind == "regular" else 2
+        expect = (self.group_order * h // (4 * self.schlafli.p3),
+                  self.group_order * h // (4 * self.schlafli.p1))
+        if (n1, n2) != expect:
             raise PolytopeValidationError(
                 f"{self.label}: face counts ({n1}, {n2}) inconsistent with"
-                f" group order {self.group_order} and stabilizer order {stab}")
+                f" group order {self.group_order} and type {self.schlafli},"
+                f" which give {expect}")
 
 
 def handle_from_presentation(
@@ -547,9 +552,15 @@ def _pair_orbit(images1: Sequence[Sequence[int]],
 
 def medial_layer_graph(handle: PolytopeHandle):
     """The bipartite cubic incidence graph of 1-faces (type 1) and 2-faces
-    (type 2), with 2-face vertices numbered after the 1-face block."""
+    (type 2), with 2-face vertices numbered after the 1-face block.  Only
+    a polytope of type {3,q,3} has one: its faces then lie in 3 faces of
+    the other rank."""
     from . import graphsym
 
+    if (handle.schlafli.p1, handle.schlafli.p3) != (3, 3):
+        raise PolytopeValidationError(
+            f"{handle.label}: type {handle.schlafli} is not {{3,q,3}}, so"
+            " it has no cubic medial layer graph")
     n1 = len(handle.rank1_images[0])
     n2 = len(handle.rank2_images[0])
     x, y = _pair_orbit(handle.rank1_images, handle.rank2_images).T
@@ -571,6 +582,15 @@ def medial_layer_graph(handle: PolytopeHandle):
             f"{handle.label}: no {2 * handle.schlafli.p2}-cycle through the"
             " base edge")
     return graph
+
+
+def graph_automorphisms(handle: PolytopeHandle) -> np.ndarray:
+    """The group's generators as automorphisms of ``medial_layer_graph``:
+    one image array a row, each generator's 1-face action followed by its
+    2-face action on the vertices numbered after the 1-faces."""
+    n1 = len(handle.rank1_images[0])
+    return np.concatenate([handle.rank1_images, n1 + handle.rank2_images],
+                          axis=1)
 
 
 def _has_cycle_through(graph, edge: tuple[int, int], length: int) -> bool:

@@ -1,10 +1,12 @@
 """Command-line interface: keys, output formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from medial import cli, graphsym, polytope
@@ -120,6 +122,54 @@ def test_classify_graph_file(capsys, tmp_path):
     row = parse_csv(out)[1]
     assert row[4].startswith("ss-(")
     assert row[5] == "1296"
+
+
+def test_graph_file_search_is_not_seeded(capsys, tmp_path, monkeypatch):
+    # A graph file has no polytope group behind it, so its search runs
+    # unseeded and returns the generators it returned before seeding: the
+    # digest of the Gray graph's, read from graph6.
+    path = tmp_path / "gray.g6"
+    assert run(capsys, "build", "universal:3,6:1,1:3,0", "--format",
+               "graph6", "--output", str(path))[0] == EXIT_OK
+    searches = []
+    search = graphsym.automorphism_group
+
+    def spy(*args, **kwargs):
+        searches.append((kwargs.get("known"), search(*args, **kwargs)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(graphsym, "automorphism_group", spy)
+    code, out, _ = run(capsys, "classify", str(path))
+    assert code == EXIT_OK and parse_csv(out)[1][4:6] == ["ss-(4,3)", "1296"]
+    [(known, aut)] = searches
+    assert known is None and aut.generators.shape == (10, 54)
+    assert hashlib.sha256(aut.generators.astype(np.int64).tobytes()) \
+        .hexdigest() == ("2051988c98f3f6abc813dbdf5bfa5954"
+                         "8053c8da8865b7b043667affdd0da5c1")
+
+
+@pytest.mark.parametrize("key, verdict, reason", [
+    ("universal:3,6:1,1:1,1",
+     graphsym.Classification("semisymmetric", n=18, aut_order=108,
+                             t_pair=(3, 3)),
+     "the polytope is regular and self-dual, but the verdict is ss-(3,3),"
+     " not symmetric with t >= 3"),
+    ("universal:3,6:2,0:2,0",
+     graphsym.Classification("symmetric", n=40, aut_order=240, t=2,
+                             sign="+"),
+     "the polytope is regular and self-dual, but the verdict is 2+, not"
+     " symmetric with t >= 3"),
+    ("eisenstein:m=3:A=",
+     graphsym.Classification("not-edge-transitive", n=54, aut_order=324),
+     "the polytope group is transitive on the edges, but the verdict is"
+     " not-edge-transitive"),
+])
+def test_verdict_that_contradicts_the_polytope_exits_3(capsys, monkeypatch,
+                                                       key, verdict, reason):
+    monkeypatch.setattr(cli, "classify", lambda *args, **kwargs: verdict)
+    code, out, err = run(capsys, "classify", key)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == f"validation failure: {key}: {reason}\n"
 
 
 @pytest.mark.slow

@@ -1,6 +1,7 @@
 """Trivalent bipartite graph machinery: validation, automorphism groups,
 arc counting, symmetry classification, isomorphism, and exporters."""
 
+import functools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 
 from medial import graphsym
-from medial.catalog import ToroidalParams, universal_locally_toroidal
+from medial.catalog import (
+    TABLE1_ROWS,
+    ToroidalParams,
+    universal_locally_toroidal,
+)
+from medial.cli import JobSpec, build_instance
 from medial.eisenstein import parse_eisenstein
 from medial.graphsym import (
     Arc,
@@ -37,6 +43,7 @@ from medial.graphsym import (
 from medial.matgroup import generate_group
 from medial.permgroup import OverflowResult, PermutationGroup
 from medial.polytope import (
+    graph_automorphisms,
     handle_from_matrix_group,
     handle_from_presentation,
     medial_layer_graph,
@@ -502,6 +509,59 @@ def test_chiral_automorphism_search_work(monkeypatch):
     assert aut.order == 2016
     assert counts["all"] <= 30
     assert counts["rounds"] <= 162
+
+
+#: Table 1 rows 1-6 and the Eisenstein keys of the benchmark.
+SEEDED_KEYS = [f"universal:3,6:{s[0]},{s[1]}:{t[0]},{t[1]}"
+               for s, t in TABLE1_ROWS[:6]] + [
+    f"eisenstein:m={m}:A=" for m in ("3", "2-2w", "(1-w)*(1+3w)", "3-3w",
+                                     "6", "4-4w", "(1-w)*(1+4w)")]
+
+
+@functools.lru_cache(maxsize=None)
+def built(key):
+    """The handle and medial layer graph of a CLI key."""
+    report = build_instance(JobSpec(key))
+    return report.handle, report.graph
+
+
+@pytest.mark.parametrize("key", SEEDED_KEYS)
+def test_seeded_search_matches_the_unseeded_one(key):
+    # The polytope group's generators only prune; Aut and every witness
+    # of the verdict stay as the search from scratch finds them.
+    handle, g = built(key)
+    known = graph_automorphisms(handle)
+    plain, seeded = automorphism_group(g), automorphism_group(g, known=known)
+    assert seeded.order == plain.order
+    assert seeded.vertex_orbits == plain.vertex_orbits
+    # The group's generators come first, unchanged.
+    assert np.array_equal(seeded.generators[:len(known)], known)
+    a, b = classify(g, plain), classify(g, known=known)
+    assert (a.verdict, a.t, a.sign, a.t_pair, a.stabilizer_orders) \
+        == (b.verdict, b.t, b.sign, b.t_pair, b.stabilizer_orders)
+
+
+def test_known_row_that_is_not_an_automorphism_is_refused():
+    handle, g = built("universal:3,6:1,1:3,0")
+    known = graph_automorphisms(handle)
+    known[0, [0, 1]] = known[0, [1, 0]]  # two 1-faces swap their images
+    with pytest.raises(InconsistencyError, match="known automorphism"):
+        automorphism_group(g, known=known)
+    with pytest.raises(InconsistencyError, match="known automorphism"):
+        automorphism_group(g, known=[np.arange(g.n - 1)])
+
+
+def test_seeded_search_work(monkeypatch):
+    # The unseeded search makes 52 refinement calls in 670 rounds
+    # (test_automorphism_search_is_pruned_by_the_group_found); seeded, it
+    # searches only for the automorphisms outside the polytope group.
+    handle, g = built("eisenstein:m=3-3w:A=")
+    known = graph_automorphisms(handle)
+    counts = count_refinements(monkeypatch)
+    aut = automorphism_group(g, known=known)
+    assert aut.order == 34992
+    assert counts["all"] <= 15
+    assert counts["rounds"] <= 160
 
 
 def double_cover(nx, x):

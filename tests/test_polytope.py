@@ -2,6 +2,7 @@
 direct regularity, self-duality, and medial-graph construction."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from medial import polytope
 from medial.catalog import (
     TABLE1_ROWS,
+    SchlafliType,
     ToroidalParams,
     coxeter_string,
     simplex_toroidal_1296,
@@ -35,12 +37,14 @@ from medial.permgroup import (
     PermutationGroup,
     code_orbit,
     face_action,
+    point_orbits,
 )
 from medial.polytope import (
     PolytopeValidationError,
     _diamond_check,
     _pair_orbit,
     generator_map_homomorphism,
+    graph_automorphisms,
     handle_from_matrix_group,
     handle_from_presentation,
     is_directly_regular,
@@ -273,6 +277,40 @@ def test_matrix_handles_regular_and_chiral():
     g = medial_layer_graph(h)
     assert g.n == 672
     assert g.n == 2 * 2016 // 6
+
+
+def test_face_counts_follow_the_schlafli_type():
+    # {{3,3},{3,6}_(3,0)}: a 1-face lies in p3 = 6 2-faces, so its
+    # stabilizer has order 4*6 and there are 1296/24 = 54 of them, against
+    # 1296/12 = 108 2-faces.  The handle is valid; the graph is not cubic.
+    h = handle_from_presentation(simplex_toroidal_1296(), "336")
+    assert (len(h.rank1_images[0]), len(h.rank2_images[0])) == (54, 108)
+    with pytest.raises(PolytopeValidationError,
+                       match=r"336: type \{3,3,6\} is not \{3,q,3\}"):
+        medial_layer_graph(h)
+    with pytest.raises(PolytopeValidationError,
+                       match=r"face counts \(54, 108\) inconsistent with"
+                             r" group order 1296 and type \{6,3,3\},"
+                             r" which give \(108, 54\)"):
+        replace(h, schlafli=SchlafliType(6, 3, 3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: handle_from_presentation(universal_locally_toroidal(
+        ToroidalParams(2, 0), ToroidalParams(2, 2)), "row 4"),
+    lambda: handle_from_matrix_group(generate_group(CHIRAL_M)),
+])
+def test_graph_automorphisms_act_on_the_medial_layer_graph(make):
+    # The generators map the graph onto itself and, as G is transitive on
+    # the faces of each rank, their orbits are the two types.
+    h = make()
+    g = medial_layer_graph(h)
+    known = graph_automorphisms(h)
+    assert known.shape == (len(h.rank1_images), g.n)
+    for images in known:
+        assert np.array_equal(np.sort(images[g.adj], axis=1), g.adj[images])
+    assert point_orbits(known) == [set(map(int, g.vertices_of_type(t)))
+                                   for t in (1, 2)]
 
 
 def test_two_pipelines_agree_on_54_vertex_graph():
