@@ -126,11 +126,14 @@ def build_instance(spec: JobSpec) -> InstanceReport:
     if parts[0] == "universal":
         if len(parts) != 4 or parts[1] != "3,6":
             raise BadInput(f"malformed universal key {spec.key!r}")
+        fields = [field.split(",") for field in parts[2:]]
+        if any(len(field) != 2 for field in fields):
+            raise BadInput(f"bad toroidal parameters in {spec.key!r}: each"
+                           " field takes exactly two integers, as in 1,1")
         try:
-            s = ToroidalParams(*(int(x) for x in parts[2].split(",")))
-            t = ToroidalParams(*(int(x) for x in parts[3].split(",")))
+            s, t = (ToroidalParams(*map(int, field)) for field in fields)
             pres = universal_locally_toroidal(s, t)
-        except (TypeError, ValueError) as exc:  # ChiralFormUnsupported too
+        except ValueError as exc:  # ChiralFormUnsupported too
             raise BadInput(f"bad toroidal parameters in {spec.key!r}: {exc}")
         handle = handle_from_presentation(
             pres, spec.key, max_cosets=spec.max_cosets,
@@ -215,7 +218,11 @@ def _export_graph(graph: BipartiteCubicGraph, fmt: str, out) -> None:
     elif fmt == "adj":
         out.write(graphsym.to_adjacency_text(graph))
     elif fmt == "graph6":
-        out.write(graphsym.to_graph6(graph) + "\n")
+        try:
+            text = graphsym.to_graph6(graph)
+        except ValueError as exc:  # past graph6's vertex limit
+            raise BadInput(f"{exc}; use --format adj") from None
+        out.write(text + "\n")
 
 
 def cmd_build(spec: JobSpec, out) -> int:

@@ -4,7 +4,10 @@ An element a + b*w is stored as the integer pair (a, b), with w^2 = -1 - w.
 The module provides residue rings Z[w]/(m) with canonical
 representatives, built and reduced on whole coordinate arrays, unit groups,
 admissible scalar subgroups, and the vertex-count formula for the medial
-layer graphs built elsewhere in this package.
+layer graphs built elsewhere in this package.  A residue class is its
+position in its ring, with its coordinates in the ring's ``a`` and ``b``
+arrays; an ``EisensteinInt`` is made from them only to print or to hand
+back a representative.
 """
 
 from __future__ import annotations
@@ -158,11 +161,10 @@ class ResidueRing:
     """The residue class ring Z[w]/(m) on canonical representatives.
 
     The canonical representative of a class is its member of minimal norm,
-    ties broken lexicographically on (a, b); ``elements`` lists them in
-    (norm, a, b) order.  Past construction an element is its position in
-    ``elements``: ``a`` and ``b`` hold the coordinates of every position,
-    ``class_index`` maps any a + b*w to its position, and ``times``
-    multiplies positions.
+    ties broken lexicographically on (a, b).  An element is its position in
+    the (norm, a, b) order of the representatives: ``a`` and ``b`` hold the
+    coordinates of every position, ``class_index`` maps any a + b*w to its
+    position, and ``times`` multiplies positions.
     """
 
     def __init__(self, modulus: EisensteinInt):
@@ -173,7 +175,8 @@ class ResidueRing:
 
     def reduce(self, x: EisensteinInt) -> EisensteinInt:
         """The canonical representative of the class of x."""
-        return self.elements[self.class_index(x.a, x.b)]
+        i = self.class_index(x.a, x.b)
+        return EisensteinInt(int(self.a[i]), int(self.b[i]))
 
     def _enumerate(self) -> None:
         # The ideal (m) is the Z-lattice spanned by m and m*w; a column
@@ -210,8 +213,6 @@ class ResidueRing:
             a, b = np.where(less, ca, a), np.where(less, cb, b)
         order = np.lexsort((b, a, a * a - a * b + b * b))
         self.a, self.b = a[order], b[order]
-        self.elements = list(map(EisensteinInt, self.a.tolist(),
-                                 self.b.tolist()))
         self._hermite_index = np.argsort(order)
 
     def _hermite_key(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,7 +220,7 @@ class ResidueRing:
         return a % d1 * d2 + (b - a // d1 * q) % d2
 
     def class_index(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Position in ``elements`` of the class of each a + b*w, for
+        """Position of the class of each a + b*w, for
         integers or integer arrays a and b: ``reduce`` on whole arrays at
         once."""
         return self._hermite_index[self._hermite_key(a, b)]
@@ -234,7 +235,7 @@ class ResidueRing:
 
     def unit_group(self) -> np.ndarray:
         """Positions of the invertible residues, ascending."""
-        x = np.arange(len(self.elements))
+        x = np.arange(len(self.a))
         return np.flatnonzero(
             (self.times(x[:, None], x) == self.class_index(1, 0)).any(axis=1))
 
@@ -242,21 +243,20 @@ class ResidueRing:
 class ScalarGroup:
     """An admissible group of unit scalars mod m (always contains -1).
 
-    ``positions`` holds the positions of its members in ``ring.elements``
-    as one ascending array, so ``members`` lists them in (norm, a, b)
-    order."""
+    ``positions`` holds the ring positions of its members as one ascending
+    array, so ``members`` lists them in (norm, a, b) order."""
 
     def __init__(self, ring: ResidueRing, gens: Iterable[EisensteinInt] = ()):
         one = ring.class_index(1, 0)
-        gens = [ring.class_index(g.a, g.b) for g in gens]
+        units = [ring.class_index(-1, 0)]
         for g in gens:
-            if one not in ring.times(np.arange(len(ring.elements)), g):
-                raise ValueError(f"scalar generator {ring.elements[g]} is not"
+            units.append(ring.class_index(g.a, g.b))
+            if one not in ring.times(np.arange(len(ring.a)), units[-1]):
+                raise ValueError(f"scalar generator {ring.reduce(g)} is not"
                                  f" a unit mod {ring.modulus}")
-        gens.append(ring.class_index(-1, 0))
         self.ring = ring
         self.positions = code_orbit(
-            [one], lambda x: np.concatenate([ring.times(x, g) for g in gens]))
+            [one], lambda x: np.concatenate([ring.times(x, g) for g in units]))
 
     @classmethod
     def _closed(cls, ring: ResidueRing,
@@ -268,7 +268,8 @@ class ScalarGroup:
 
     @property
     def members(self) -> list[EisensteinInt]:
-        return [self.ring.elements[i] for i in self.positions]
+        a, b = self.ring.a[self.positions], self.ring.b[self.positions]
+        return list(map(EisensteinInt, a.tolist(), b.tolist()))
 
     def __len__(self) -> int:
         return len(self.positions)

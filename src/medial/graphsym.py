@@ -738,7 +738,8 @@ def to_graph6(G: BipartiteCubicGraph) -> str:
         header = chr(126) + "".join(
             chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
-        raise ValueError("graph too large for this graph6 writer")
+        raise ValueError(f"graph6 holds at most 258047 vertices, this graph"
+                         f" has {n}")
     body = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))  # "?" is 0 + 63
     for j in range(n):
         for i in G.adj[j]:

@@ -27,7 +27,10 @@ reproduces it); its validation certificate is the order table
     m = 3 - 3w:         linear 4374, with conjugation 8748
     m = (1-w)(1+3w):    linear 2016 (chiral; no conjugation extension)
 
-checked in the test suite together with the defining relations.
+checked in the test suite.  The test suite also proves the relations once
+over Z[w], where each word is the identity matrix and the determinants are
+1, -1 and 1; so ``find_generators`` only reduces the triple mod m, and
+each build's own (R')/(C') or (R)/(C) validation runs on its Cayley table.
 
 An element (M, star) is coded as one int64: the entry positions
 (e0, e1, e2, e3) of M in the ring and the flag star, packed in mixed radix
@@ -37,11 +40,8 @@ codes one breadth-first level at a time, with every product of a level
 taken at once in numpy; ``cayley_table`` gives the group's right
 multiplication by any coded elements in the same way.
 
-Ring elements are their positions in ``ResidueRing.elements``
-throughout, multiplied and added by table lookup (``_Arith``).
-``find_generators`` reduces the frozen triple to entry positions and
-checks its determinants and relations with the same 2x2 product that
-multiplies group elements.
+Ring elements are their positions in the ``ResidueRing`` throughout,
+multiplied and added by table lookup (``_Arith``).
 """
 
 from __future__ import annotations
@@ -75,22 +75,11 @@ SIGMA_TRIPLE: tuple[tuple[EisensteinInt, ...], ...] = (
      EisensteinInt(0, 2), EisensteinInt(-2, 1)),
 )
 
-#: The defining relation words over generator indices 0..2 (each must
-#: reduce to the identity matrix).
-RELATION_WORDS: tuple[tuple[str, tuple[int, ...]], ...] = (
-    ("sigma1^3", (0, 0, 0)),
-    ("sigma2^6", (1, 1, 1, 1, 1, 1)),
-    ("sigma3^3", (2, 2, 2)),
-    ("(sigma1 sigma2)^2", (0, 1, 0, 1)),
-    ("(sigma2 sigma3)^2", (1, 2, 1, 2)),
-    ("(sigma1 sigma2 sigma3)^2", (0, 1, 2, 0, 1, 2)),
-)
-
 DEFAULT_MAX_ELEMENTS = 2 * 10**6
 
 
 class ConfigurationError(ValueError):
-    """A generator triple or modulus fails its defining requirements."""
+    """A modulus or scalar group fails its defining requirements."""
 
 
 def _check_norm(m: EisensteinInt) -> None:
@@ -102,42 +91,11 @@ def _check_norm(m: EisensteinInt) -> None:
             " with k > 1")
 
 
-def find_generators(
-        arith: _Arith,
-        triple: Sequence[Sequence[EisensteinInt]] = SIGMA_TRIPLE,
-) -> np.ndarray:
-    """The frozen generator triple reduced mod the modulus of ``arith``'s
-    ring, as its entry positions: row i holds (e0, e1, e2, e3) of
-    sigma_(i+1).
-
-    Requires norm(m) = 3k with k > 1.  Each determinant must be a unit,
-    and each defining relation must land on +-identity; a failure names
-    the matrix or the relation.
-    """
-    ring = arith.ring
-    m = ring.modulus
-    _check_norm(m)
-    entries = [z for mat in triple for z in mat]
-    gens = ring.class_index(np.array([z.a for z in entries]),
-                            np.array([z.b for z in entries])).reshape(-1, 4)
-    mul, add, _ = arith.arrays
-    for a, b, c, d in gens:
-        det = add[mul[a, d], arith.neg[mul[b, c]]]
-        if not (mul[det] == arith.identity[0]).any():  # no inverse
-            raise ConfigurationError(
-                f"matrix determinant {format_eisenstein(ring.elements[det])}"
-                f" is not a unit mod {format_eisenstein(m)}")
-    identities = (arith.identity.tolist(), arith.neg[arith.identity].tolist())
-    for name, word in RELATION_WORDS:
-        acc = arith.identity
-        for idx in word:
-            acc = arith.matmul(acc, gens[idx])
-        if acc.tolist() not in identities:
-            a, b, c, d = (format_eisenstein(ring.elements[i]) for i in acc)
-            raise ConfigurationError(
-                f"relation {name} fails mod {format_eisenstein(m)}:"
-                f" got [[{a}, {b}], [{c}, {d}]]")
-    return gens
+def find_generators(arith: _Arith) -> np.ndarray:
+    """SIGMA_TRIPLE reduced mod the modulus of ``arith``'s ring, as its
+    entry positions: row i holds (e0, e1, e2, e3) of sigma_(i+1)."""
+    a, b = np.array([(z.a, z.b) for mat in SIGMA_TRIPLE for z in mat]).T
+    return arith.ring.class_index(a, b).reshape(-1, 4)
 
 
 def check_ring_size(m: EisensteinInt, max_elements: int) -> None:
@@ -164,10 +122,10 @@ def regularity_test(m: EisensteinInt, A: ScalarGroup) -> str:
 class _Arith:
     """Index-table arithmetic for one residue ring (rings here are tiny).
 
-    Ring elements are their positions in ``ring.elements``.  ``arrays``
-    holds their product, sum and conjugate as numpy tables over the
-    positions, built at once on the elements' coordinates; ``neg`` is
-    negation, and ``identity`` the entry positions of the identity matrix.
+    Ring elements are their positions in ``ring``.  ``arrays`` holds
+    their product, sum and conjugate as numpy tables over the positions,
+    built at once on the elements' coordinates, and ``identity`` the entry
+    positions of the identity matrix.
     """
 
     def __init__(self, ring: ResidueRing):
@@ -177,7 +135,6 @@ class _Arith:
         self.arrays = (ring.times(x[:, None], x),
                        ring.class_index(a[:, None] + a, b[:, None] + b),
                        ring.class_index(a - b, -b))
-        self.neg = ring.class_index(-a, -b)
         self.identity = ring.class_index(np.array([1, 0, 0, 1]), 0)
         # Place values of (e0, e1, e2, e3) in a packed code; star is bit 0.
         self.place = 2 * len(a) ** np.arange(3, -1, -1)
@@ -226,7 +183,7 @@ class MatrixGroup:
         return (scaled + star).min(axis=0)
 
     def _unpack(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = len(self.arith.ring.elements)
+        n = len(self.arith.ring.a)
         return codes[..., None] // self.arith.place % n, codes & 1
 
     def _product(self, x, y) -> np.ndarray:

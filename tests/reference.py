@@ -11,6 +11,7 @@ and ``chain`` builds the Schreier-Sims oracle of an automorphism group
 from its image arrays.  ``reduce`` is the residue class of one Eisenstein
 integer mod m, by nearest division, and ``regularity_kind`` the
 regularity rule on it: the oracles of ``ResidueRing``'s array arithmetic.
+``elements`` lists a ring's classes as ``EisensteinInt`` in position order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from medial.catalog import SchlafliType
-from medial.eisenstein import EisensteinInt, ScalarGroup
+from medial.eisenstein import EisensteinInt, ResidueRing, ScalarGroup
 from medial.graphsym import _prefix_orbit_sizes
 from medial.permgroup import Permutation, PermutationGroup
 from medial.polytope import PolytopeValidationError
@@ -152,6 +153,11 @@ def reduce(x: EisensteinInt, m: EisensteinInt) -> EisensteinInt:
             if key < bkey:
                 best, bkey = cand, key
     return best
+
+
+def elements(ring: ResidueRing) -> list[EisensteinInt]:
+    """The canonical representative at each position of ``ring``."""
+    return list(map(EisensteinInt, ring.a.tolist(), ring.b.tolist()))
 
 
 def regularity_kind(m: EisensteinInt, A: ScalarGroup) -> str:

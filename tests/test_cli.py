@@ -5,6 +5,7 @@ import hashlib
 import io
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -208,6 +209,29 @@ def test_bad_key_exit_code(capsys):
         code, _, err = run(capsys, "classify", key)
         assert code == EXIT_BAD_INPUT
         assert "error:" in err
+    # A toroidal field with more or fewer than two integers is named as
+    # such, not read as a family or a missing argument.
+    for key in ("universal:3,6:1,1:1,1,2", "universal:3,6:1:1,1"):
+        code, _, err = run(capsys, "classify", key)
+        assert code == EXIT_BAD_INPUT
+        assert err == (f"error: bad toroidal parameters in {key!r}: each"
+                       " field takes exactly two integers, as in 1,1\n")
+
+
+def test_graph6_past_its_vertex_limit_exits_4(capsys, tmp_path, monkeypatch):
+    # graph6 headers hold at most 258047 vertices; a larger graph is bad
+    # input for that format, and --output is left as it was.  A stub
+    # report stands in for a build of that size.
+    big = types.SimpleNamespace(graph=types.SimpleNamespace(n=258048))
+    monkeypatch.setattr(cli, "build_instance", lambda spec: big)
+    path = tmp_path / "out.g6"
+    path.write_text("an earlier run\n")
+    code, out, err = run(capsys, "build", "universal:3,6:1,1:1,1",
+                         "--format", "graph6", "--output", str(path))
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == ("error: graph6 holds at most 258047 vertices, this graph"
+                   " has 258048; use --format adj\n")
+    assert path.read_text() == "an earlier run\n"
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -22,7 +22,7 @@ from medial.eisenstein import (
     vertex_count,
 )
 from medial.matgroup import regularity_test
-from reference import divmod_nearest, orbit, reduce, regularity_kind
+from reference import divmod_nearest, elements, orbit, reduce, regularity_kind
 
 RNG = random.Random(20240823)
 ONE = EisensteinInt(1, 0)
@@ -74,15 +74,16 @@ def test_divmod_nearest_remainder_small():
 def test_residue_ring_cardinality_is_norm(m):
     m = parse_eisenstein(m)
     ring = ResidueRing(m)
-    assert len(ring.elements) == m.norm()
+    classes = elements(ring)
+    assert len(classes) == m.norm()
     # Oracle: count distinct reductions over a box larger than the modulus.
     bound = abs(m.a) + abs(m.b) + 2
     box = [(a, b) for a in range(-bound, bound + 1)
            for b in range(-bound, bound + 1)]
     reduced = [reduce(EisensteinInt(a, b), m) for a, b in box]
-    assert set(reduced) == set(ring.elements)
+    assert set(reduced) == set(classes)
     a, b = np.array(box).T
-    assert [ring.elements[i] for i in ring.class_index(a, b)] == reduced
+    assert [classes[i] for i in ring.class_index(a, b)] == reduced
     assert [ring.reduce(EisensteinInt(*x)) for x in box] == reduced
 
 
@@ -107,24 +108,29 @@ def test_ring_tables_match_reference_reduce():
         ring = ResidueRing(m)
         reduced = [reduce(EisensteinInt(x, y), m)
                    for x, y in zip(a.tolist(), b.tolist())]
-        assert ring.elements == sorted(set(reduced),
-                                       key=lambda x: (x.norm(), x.a, x.b))
-        assert [ring.elements[i] for i in ring.class_index(a, b)] == reduced
+        classes = elements(ring)
+        assert classes == sorted(set(reduced),
+                                 key=lambda x: (x.norm(), x.a, x.b))
+        assert [classes[i] for i in ring.class_index(a, b)] == reduced
 
 
 def test_ring_enumeration_keeps_one_shift_at_a_time():
-    # The least of the 25 shifts is kept as a running least, so building
-    # ResidueRing(150), norm 22500, peaks at about 5.5 MiB, 3.3 MiB of it
-    # the elements list; with all 25 shifts held at once it peaked at
-    # 18.2 MiB (22 and 73 MiB at m = 300).
+    # The least of the 25 shifts is kept as a running least, and a class
+    # is kept as its position, its coordinates in the arrays a and b, so
+    # building ResidueRing(150), norm 22500, peaks at about 2.6 MiB and
+    # holds about 0.5 MiB: three int64 arrays of one entry per class.  A
+    # list of one EisensteinInt per class held 2.7 MiB more (peak 5.5 MiB,
+    # held 3.2 MiB), and with all 25 shifts held at once the peak was
+    # 18.2 MiB.
     tracemalloc.start()
     try:
         ring = ResidueRing(EisensteinInt(150, 0))
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(ring.elements) == 22500
-    assert peak < 8 * 2**20
+    assert len(ring.a) == 22500
+    assert held < 2**20
+    assert peak < 4 * 2**20
 
 
 def test_residue_ring_arithmetic_well_defined():
@@ -137,7 +143,7 @@ def test_residue_ring_arithmetic_well_defined():
         assert reduce(x * y, m) == reduce(rx * ry, m)
         # times multiplies positions as reduce multiplies representatives.
         px, py = (ring.class_index(z.a, z.b) for z in (x, y))
-        assert ring.elements[ring.times(px, py)] == reduce(x * y, m)
+        assert elements(ring)[ring.times(px, py)] == reduce(x * y, m)
         shifted = x + m * rand_eis(3)
         assert reduce(shifted, m) == reduce(x, m)
 
@@ -148,8 +154,9 @@ def test_inverse_oracle():
     m = parse_eisenstein("2-2w")
     ring = ResidueRing(m)
     units = ring.unit_group().tolist()
-    for i, x in enumerate(ring.elements):
-        brute = [y for y in ring.elements if reduce(x * y, m) == ONE]
+    classes = elements(ring)
+    for i, x in enumerate(classes):
+        brute = [y for y in classes if reduce(x * y, m) == ONE]
         assert len(brute) <= 1
         assert (i in units) == bool(brute)
     assert units == sorted(units)
@@ -179,8 +186,9 @@ def reference_admissible_subgroups(ring):
     ``reference.reduce``."""
     m = ring.modulus
     one = reduce(ONE, m)
-    units = [x for x in ring.elements
-             if any(reduce(x * y, m) == one for y in ring.elements)]
+    classes = elements(ring)
+    units = [x for x in classes
+             if any(reduce(x * y, m) == one for y in classes)]
     product = {(x, y): reduce(x * y, m) for x in units for y in units}
 
     def closure(gens):

@@ -1,6 +1,6 @@
 """Checks over the package source: no function takes a parameter that its
-body never reads, and every function, class and method is read somewhere
-in the package, the tools or the demos."""
+body never reads, and every function, class, method and module-level
+constant is read somewhere in the package, the tools or the demos."""
 
 import ast
 from collections import Counter
@@ -66,29 +66,37 @@ def names_in(node: ast.AST) -> Counter:
 
 
 def definitions(tree: ast.Module):
-    """``(name, node)`` for each top-level function and class, and
-    ``(Class.method, node)`` for each method other than a dunder."""
+    """``(qualified, name, node)`` for each top-level function and class,
+    ``(Class.method, method, node)`` for each method other than a dunder,
+    and ``(name, name, node)`` for each name a module-level assignment
+    binds."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from ((f"{node.name}.{item.name}", item)
+            yield from ((f"{node.name}.{item.name}", item.name, item)
                         for item in node.body if isinstance(item, functions)
                         and not (item.name.startswith("__")
                                  and item.name.endswith("__")))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            yield from ((n.id, n.id, node) for target in targets
+                        for n in ast.walk(target) if isinstance(n, ast.Name))
 
 
 def unread_definitions(package: list[str], readers: list[str]) -> list[str]:
     """The definitions in the ``package`` sources whose name occurs
-    nowhere outside their own body, in the package or in ``readers``."""
+    nowhere outside their own body or assignment, in the package or in
+    ``readers``."""
     trees = [ast.parse(source) for source in package]
     total = sum((names_in(tree) for tree in trees), Counter())
     total += sum((names_in(ast.parse(source)) for source in readers),
                  Counter())
     return [qualified for tree in trees
-            for qualified, node in definitions(tree)
-            if total[node.name] == names_in(node)[node.name]]
+            for qualified, name, node in definitions(tree)
+            if total[name] == names_in(node)[name]]
 
 
 def test_check_finds_an_unread_definition():
@@ -109,6 +117,17 @@ def test_check_finds_an_unread_definition():
     assert unread_definitions([source], []) == ["A", "A.recursive", "B"]
     assert unread_definitions([source], ["from package import A, B\n"]) \
         == ["A.recursive"]
+
+
+def test_check_finds_an_unread_constant():
+    source = ("LIMIT = 3\n"
+              "PLANTED: tuple = (LIMIT, 4)\n"
+              "_TABLE = {LIMIT: 1}\n"
+              "LOW, HIGH = 0, 1\n"
+              "def f():\n"
+              "    return _TABLE[HIGH]\n")
+    assert unread_definitions([source], ["f()\n"]) == ["PLANTED", "LOW"]
+    assert unread_definitions([source], ["f(PLANTED)\n"]) == ["LOW"]
 
 
 def test_every_definition_is_read():

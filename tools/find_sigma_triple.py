@@ -18,9 +18,10 @@ orders of the generated linear projective (mod +-1) groups at three moduli:
   m = 3 -> 162,   m = 2-2w -> 360,   m = 3-3w -> 4374.
 The full symmetry groups of the package double these (324, 720, 8748) by
 adjoining the conjugation-linear element; medial.matgroup performs that
-extension and the full relation checking.  Generators may be flipped in
-sign freely, so a hit here may differ from the frozen SIGMA_TRIPLE by
-signs on sigma1 and sigma3; both conventions generate the same groups.
+extension, and the test suite proves the relations over Z[w].  Generators
+may be flipped in sign freely, so a hit here may differ from the frozen
+SIGMA_TRIPLE by signs on sigma1 and sigma3; both conventions generate the
+same groups.
 
 Run from the repository root:  python3 tools/find_sigma_triple.py
 """
