@@ -29,7 +29,11 @@ Arc transitivity is read off its definition: the Aut-orbit of one probe
 arc is enumerated with ``permgroup.code_orbit`` on integer arc codes, the
 orbit of each prefix probe[:k] is the set of k-prefixes of that orbit, and
 the graph is t-arc transitive when the t-prefix orbit holds all
-n_j * 3 * 2^(t-1) t-arcs.
+n_j * 3 * 2^(t-1) t-arcs.  A code is a first dart (directed edge) and one
+choice bit per later step, and the generators act on codes directly,
+through tables over the 3N darts built once per probe: each dart's image
+under each generator, whether the generator flips the dart's choice bit,
+and the dart each choice continues to.
 Orbit-stabilizer gives the stabilizer tower |Aut_{arc[:k]}| =
 |Aut| / |orbit of arc[:k]|.  The shunts and the reverser come from the
 same individualization search that computes Aut.  No stabilizer chain is
@@ -50,7 +54,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -436,22 +440,46 @@ def _arc_codes(adj: np.ndarray, arcs: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _arc_vertices(adj: np.ndarray, codes: np.ndarray,
-                  length: int) -> np.ndarray:
-    """The walks of ``length`` vertices with the ``_arc_codes`` ``codes``,
-    one a row."""
-    arcs = np.empty((len(codes), length), dtype=np.int64)
-    head = codes >> (length - 2)
-    arcs[:, 0] = head // 3
-    arcs[:, 1] = adj[arcs[:, 0], head % 3]
-    for k in range(2, length):
-        row = adj[arcs[:, k - 1]]
-        back = arcs[:, k - 2]
-        lower = np.where(row[:, 0] == back, row[:, 1], row[:, 0])
-        upper = np.where(row[:, 2] == back, row[:, 1], row[:, 2])
-        larger = (codes >> (length - 1 - k)) & 1
-        arcs[:, k] = np.where(larger == 1, upper, lower)
-    return arcs
+def _dart_step(adj: np.ndarray, generators: np.ndarray,
+               length: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The ``code_orbit`` step on the ``_arc_codes`` of walks of ``length``
+    vertices: their images' codes under each row of ``generators``, one
+    generator's after another's.
+
+    A dart is a directed edge v -> adj[v][i], numbered 3v + i; a code is
+    its walk's first dart and one choice bit per later step.  The tables,
+    built once: ``succ[2d + b]``, the dart that choice b continues d to;
+    ``moved[g, d]``, the image of d under g; ``flip[g, d]``, whether g
+    swaps the order of d's two continuations.  No walk is decoded.
+    """
+    heads = adj.ravel().astype(np.int64)
+    tails = np.arange(len(heads)) // 3
+    back = (adj[heads] < tails[:, None]).sum(axis=1)
+    succ = np.stack([3 * heads + (back == 0), 3 * heads + 2 - (back == 2)],
+                    axis=1).ravel()
+    # An automorphism g maps the neighbours of v onto those of g[v], so the
+    # dart to the i-th goes to the rank of its image among their images,
+    # and a choice bit flips where the ranks of the two continuations do.
+    a, b, c = (generators[:, column] for column in adj.T)
+    first = (a > b).astype(np.int8) + (a > c)
+    second = (b > a).astype(np.int8) + (b > c)
+    ranks = np.stack([first, second, 3 - first - second], axis=2).reshape(
+        len(generators), len(heads))
+    moved = np.repeat(3 * generators, 3, axis=1) + ranks
+    flip = ranks[:, succ[0::2]] > ranks[:, succ[1::2]]
+
+    def step(codes: np.ndarray) -> np.ndarray:
+        darts = codes >> (length - 2)
+        images = moved[:, darts]
+        for k in range(length - 3, -1, -1):
+            bits = (codes >> k) & 1
+            images <<= 1
+            images |= flip[:, darts]
+            images ^= bits
+            darts = succ[2 * darts + bits]
+        return images.ravel()
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +514,11 @@ def _prefix_orbit_sizes(aut: AutomorphismResult,
 
     The orbit of a prefix is the set of prefixes of the orbit of the whole
     walk, so one orbit gives them all.  It is enumerated on arc codes
-    (``_arc_codes``): each step decodes a frontier, maps its vertices
-    through every generator and encodes the images.  The orbit comes back
-    sorted, and so do the prefix codes of its members, so each size is one
-    more than the number of changes along them.
+    (``_arc_codes``), which every generator maps straight to the codes of
+    the images, a few gathers per choice bit on ``_dart_step``'s tables;
+    no walk is decoded.  The orbit comes back sorted, and so do the prefix
+    codes of its members, so each size is one more than the number of
+    changes along them.
 
     By orbit-stabilizer each size divides |Aut|, and |Aut_{vertices[:k]}|
     = |Aut| / size; a size that does not divide contradicts the order the
@@ -498,13 +527,8 @@ def _prefix_orbit_sizes(aut: AutomorphismResult,
     is too small may show only on the longer prefixes.
     """
     adj, length = aut.adj, len(vertices)
-
-    def step(codes: np.ndarray) -> np.ndarray:
-        arcs = _arc_vertices(adj, codes, length)
-        return np.array([_arc_codes(adj, g[arcs]) for g in aut.generators],
-                        dtype=np.int64).ravel()
-
-    codes = code_orbit(_arc_codes(adj, np.array([vertices])), step)
+    codes = code_orbit(_arc_codes(adj, np.array([vertices])),
+                       _dart_step(adj, aut.generators, length))
     heads = codes >> (length - 2)
     prefixes = [heads // 3] + [codes >> (length - k)
                                for k in range(2, length + 1)]

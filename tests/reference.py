@@ -8,9 +8,10 @@ right product of an element x with a generator g, and permutations
 multiplied with ``*`` by default.  ``cayley_table`` turns generators in
 such a form into the integer Cayley table the library validators take,
 and ``chain`` builds the Schreier-Sims oracle of an automorphism group
-from its image arrays.  ``reduce`` is the residue class of one Eisenstein
-integer mod m, by nearest division, and ``regularity_kind`` the
-regularity rule on it: the oracles of ``ResidueRing``'s array arithmetic.
+from its image arrays; ``arc_vertices`` decodes arc codes into walks.
+``reduce`` is the residue class of one Eisenstein integer mod m, by
+nearest division, and ``regularity_kind`` the regularity rule on it: the
+oracles of ``ResidueRing``'s array arithmetic.
 ``elements`` lists a ring's classes as ``EisensteinInt`` in position order.
 """
 
@@ -82,6 +83,25 @@ def stabilizer_sequence(G, aut, arc) -> list[int]:
     t = arc.t
     sizes = _prefix_orbit_sizes(aut, arc.vertices)
     return [aut.order // sizes[t + 1 - j] for j in range(t + 1)]
+
+
+def arc_vertices(adj: np.ndarray, codes: np.ndarray,
+                 length: int) -> np.ndarray:
+    """The walks of ``length`` vertices with the ``graphsym._arc_codes``
+    ``codes``, one a row: the decoding that the dart tables of
+    ``graphsym._dart_step`` stand in for."""
+    arcs = np.empty((len(codes), length), dtype=np.int64)
+    head = codes >> (length - 2)
+    arcs[:, 0] = head // 3
+    arcs[:, 1] = adj[arcs[:, 0], head % 3]
+    for k in range(2, length):
+        row = adj[arcs[:, k - 1]]
+        back = arcs[:, k - 2]
+        lower = np.where(row[:, 0] == back, row[:, 1], row[:, 0])
+        upper = np.where(row[:, 2] == back, row[:, 1], row[:, 2])
+        larger = (codes >> (length - 1 - k)) & 1
+        arcs[:, k] = np.where(larger == 1, upper, lower)
+    return arcs
 
 
 def cayley_table(gens: Sequence, identity: Hashable | None = None,

@@ -23,7 +23,7 @@ from medial.graphsym import (
     InconsistencyError,
     MAX_SEMI_T,
     _arc_codes,
-    _arc_vertices,
+    _dart_step,
     _prefix_orbit_sizes,
     _row_ranks,
     automorphism_group,
@@ -48,7 +48,7 @@ from medial.polytope import (
     handle_from_presentation,
     medial_layer_graph,
 )
-from reference import chain, orbit, stabilizer_sequence
+from reference import arc_vertices, chain, orbit, stabilizer_sequence
 
 RNG = random.Random(7)
 
@@ -284,10 +284,32 @@ def test_arc_codes_number_the_walks_in_order():
             codes = _arc_codes(g.adj, walks)
             assert np.array_equal(codes,
                                   np.arange(g.n * 3 * 2 ** (length - 2)))
-            assert np.array_equal(_arc_vertices(g.adj, codes, length), walks)
+            assert np.array_equal(arc_vertices(g.adj, codes, length), walks)
             for k in range(2, length):
                 assert np.array_equal(_arc_codes(g.adj, walks[:, :k]),
                                       codes >> (length - k))
+
+
+def test_dart_step_maps_codes_as_decoding_does():
+    # Each generator's images of all walks of 2 to 9 vertices, through the
+    # dart tables, against decoding, mapping the vertices and encoding.
+    graphs = [k33(), gray_oracle(),
+              eisenstein_graph(parse_eisenstein("1-w")
+                               * parse_eisenstein("1+3w"))]
+    for g in graphs:
+        gens = automorphism_group(g).generators
+        for length in range(2, 10):
+            codes = np.arange(g.n * 3 * 2 ** (length - 2))
+            walks = arc_vertices(g.adj, codes, length)
+            images = _dart_step(g.adj, gens, length)(codes)
+            assert images.dtype == np.int64
+            assert np.array_equal(
+                images.reshape(len(gens), -1),
+                [_arc_codes(g.adj, perm[walks]) for perm in gens]), \
+                (g.n, length)
+        # With no generators there are no images.
+        none = _dart_step(g.adj, gens[:0], 9)(np.arange(5))
+        assert none.dtype == np.int64 and len(none) == 0
 
 
 def test_arc_orbit_rejects_order_it_does_not_divide():
