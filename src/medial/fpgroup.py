@@ -18,10 +18,14 @@ The finished table keeps one int64 row of images per generator
 permutation.
 
 The polytope pipeline enumerates the cosets of the stabilizer of the
-base 1-face (index |G| / 12 on the Table 1 presentations) and the group
-that the stabilizer's own relators present (order 12 there), which
-bounds the stabilizer's order; see ``polytope._certified_cayley_table``.
-It enumerates the whole group only when that certificate fails.
+base facet, <rho0, rho1, rho2> (index |G| / 108 on Table 1 rows 5-7,
+whose facets are {3,6}_(3,0)), and the group that the stabilizer's own
+relators present, which bounds the stabilizer's order; see
+``polytope._certified_cayley_table``.  Where that certificate fails, as
+on rows 1 and 3, whose groups do not act faithfully on their 3 and 5
+facets, it takes the base 1-face stabilizer <rho0, rho2, rho3> (index
+|G| / 12 on the Table 1 rows) instead, and the whole group only when
+neither certifies.
 """
 
 from __future__ import annotations

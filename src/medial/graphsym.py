@@ -31,9 +31,10 @@ orbit of each prefix probe[:k] is the set of k-prefixes of that orbit, and
 the graph is t-arc transitive when the t-prefix orbit holds all
 n_j * 3 * 2^(t-1) t-arcs.  A code is a first dart (directed edge) and one
 choice bit per later step, and the generators act on codes directly,
-through tables over the 3N darts built once per probe: each dart's image
-under each generator, whether the generator flips the dart's choice bit,
-and the dart each choice continues to.
+through tables over the 3N darts built once per automorphism group, for
+every probe: each dart's image under each generator, whether the
+generator flips the dart's choice bit, and the dart each choice
+continues to.
 Orbit-stabilizer gives the stabilizer tower |Aut_{arc[:k]}| =
 |Aut| / |orbit of arc[:k]|.  The shunts and the reverser come from the
 same individualization search that computes Aut.  No stabilizer chain is
@@ -54,6 +55,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -285,6 +287,12 @@ class AutomorphismResult:
     vertex_orbits: list[set[int]]
     adj: np.ndarray  # the graph the generators act on
 
+    @cached_property
+    def darts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``_dart_tables`` of the generators, built once for every
+        probe arc."""
+        return _dart_tables(self.adj, self.generators)
+
 
 def _checked_automorphism(adj: np.ndarray, images) -> np.ndarray:
     """The image array ``images`` as int64, once it maps ``adj`` onto
@@ -440,17 +448,16 @@ def _arc_codes(adj: np.ndarray, arcs: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _dart_step(adj: np.ndarray, generators: np.ndarray,
-               length: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The ``code_orbit`` step on the ``_arc_codes`` of walks of ``length``
-    vertices: their images' codes under each row of ``generators``, one
-    generator's after another's.
+def _dart_tables(adj: np.ndarray, generators: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables through which the rows of ``generators`` act on
+    ``_arc_codes``, for walks of any length.
 
     A dart is a directed edge v -> adj[v][i], numbered 3v + i; a code is
-    its walk's first dart and one choice bit per later step.  The tables,
-    built once: ``succ[2d + b]``, the dart that choice b continues d to;
+    its walk's first dart and one choice bit per later step.  The tables:
+    ``succ[2d + b]``, the dart that choice b continues d to;
     ``moved[g, d]``, the image of d under g; ``flip[g, d]``, whether g
-    swaps the order of d's two continuations.  No walk is decoded.
+    swaps the order of d's two continuations.
     """
     heads = adj.ravel().astype(np.int64)
     tails = np.arange(len(heads)) // 3
@@ -467,6 +474,16 @@ def _dart_step(adj: np.ndarray, generators: np.ndarray,
         len(generators), len(heads))
     moved = np.repeat(3 * generators, 3, axis=1) + ranks
     flip = ranks[:, succ[0::2]] > ranks[:, succ[1::2]]
+    return succ, moved, flip
+
+
+def _dart_step(tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+               length: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The ``code_orbit`` step on the ``_arc_codes`` of walks of ``length``
+    vertices: their images' codes under each generator of the
+    ``_dart_tables`` ``tables``, one generator's after another's.  No walk
+    is decoded."""
+    succ, moved, flip = tables
 
     def step(codes: np.ndarray) -> np.ndarray:
         darts = codes >> (length - 2)
@@ -515,7 +532,7 @@ def _prefix_orbit_sizes(aut: AutomorphismResult,
     The orbit of a prefix is the set of prefixes of the orbit of the whole
     walk, so one orbit gives them all.  It is enumerated on arc codes
     (``_arc_codes``), which every generator maps straight to the codes of
-    the images, a few gathers per choice bit on ``_dart_step``'s tables;
+    the images, a few gathers per choice bit on ``aut.darts``;
     no walk is decoded.  The orbit comes back sorted, and so do the prefix
     codes of its members, so each size is one more than the number of
     changes along them.
@@ -528,11 +545,14 @@ def _prefix_orbit_sizes(aut: AutomorphismResult,
     """
     adj, length = aut.adj, len(vertices)
     codes = code_orbit(_arc_codes(adj, np.array([vertices])),
-                       _dart_step(adj, aut.generators, length))
-    heads = codes >> (length - 2)
-    prefixes = [heads // 3] + [codes >> (length - k)
-                               for k in range(2, length + 1)]
-    sizes = [1] + [1 + int(np.count_nonzero(np.diff(p))) for p in prefixes]
+                       _dart_step(aut.darts, length))
+
+    def changes(prefixes: np.ndarray) -> int:
+        return 1 + int(np.count_nonzero(np.diff(prefixes)))
+
+    # One prefix array at a time, as large as the orbit, is held.
+    sizes = [1, changes((codes >> (length - 2)) // 3)] + [
+        changes(codes >> (length - k)) for k in range(2, length + 1)]
     for k, size in enumerate(sizes):
         if aut.order % size:
             raise InconsistencyError(

@@ -23,10 +23,11 @@ under simultaneous right multiplication by the group generators.
 
 Both construction routes end in one integer Cayley table of the group,
 ``right[g, j]`` = element g times generator j.  The presentation route
-enumerates the cosets of the base 1-face stabilizer and reads the table
-off the orbit of one tuple of those cosets, once the orbit's size proves
-that the group acts on it regularly (``_certified_cayley_table``); else
-the coset table of the whole group is the Cayley table.  The matrix
+enumerates the cosets of the base facet stabilizer, or of the base 1-face
+stabilizer where the facets' do not certify, and reads the table off the
+orbit of one tuple of those cosets, once the orbit's size proves that the
+group acts on it regularly (``_certified_cayley_table``); else the coset
+table of the whole group is the Cayley table.  The matrix
 route takes one vectorized product per generator.  From there one path
 (``_checked_handle``) validates the group, computes the four face
 actions, the incidences and the diamond check, all as numpy array
@@ -295,6 +296,12 @@ def self_duality_test(C: StringCGroup) -> bool:
 #: the base j-face omits rho_j.
 _PARABOLIC = {0: (1, 2, 3), 1: (0, 2, 3), 2: (0, 1, 3), 3: (0, 1, 2)}
 
+#: The subgroups whose cosets the presentation route certifies, tried in
+#: order: the base facet's stabilizer, the largest, so the fewest cosets;
+#: then the base 1-face's, whose own relators always present a finite
+#: group, <rho0> x <rho2, rho3> of order 4 p3.
+_CERTIFYING_SUBGROUPS = (_PARABOLIC[3], _PARABOLIC[1])
+
 #: Chiral face stabilizers, as columns of the Cayley table of s1, s2, s3,
 #: s1 s2 and s2 s3: <s2, s3>, <s1 s2, s3>, <s1, s2 s3> and <s1, s2>.
 _CHIRAL_STABILIZERS = {0: (1, 2), 1: (3, 2), 2: (0, 4), 3: (0, 1)}
@@ -342,17 +349,25 @@ def handle_from_presentation(
     orbit of base cosets (``_certified_cayley_table``), then everything on
     the table.
 
-    The cosets of the base 1-face stabilizer are enumerated first; when
-    their certificate fails, the whole group is enumerated once, and its
-    coset table, with coset 0 the identity, is the Cayley table.
+    The cosets of each subgroup of ``_CERTIFYING_SUBGROUPS`` are
+    enumerated in turn, the base facet stabilizer's first, until one
+    certifies; a group that cannot act faithfully on its facets, such as
+    Table 1 rows 1 and 3, falls through to the base 1-face stabilizer.
+    When no certificate holds, the whole group is enumerated once, and its
+    coset table, with coset 0 the identity, is the Cayley table.  The
+    handle does not depend on which table it is: ``face_action`` numbers
+    the cosets by a breadth-first search over the generators.
     ``_checked_handle`` validates the group on the table.  ``max_cosets``
-    bounds each enumeration and ``max_elements`` the base orbit or the
+    bounds each enumeration and ``max_elements`` each base orbit or the
     group; past either, or past ``deadline`` (a ``time.monotonic()``
     value), OverflowResult is raised.
     """
-    table = _certified_cayley_table(pres, _PARABOLIC[1], max_cosets,
-                                    max_elements, deadline)
-    if table is None:
+    for subgroup in _CERTIFYING_SUBGROUPS:
+        table = _certified_cayley_table(pres, subgroup, max_cosets,
+                                        max_elements, deadline)
+        if table is not None:
+            break
+    else:
         right = coset_enumeration(pres, max_cosets=max_cosets,
                                   deadline=deadline).columns.T
         if len(right) > max_elements:
@@ -375,9 +390,11 @@ def _certified_cayley_table(
     quotient of, so its order, from a small enumeration, bounds |H|, and
     bound * index bounds |G|.  The orbit of a tuple of cosets has at most
     |G| elements, so an orbit with bound * index elements proves that G
-    acts on it regularly: its points are the group elements.  The tuple
-    is the cosets 0, 1, ..., k - 1, with k as large as the index and
-    int64 mixed-radix codes allow.
+    acts on it regularly: its points are the group elements.  The orbit
+    falls short when G does not act faithfully on the cosets, as on the 3
+    facets of Table 1 row 1, or when the bound exceeds |H|.  The tuple is
+    the cosets 0, 1, ..., k - 1, with k as large as the index and int64
+    mixed-radix codes allow.
 
     The orbit is closed even when the bound's enumeration overflows and
     nothing can certify, so that an orbit past ``max_elements`` raises
@@ -442,7 +459,8 @@ def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> Polyt
     is an error (the full symmetry group would not be reachable from the
     rotations alone).  Chiral instances take the columns s1, s2, s3, s1 s2
     and s2 s3: the sigmas act, and the rotation stabilizers of the faces
-    are generated by pairs of these columns.
+    are generated by pairs of these columns.  Only the sigma columns are
+    matrix products; x s1 s2 and x s2 s3 are gathers on them.
     """
     if label is None:
         label = f"eisenstein m={mg.modulus}"
@@ -451,12 +469,14 @@ def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> Polyt
         if columns is None:
             raise PolytopeValidationError(
                 f"{label}: no reflection recovery in a regular instance")
+        right = mg.cayley_table(columns)
         acting, stabilizers = range(4), _PARABOLIC
     else:
-        s1, s2, s3 = mg.sigma_codes
-        columns = (s1, s2, s3, mg._product(s1, s2), mg._product(s2, s3))
+        right = mg.cayley_table(mg.sigma_codes)
+        right = np.column_stack([right, right[right[:, 0], 1],
+                                 right[right[:, 1], 2]])
         acting, stabilizers = range(3), _CHIRAL_STABILIZERS
-    return _checked_handle(label, mg.kind, mg.cayley_table(columns),
+    return _checked_handle(label, mg.kind, right,
                            int(np.searchsorted(mg.codes, mg.identity)),
                            acting, stabilizers)
 

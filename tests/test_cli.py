@@ -280,7 +280,7 @@ def test_unwritable_output_exit_code(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv, expected", [
     (["build", "bogus:1"], EXIT_BAD_INPUT),
-    # Row 2 has 27 cosets of its 1-face stabilizer.
+    # Row 2's facet enumeration defines 14 cosets.
     (["build", "universal:3,6:1,1:3,0", "--max-cosets", "5"], EXIT_OVERFLOW),
 ], ids=["bad-key", "overflow"])
 def test_failed_command_keeps_the_output_file(capsys, tmp_path, argv,
@@ -354,7 +354,8 @@ def test_bad_limit_exit_code(capsys):
 
 
 def test_overflow_exit_code(capsys):
-    # Row 2 has 27 cosets of its 1-face stabilizer.
+    # Row 2's facet group has 36 elements, so 20 cosets do not bound it
+    # and no facet certificate holds; its 1-face stabilizer has 27 cosets.
     code, _, err = run(capsys, "build", "universal:3,6:1,1:3,0",
                        "--max-cosets", "20")
     assert code == EXIT_OVERFLOW
@@ -389,10 +390,11 @@ def test_max_elements_bounds_presentation_route(capsys):
 
 def test_max_elements_below_the_bound_overflows_at_once(capsys,
                                                        monkeypatch):
-    # Row 6: |G| = 41472, 3456 cosets of the 1-face stabilizer.  A cap of
-    # 40000 stops the stabilizer's bound enumeration at 11 cosets, so no
-    # orbit certifies; the base orbit passes the cap, which proves that
-    # the whole group would too, so it is never enumerated.
+    # Row 6: |G| = 41472, 384 cosets of the facet stabilizer.  A cap of
+    # 40000 stops the bound enumeration of the facet group, of order 108,
+    # at 104 cosets, so no orbit certifies; the base orbit passes the cap,
+    # which proves that the group would too, so neither the 1-face
+    # stabilizer nor the whole group is enumerated.
     enumerated = []
 
     def recording(pres, subgens=(), **kwargs):
@@ -405,7 +407,7 @@ def test_max_elements_below_the_bound_overflows_at_once(capsys,
     assert code == EXIT_OVERFLOW
     assert "exceeded 40000 elements" in err
     assert [subgens for ngens, subgens in enumerated if ngens == 4] == \
-        [[gen_word(i) for i in polytope._PARABOLIC[1]]]
+        [[gen_word(i) for i in polytope._PARABOLIC[3]]]
 
 
 def test_ring_tables_past_max_elements_overflow_before_they_are_built(
@@ -429,8 +431,9 @@ def test_ring_tables_past_max_elements_overflow_before_they_are_built(
 
 def test_table1_overflow_rows_fast(capsys):
     # With a tiny coset cap every row degrades to an overflow marker, which
-    # exercises the table plumbing without the heavy computations.  Row 1,
-    # the smallest, has 9 cosets of its 1-face stabilizer.
+    # exercises the table plumbing without the heavy computations.  No
+    # facet group of a row has 5 elements or fewer, so no facet certificate
+    # holds; row 1, the smallest, has 9 cosets of its 1-face stabilizer.
     code, out, _ = run(capsys, "table1", "--max-cosets", "5")
     assert code == EXIT_OK
     rows = parse_csv(out)
@@ -460,11 +463,12 @@ def test_time_budget_is_one_deadline_per_instance(capsys, monkeypatch):
 
 
 def test_table1_jobs_match_serial_rows(capsys):
-    # With 3000 cosets rows 1-5 are classified and rows 6 and 7 overflow;
-    # worker processes give the serial run's rows, in order.
+    # With 1000 cosets rows 1-5 are classified and rows 6 and 7 overflow:
+    # their facet enumerations define 1107 and 9867 cosets.  Worker
+    # processes give the serial run's rows, in order.
     tables = []
     for jobs in ("1", "2"):
-        code, out, _ = run(capsys, "table1", "--max-cosets", "3000",
+        code, out, _ = run(capsys, "table1", "--max-cosets", "1000",
                            "--jobs", jobs)
         assert code == EXIT_OK
         tables.append([r[:-1] for r in parse_csv(out)])  # mask seconds

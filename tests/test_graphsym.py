@@ -24,6 +24,7 @@ from medial.graphsym import (
     MAX_SEMI_T,
     _arc_codes,
     _dart_step,
+    _dart_tables,
     _prefix_orbit_sizes,
     _row_ranks,
     automorphism_group,
@@ -301,15 +302,30 @@ def test_dart_step_maps_codes_as_decoding_does():
         for length in range(2, 10):
             codes = np.arange(g.n * 3 * 2 ** (length - 2))
             walks = arc_vertices(g.adj, codes, length)
-            images = _dart_step(g.adj, gens, length)(codes)
+            images = _dart_step(_dart_tables(g.adj, gens), length)(codes)
             assert images.dtype == np.int64
             assert np.array_equal(
                 images.reshape(len(gens), -1),
                 [_arc_codes(g.adj, perm[walks]) for perm in gens]), \
                 (g.n, length)
         # With no generators there are no images.
-        none = _dart_step(g.adj, gens[:0], 9)(np.arange(5))
+        none = _dart_step(_dart_tables(g.adj, gens[:0]), 9)(np.arange(5))
         assert none.dtype == np.int64 and len(none) == 0
+
+
+def test_semisymmetric_verdict_builds_the_dart_tables_once(monkeypatch):
+    # Both per-type probes of the Gray graph act through one set of
+    # tables, since they depend only on the graph and the generators.
+    calls = []
+    dart_tables = graphsym._dart_tables
+
+    def counting(*args):
+        calls.append(args)
+        return dart_tables(*args)
+
+    monkeypatch.setattr(graphsym, "_dart_tables", counting)
+    assert classify(gray_oracle()).verdict == "semisymmetric"
+    assert len(calls) == 1
 
 
 def test_arc_orbit_rejects_order_it_does_not_divide():

@@ -443,10 +443,16 @@ ORDERS = {"row 1": 108, "row 2": 324, "row 3": 240, "row 4": 720,
           "11-cell": 660, "{3,3,6}": 1296}
 
 
+#: The face rank whose base stabilizer's cosets certify each presentation:
+#: rows 1 and 3 cannot act faithfully on their 3 and 5 facets.
+CERTIFIED_ON = {name: 1 if name in ("row 1", "row 3") else 3
+                for name in ORDERS}
+
+
 @pytest.mark.parametrize("name", ORDERS)
 def test_presentation_route_enumerates_once(monkeypatch, name):
     pres = PRESENTATIONS.get(name) or simplex_toroidal_1296()
-    enumerations, orbits = [], []
+    enumerations, orbits, tried = [], [], []
 
     def counting(*args, **kwargs):
         enumerations.append(args)
@@ -458,24 +464,58 @@ def test_presentation_route_enumerates_once(monkeypatch, name):
 
     monkeypatch.setattr(polytope, "coset_enumeration", counting)
     monkeypatch.setattr(polytope, "code_orbit", spying)
-    right, _ = polytope._certified_cayley_table(
-        pres, polytope._PARABOLIC[1], DEFAULT_MAX_COSETS,
-        DEFAULT_MAX_ELEMENTS, None)
+    for subgroup in polytope._CERTIFYING_SUBGROUPS:
+        enumerations.clear()
+        orbits.clear()
+        stabilizer = (pres, [gen_word(i) for i in subgroup])
+        tried.append(stabilizer[1])
+        table = polytope._certified_cayley_table(
+            pres, subgroup, DEFAULT_MAX_COSETS, DEFAULT_MAX_ELEMENTS, None)
+        # Each subgroup takes one orbit and one enumeration of G's
+        # presentation, never over the trivial subgroup; the only other
+        # enumeration is the bound on the subgroup's order.
+        assert len(orbits) == 1
+        assert [args for args in enumerations if args[0] is pres] \
+            == [stabilizer]
+        if table is not None:
+            break
+    assert subgroup == polytope._PARABOLIC[CERTIFIED_ON[name]]
+    right, _ = table
     assert len(right) == ORDERS[name]
-    # One orbit certifies.  The group is enumerated once, over the base
-    # 1-face stabilizer, and never over the trivial subgroup; the only
-    # other enumeration is the bound on the stabilizer's order.
-    assert len(orbits) == 1
-    stabilizer = (pres, [gen_word(i) for i in polytope._PARABOLIC[1]])
-    assert [args for args in enumerations if args[0] is pres] == [stabilizer]
     index = coset_enumeration(*stabilizer).num_cosets
     assert [coset_enumeration(*args).num_cosets for args in enumerations
             if args[0] is not pres] == [ORDERS[name] // index]
-    if name in PRESENTATIONS:  # {3,3,6} has no cubic medial layer graph
-        enumerations.clear()
-        handle_from_presentation(pres, name)
-        assert [args for args in enumerations if args[0] is pres] \
-            == [stabilizer]
+    # The route tries the same subgroups, in the same order.
+    enumerations.clear()
+    handle_from_presentation(pres, name)
+    assert [args[1] for args in enumerations if args[0] is pres] == tried
+
+
+def route_enumerations(monkeypatch, pres, label):
+    """The handle of ``pres`` by the presentation route, and the subgroup
+    words and the coset table of each enumeration of ``pres`` it made."""
+    enumerations = []
+
+    def recording(p, *args, **kwargs):
+        table = coset_enumeration(p, *args, **kwargs)
+        if p is pres:
+            enumerations.append((args[0], table))
+        return table
+
+    monkeypatch.setattr(polytope, "coset_enumeration", recording)
+    handle = handle_from_presentation(pres, label)
+    monkeypatch.undo()
+    return handle, enumerations
+
+
+def test_row_6_route_defines_few_cosets(monkeypatch):
+    # Row 6's 384 facet cosets certify; their enumeration defines 1107.
+    handle, [(subgroup, table)] = route_enumerations(
+        monkeypatch, PRESENTATIONS["row 6"], "row 6")
+    assert handle.group_order == 41472
+    assert subgroup == [gen_word(i) for i in polytope._PARABOLIC[3]]
+    assert table.num_cosets == 384
+    assert table.cosets_defined <= 1200
 
 
 def handle_summary(handle):
@@ -502,13 +542,34 @@ def test_certified_stabilizer_route_matches_trivial_subgroup(name):
 
 
 @pytest.mark.slow
-def test_certified_stabilizer_route_matches_trivial_subgroup_row_7():
+def test_certified_stabilizer_route_matches_trivial_subgroup_row_7(
+        monkeypatch):
+    # Row 7's 2240 facet cosets certify; their enumeration defines 9867.
     s, t = TABLE1_ROWS[6]
     pres = universal_locally_toroidal(ToroidalParams(*s), ToroidalParams(*t))
-    handle = handle_from_presentation(pres, "row 7")
+    handle, [(subgroup, table)] = route_enumerations(monkeypatch, pres,
+                                                     "row 7")
+    assert subgroup == [gen_word(i) for i in polytope._PARABOLIC[3]]
+    assert table.num_cosets == 2240
+    assert table.cosets_defined <= 10000
     assert handle.group_order == 241920
     assert handle_summary(handle) \
         == handle_summary(plain_enumeration_route(pres, "row 7"))
+
+
+@pytest.mark.parametrize("m", ["(1-w)*(1+3w)", "(1-w)*(1+4w)"])
+def test_chiral_product_columns_are_gathers(m):
+    # The columns s1 s2 and s2 s3, gathered on the sigma table, give the
+    # handle that five matrix-product columns give.
+    mg = generate_group(parse_eisenstein_product(m))
+    s1, s2, s3 = mg.sigma_codes
+    right = mg.cayley_table((s1, s2, s3, mg._product(s1, s2),
+                             mg._product(s2, s3)))
+    products = polytope._checked_handle(
+        m, "chiral", right, int(np.searchsorted(mg.codes, mg.identity)),
+        range(3), polytope._CHIRAL_STABILIZERS)
+    assert handle_summary(handle_from_matrix_group(mg, m)) \
+        == handle_summary(products)
 
 
 def outcome(route, pres, label):
@@ -522,7 +583,8 @@ def outcome(route, pres, label):
 def test_collapsed_stabilizer_falls_back_to_trivial_subgroup(monkeypatch,
                                                              extra):
     # rho0 = rho1 (or rho0 rho2 rho3 = rho1) puts the whole group in
-    # <rho0, rho2, rho3>: one coset, which no base tuple certifies.
+    # <rho0, rho2, rho3>: one coset, which no base tuple certifies.  The
+    # facet stabilizer is tried first and does not certify either.
     row4 = universal_locally_toroidal(ToroidalParams(2, 0),
                                       ToroidalParams(2, 2))
     pres = Presentation(row4.names, row4.relators + (extra,))
@@ -535,7 +597,8 @@ def test_collapsed_stabilizer_falls_back_to_trivial_subgroup(monkeypatch,
 
     monkeypatch.setattr(polytope, "coset_enumeration", recording)
     got = outcome(handle_from_presentation, pres, "collapsed")
-    assert subgroups == [[gen_word(i) for i in polytope._PARABOLIC[1]], []]
+    assert subgroups == [[gen_word(i) for i in polytope._PARABOLIC[rank]]
+                         for rank in (3, 1)] + [[]]
     monkeypatch.undo()
     assert got == outcome(plain_enumeration_route, pres, "collapsed")
 
@@ -617,8 +680,8 @@ def presentation_tables(name):
         pres = universal_locally_toroidal(ToroidalParams(*s),
                                           ToroidalParams(*t))
         return polytope._certified_cayley_table(
-            pres, polytope._PARABOLIC[1], DEFAULT_MAX_COSETS,
-            DEFAULT_MAX_ELEMENTS, None)
+            pres, polytope._PARABOLIC[CERTIFIED_ON[name]],
+            DEFAULT_MAX_COSETS, DEFAULT_MAX_ELEMENTS, None)
     return coset_enumeration(string_group(name)).columns.T, 0
 
 
