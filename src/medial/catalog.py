@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fpgroup import Presentation, Word, gen_word, word_power
+from .fpgroup import Presentation, Word, gen_word
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,12 @@ _TRANSLATION_SS: Word = gen_word(0, 1, 2, 1, 2) * 2
 
 def coxeter_string(p1: int, p2: int, p3: int) -> Presentation:
     """The string Coxeter group [p1, p2, p3] on involutions r0..r3."""
-    typ = SchlafliType(p1, p2, p3)
+    SchlafliType(p1, p2, p3)
     rels = [
         gen_word(0) * 2, gen_word(1) * 2, gen_word(2) * 2, gen_word(3) * 2,
-        word_power(gen_word(0, 1), typ.p1),
-        word_power(gen_word(1, 2), typ.p2),
-        word_power(gen_word(2, 3), typ.p3 or 2),
+        gen_word(0, 1) * p1,
+        gen_word(1, 2) * p2,
+        gen_word(2, 3) * p3,
         gen_word(0, 2) * 2,
         gen_word(0, 3) * 2,
         gen_word(1, 3) * 2,
@@ -105,8 +105,8 @@ def coxeter_string_rank3(p1: int, p2: int) -> Presentation:
     SchlafliType(p1, p2)
     rels = [
         gen_word(0) * 2, gen_word(1) * 2, gen_word(2) * 2,
-        word_power(gen_word(0, 1), p1),
-        word_power(gen_word(1, 2), p2),
+        gen_word(0, 1) * p1,
+        gen_word(1, 2) * p2,
         gen_word(0, 2) * 2,
     ]
     return Presentation(RHO_NAMES[:3], tuple(rels))
@@ -130,9 +130,9 @@ def toroidal_relator(params: ToroidalParams) -> Word:
             f"({params.s},{params.t}) is chiral-form; only (s,0) and (s,s) have"
             " a presentation here")
     if params.t == 0:
-        base = word_power(_TRANSLATION_S0, params.s)
+        base = _TRANSLATION_S0 * params.s
     else:
-        base = word_power(_TRANSLATION_SS, params.s)
+        base = _TRANSLATION_SS * params.s
     if params.family == "6,3":
         base = _substitute(base, {0: 2, 1: 1, 2: 0})
     return base

@@ -131,14 +131,15 @@ def build_instance(spec: JobSpec) -> InstanceReport:
             raise BadInput(f"bad toroidal parameters in {spec.key!r}: each"
                            " field takes exactly two integers, as in 1,1")
         try:
-            s, t = (ToroidalParams(*map(int, field)) for field in fields)
-            pres = universal_locally_toroidal(s, t)
+            s, t = (tuple(map(int, field)) for field in fields)
+            pres = universal_locally_toroidal(ToroidalParams(*s),
+                                              ToroidalParams(*t))
         except ValueError as exc:  # ChiralFormUnsupported too
             raise BadInput(f"bad toroidal parameters in {spec.key!r}: {exc}")
         handle = handle_from_presentation(
             pres, spec.key, max_cosets=spec.max_cosets,
             max_elements=spec.max_elements, deadline=deadline)
-        params = f"s=({s.s},{s.t}) t=({t.s},{t.t})"
+        params = _universal_params(s, t)
     elif parts[0] == "eisenstein":
         if len(parts) != 3 or not parts[1].startswith("m=") \
                 or not parts[2].startswith("A="):
@@ -185,20 +186,39 @@ def classify_instance(spec: JobSpec, report: InstanceReport) -> InstanceReport:
     return report
 
 
-def _row(report: InstanceReport) -> list[str]:
-    c = report.classification
-    return [
-        report.key,
-        report.params,
-        str(report.handle.group_order),
-        str(report.graph.n),
-        c.label() if c else "",
-        str(c.aut_order) if c and c.verdict != "undecided" else "",
-        f"{report.seconds:.1f}",
-    ]
+def _universal_params(s: tuple[int, int], t: tuple[int, int]) -> str:
+    """The params column of a universal key."""
+    return f"s=({s[0]},{s[1]}) t=({t[0]},{t[1]})"
+
+
+def _row(key: str, last: str, params: str = "", group_order: str = "",
+         n: str = "", c: Classification | None = None) -> list[str]:
+    """A row of CSV_COLUMNS.  With no classification it is an overflow
+    row, whose last column is the message; an undecided verdict leaves
+    aut_order empty."""
+    if c is None:
+        return [key, params, group_order, n, "overflow", "", last]
+    aut_order = str(c.aut_order) if c.verdict != "undecided" else ""
+    return [key, params, group_order, n, c.label(), aut_order, last]
+
+
+def _classified_row(spec: JobSpec) -> tuple[list[str], Classification]:
+    """The row of a key or a graph file, and its classification."""
+    if ":" in spec.key:
+        report = classify_instance(spec, build_instance(spec))
+        c = report.classification
+        return _row(report.key, f"{report.seconds:.1f}", report.params,
+                    str(report.handle.group_order), str(report.graph.n),
+                    c), c
+    graph = _load_graph(spec.key)
+    start = time.monotonic()
+    c = classify(graph, max_vertices=spec.max_vertices)
+    return _row(spec.key, f"{time.monotonic() - start:.1f}",
+                n=str(graph.n), c=c), c
 
 
 def _emit_rows(rows: list[list[str]], fmt: str, out) -> None:
+    """A markdown table for ``md``, else csv, the graph formats too."""
     if fmt == "md":
         out.write("| " + " | ".join(CSV_COLUMNS) + " |\n")
         out.write("|" + "|".join(["---"] * len(CSV_COLUMNS)) + "|\n")
@@ -261,42 +281,32 @@ def _load_graph(path: str) -> BipartiteCubicGraph:
 
 def cmd_classify(spec: JobSpec, out) -> int:
     """One row; an undecided verdict also prints its reason on stderr."""
-    if ":" in spec.key:
-        report = classify_instance(spec, build_instance(spec))
-        row, c = _row(report), report.classification
-    else:
-        graph = _load_graph(spec.key)
-        start = time.monotonic()
-        c = classify(graph, max_vertices=spec.max_vertices)
-        row = [spec.key, "", "", str(graph.n), c.label(),
-               str(c.aut_order) if c.verdict != "undecided" else "",
-               f"{time.monotonic() - start:.1f}"]
-    _emit_rows([row], spec.fmt if spec.fmt in ("csv", "md") else "csv", out)
+    row, c = _classified_row(spec)
+    _emit_rows([row], spec.fmt, out)
     if c.verdict == "undecided":
         print(f"undecided: {c.reason}", file=sys.stderr)
         return EXIT_OVERFLOW
     return EXIT_OK
 
 
-def _table1_row(spec: JobSpec) -> list[str]:
-    """The row of one Table 1 key, or its overflow marker."""
+def _table1_row(spec: JobSpec, params: str) -> list[str]:
+    """The row of one Table 1 key, or its overflow row."""
     try:
-        return _row(classify_instance(spec, build_instance(spec)))
+        return _classified_row(spec)[0]
     except OverflowResult as exc:
-        s, t = spec.key.split(":")[2:]
-        return [spec.key, f"s=({s}) t=({t})", "", "", "overflow", "",
-                str(exc)]
+        return _row(spec.key, str(exc), params)
 
 
 def cmd_table1(spec: JobSpec, out) -> int:
     specs = [replace(spec, key=f"universal:3,6:{s[0]},{s[1]}:{t[0]},{t[1]}")
              for s, t in TABLE1_ROWS]
+    params = [_universal_params(s, t) for s, t in TABLE1_ROWS]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            rows = list(pool.map(_table1_row, specs))
+            rows = list(pool.map(_table1_row, specs, params))
     else:
-        rows = [_table1_row(s) for s in specs]
-    _emit_rows(rows, spec.fmt if spec.fmt in ("csv", "md") else "csv", out)
+        rows = list(map(_table1_row, specs, params))
+    _emit_rows(rows, spec.fmt, out)
     return EXIT_OK
 
 

@@ -16,16 +16,6 @@ generators are all involutions, this about halves the enumeration time.
 The finished table keeps one int64 row of images per generator
 (``CosetTable.columns``); an inverse letter acts by the inverse
 permutation.
-
-The polytope pipeline enumerates the cosets of the stabilizer of the
-base facet, <rho0, rho1, rho2> (index |G| / 108 on Table 1 rows 5-7,
-whose facets are {3,6}_(3,0)), and the group that the stabilizer's own
-relators present, which bounds the stabilizer's order; see
-``polytope._certified_cayley_table``.  Where that certificate fails, as
-on rows 1 and 3, whose groups do not act faithfully on their 3 and 5
-facets, it takes the base 1-face stabilizer <rho0, rho2, rho3> (index
-|G| / 12 on the Table 1 rows) instead, and the whole group only when
-neither certifies.
 """
 
 from __future__ import annotations
@@ -40,20 +30,6 @@ from .permgroup import OverflowResult
 Word = tuple[int, ...]
 
 DEFAULT_MAX_COSETS = 10**7
-
-
-def inv_letter(x: int) -> int:
-    return x ^ 1
-
-
-def invert_word(w: Word) -> Word:
-    return tuple(inv_letter(x) for x in reversed(w))
-
-
-def word_power(w: Word, n: int) -> Word:
-    if n < 0:
-        return invert_word(w) * (-n)
-    return w * n
 
 
 def _is_square(w: Word) -> bool:

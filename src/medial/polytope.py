@@ -24,11 +24,11 @@ under simultaneous right multiplication by the group generators.
 Both construction routes end in one integer Cayley table of the group,
 ``right[g, j]`` = element g times generator j.  The presentation route
 enumerates the cosets of the base facet stabilizer, or of the base 1-face
-stabilizer where the facets' do not certify, and reads the table off the
-orbit of one tuple of those cosets, once the orbit's size proves that the
-group acts on it regularly (``_certified_cayley_table``); else the coset
-table of the whole group is the Cayley table.  The matrix
-route takes one vectorized product per generator.  From there one path
+stabilizer where the facets' do not certify, or else of the trivial
+subgroup, which always certifies, and reads the table off the orbit of one
+tuple of those cosets, once the orbit's size proves that the group acts
+on it regularly (``_certified_cayley_table``).  The matrix route takes
+one vectorized product per generator.  From there one path
 (``_checked_handle``) validates the group, computes the four face
 actions, the incidences and the diamond check, all as numpy array
 operations on the table, and ``medial_layer_graph`` extracts the graph
@@ -299,8 +299,10 @@ _PARABOLIC = {0: (1, 2, 3), 1: (0, 2, 3), 2: (0, 1, 3), 3: (0, 1, 2)}
 #: The subgroups whose cosets the presentation route certifies, tried in
 #: order: the base facet's stabilizer, the largest, so the fewest cosets;
 #: then the base 1-face's, whose own relators always present a finite
-#: group, <rho0> x <rho2, rho3> of order 4 p3.
-_CERTIFYING_SUBGROUPS = (_PARABOLIC[3], _PARABOLIC[1])
+#: group, <rho0> x <rho2, rho3> of order 4 p3; last the trivial subgroup,
+#: whose cosets are the elements, so that its bound is 1 and G acts on
+#: them regularly.
+_CERTIFYING_SUBGROUPS = (_PARABOLIC[3], _PARABOLIC[1], ())
 
 #: Chiral face stabilizers, as columns of the Cayley table of s1, s2, s3,
 #: s1 s2 and s2 s3: <s2, s3>, <s1 s2, s3>, <s1, s2 s3> and <s1, s2>.
@@ -352,27 +354,26 @@ def handle_from_presentation(
     The cosets of each subgroup of ``_CERTIFYING_SUBGROUPS`` are
     enumerated in turn, the base facet stabilizer's first, until one
     certifies; a group that cannot act faithfully on its facets, such as
-    Table 1 rows 1 and 3, falls through to the base 1-face stabilizer.
-    When no certificate holds, the whole group is enumerated once, and its
-    coset table, with coset 0 the identity, is the Cayley table.  The
-    handle does not depend on which table it is: ``face_action`` numbers
-    the cosets by a breadth-first search over the generators.
+    Table 1 rows 1 and 3, falls through to the base 1-face stabilizer, and
+    one that neither stabilizer certifies to the trivial subgroup.  The
+    handle does not depend on which subgroup certifies: ``face_action``
+    numbers the cosets by a breadth-first search over the generators.
     ``_checked_handle`` validates the group on the table.  ``max_cosets``
-    bounds each enumeration and ``max_elements`` each base orbit or the
-    group; past either, or past ``deadline`` (a ``time.monotonic()``
-    value), OverflowResult is raised.
+    bounds each enumeration and ``max_elements`` each base orbit; past
+    either, or past ``deadline`` (a ``time.monotonic()`` value),
+    OverflowResult is raised.
+
+    The trivial subgroup, last, never returns None: its bound's
+    enumeration defines one coset, so it fails only past the deadline,
+    and then the orbit stops at its first level; else the bound is 1 and
+    the orbit has exactly index = |G| points, or raises past
+    ``max_elements``.  So the loop always ends in a table.
     """
     for subgroup in _CERTIFYING_SUBGROUPS:
         table = _certified_cayley_table(pres, subgroup, max_cosets,
                                         max_elements, deadline)
         if table is not None:
             break
-    else:
-        right = coset_enumeration(pres, max_cosets=max_cosets,
-                                  deadline=deadline).columns.T
-        if len(right) > max_elements:
-            raise OverflowResult(f"orbit exceeded {max_elements} elements")
-        table = right, 0
     right, identity = table
     return _checked_handle(label, "regular", right, identity, range(4),
                            _PARABOLIC)

@@ -10,8 +10,6 @@ from medial.fpgroup import (
     _Enumerator,
     coset_enumeration,
     gen_word,
-    invert_word,
-    word_power,
 )
 from medial.permgroup import OverflowResult, PermutationGroup
 from reference import generator_permutations
@@ -35,7 +33,7 @@ def s3_presentation():
 def simplex_presentation():
     # String Coxeter group [3, 3, 3], order 120.
     rels = [gen_word(i) * 2 for i in range(4)]
-    rels += [word_power(gen_word(i, i + 1), 3) for i in range(3)]
+    rels += [gen_word(i, i + 1) * 3 for i in range(3)]
     rels += [gen_word(0, 2) * 2, gen_word(0, 3) * 2, gen_word(1, 3) * 2]
     return Presentation(("r0", "r1", "r2", "r3"), tuple(rels))
 
@@ -76,13 +74,9 @@ def test_apply_word_identity_on_relators():
 def test_overflow_result():
     # (2,3,7) triangle group is infinite; a tiny limit must overflow.
     pres = Presentation(("x", "y"), (gen_word(0) * 2, gen_word(1) * 3,
-                                     word_power(gen_word(0, 1), 7)))
+                                     gen_word(0, 1) * 7))
     with pytest.raises(OverflowResult, match="coset limit 50 exceeded"):
         coset_enumeration(pres, [], max_cosets=50)
-
-
-def test_invert_word_reverses_and_inverts_letters():
-    assert invert_word(gen_word(0, 1)) == (3, 1)
 
 
 def test_bad_subgroup_word_rejected():

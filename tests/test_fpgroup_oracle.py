@@ -7,7 +7,7 @@ inverse permutations."""
 import pytest
 
 from medial.catalog import ToroidalParams, coxeter_string, toroidal_map
-from medial.fpgroup import Presentation, coset_enumeration, gen_word, word_power
+from medial.fpgroup import Presentation, coset_enumeration, gen_word
 from test_fpgroup import apply_word
 
 sympy_fp = pytest.importorskip("sympy.combinatorics.fp_groups")
@@ -19,7 +19,7 @@ def psl27():
     # involution, so it keeps two table columns.
     commutator = (1, 3, 0, 2)
     return Presentation(("x", "y"), (gen_word(0) * 2, gen_word(1) * 3,
-                                     word_power(gen_word(0, 1), 7),
+                                     gen_word(0, 1) * 7,
                                      commutator * 4))
 
 

@@ -519,10 +519,13 @@ def test_row_6_route_defines_few_cosets(monkeypatch):
 
 
 def handle_summary(handle):
-    """Everything a handle carries, and the graph6 export of its graph."""
+    """Everything a handle carries, and the graph6 export of its graph
+    where its type {3,q,3} has one."""
+    graph = (to_graph6(medial_layer_graph(handle))
+             if (handle.schlafli.p1, handle.schlafli.p3) == (3, 3) else None)
     return (handle.group_order, str(handle.schlafli), handle.self_dual,
             handle.rank1_images.tolist(), handle.rank2_images.tolist(),
-            to_graph6(medial_layer_graph(handle)))
+            graph)
 
 
 def plain_enumeration_route(pres, label):
@@ -538,6 +541,19 @@ def plain_enumeration_route(pres, label):
 def test_certified_stabilizer_route_matches_trivial_subgroup(name):
     pres = PRESENTATIONS[name]
     assert handle_summary(handle_from_presentation(pres, name)) \
+        == handle_summary(plain_enumeration_route(pres, name))
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_trivial_subgroup_certifies_every_group(monkeypatch, name):
+    # H = 1: the cosets are the elements, the bound is 1, and G acts on
+    # them regularly, so the orbit of the base tuple always certifies.
+    pres = PRESENTATIONS.get(name) or simplex_toroidal_1296()
+    monkeypatch.setattr(polytope, "_CERTIFYING_SUBGROUPS", ((),))
+    handle, enumerations = route_enumerations(monkeypatch, pres, name)
+    assert [subgroup for subgroup, _ in enumerations] == [[]]
+    assert handle.group_order == ORDERS[name]
+    assert handle_summary(handle) \
         == handle_summary(plain_enumeration_route(pres, name))
 
 
@@ -579,15 +595,23 @@ def outcome(route, pres, label):
         return str(exc)
 
 
-@pytest.mark.parametrize("extra", [gen_word(0, 1), gen_word(0, 2, 3, 1)])
-def test_collapsed_stabilizer_falls_back_to_trivial_subgroup(monkeypatch,
-                                                             extra):
-    # rho0 = rho1 (or rho0 rho2 rho3 = rho1) puts the whole group in
-    # <rho0, rho2, rho3>: one coset, which no base tuple certifies.  The
-    # facet stabilizer is tried first and does not certify either.
+#: Extra relators rho0 = rho1 and rho0 rho2 rho3 = rho1, which put the
+#: whole group in <rho0, rho2, rho3>: one coset, which no base tuple
+#: certifies.  The facet stabilizer does not certify either.
+COLLAPSING = [gen_word(0, 1), gen_word(0, 2, 3, 1)]
+
+
+def collapsed(extra):
+    """Row 4's presentation with the relator ``extra`` added."""
     row4 = universal_locally_toroidal(ToroidalParams(2, 0),
                                       ToroidalParams(2, 2))
-    pres = Presentation(row4.names, row4.relators + (extra,))
+    return Presentation(row4.names, row4.relators + (extra,))
+
+
+@pytest.mark.parametrize("extra", COLLAPSING)
+def test_collapsed_stabilizer_falls_back_to_trivial_subgroup(monkeypatch,
+                                                             extra):
+    pres = collapsed(extra)
     subgroups = []
 
     def recording(p, subgens=(), **kwargs):
@@ -601,6 +625,16 @@ def test_collapsed_stabilizer_falls_back_to_trivial_subgroup(monkeypatch,
                          for rank in (3, 1)] + [[]]
     monkeypatch.undo()
     assert got == outcome(plain_enumeration_route, pres, "collapsed")
+
+
+@pytest.mark.parametrize("extra", COLLAPSING)
+def test_collapsed_orbit_past_max_elements_overflows(extra):
+    # Only the trivial subgroup's orbit reaches |G| points.
+    pres = collapsed(extra)
+    limit = coset_enumeration(pres).num_cosets - 1
+    with pytest.raises(OverflowResult,
+                       match=f"orbit exceeded {limit} elements"):
+        handle_from_presentation(pres, "collapsed", max_elements=limit)
 
 
 def test_time_budget_bounds_base_orbit(monkeypatch):

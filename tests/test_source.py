@@ -1,8 +1,12 @@
 """Checks over the package source: no function takes a parameter that its
-body never reads, and every function, class, method and module-level
-constant is read somewhere in the package, the tools or the demos."""
+body never reads, every function, class, method and module-level
+constant is read somewhere in the package, the tools or the demos, and
+no docstring or comment names another module's private definition."""
 
 import ast
+import io
+import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -144,3 +148,58 @@ def test_every_parameter_is_read():
     unread = {path.name: unread_parameters(path.read_text())
               for path in modules}
     assert {name: found for name, found in unread.items() if found} == {}
+
+
+def prose(source: str) -> str:
+    """The docstrings and comments of a module, one after another."""
+    tree = ast.parse(source)
+    docstrings = [ast.get_docstring(node, clean=False) or ""
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))]
+    comments = [token.string for token in
+                tokenize.generate_tokens(io.StringIO(source).readline)
+                if token.type == tokenize.COMMENT]
+    return "\n".join(docstrings + comments)
+
+
+def foreign_private_names(modules: dict[str, str]) -> list[str]:
+    """``module: name`` for each private definition (a leading underscore)
+    of another module that a module's docstrings or comments name and
+    that the module does not define itself."""
+    private = {module: {name for _, name, _ in
+                        definitions(ast.parse(source))
+                        if name.startswith("_")}
+               for module, source in modules.items()}
+    found = []
+    for module, source in modules.items():
+        words = set(re.findall(r"\b_\w+", prose(source)))
+        others = set().union(*(names for other, names in private.items()
+                               if other != module))
+        found += [f"{module}: {name}"
+                  for name in sorted(words & others - private[module])]
+    return found
+
+
+def test_check_finds_a_foreign_private_name():
+    modules = {
+        "a": ('"""See ``b._helper`` and ``_own``."""\n'
+              "def _own():\n"
+              "    # b._LIMIT and _shared bound it\n"
+              "    return 1\n"
+              "def _shared():\n"
+              "    pass\n"),
+        "b": ("_LIMIT = 3\n"
+              "def _helper():\n"
+              "    'Not a _helper of a, nor a_helper.'\n"
+              "def _shared():\n"
+              "    pass\n"),
+    }
+    assert foreign_private_names(modules) == ["a: _LIMIT", "a: _helper"]
+
+
+def test_no_module_names_another_modules_private_definition():
+    modules = {path.stem: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    assert "polytope" in modules
+    assert foreign_private_names(modules) == []

@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from medial.fpgroup import Presentation, coset_enumeration, gen_word, word_power
+from medial.fpgroup import Presentation, coset_enumeration, gen_word
 from medial.permgroup import OverflowResult
 
 NAMES = ("r0", "r1", "r2")
@@ -22,7 +22,7 @@ NAMES = ("r0", "r1", "r2")
 
 def rank3_pres(extra):
     rels = [gen_word(0) * 2, gen_word(1) * 2, gen_word(2) * 2,
-            gen_word(0, 1) * 3, word_power(gen_word(1, 2), 6), gen_word(0, 2) * 2]
+            gen_word(0, 1) * 3, gen_word(1, 2) * 6, gen_word(0, 2) * 2]
     return Presentation(NAMES, tuple(rels) + tuple(extra))
 
 
@@ -31,7 +31,7 @@ def accepts(X, cases):
     past 16 * want cosets rejects X."""
     for s, want in cases:
         try:
-            t = coset_enumeration(rank3_pres([word_power(X, s)]), [],
+            t = coset_enumeration(rank3_pres([X * s]), [],
                                   max_cosets=16 * want)
         except OverflowResult:
             return False
