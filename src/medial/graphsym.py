@@ -47,16 +47,19 @@ orbit size must divide the order the search found.
 
 Also here: the 54-vertex cubelets-and-columns incidence graph (27 cells of
 the 3x3x3 cube vs. its 27 axis-aligned columns of 3), isomorphism testing
-with explicit witness, and adjacency-list / DOT / graph6 exporters.
+with explicit witness, a DOT exporter, and graph6 and adjacency-text
+codecs that work on whole arrays: no Python loop runs over the bits or
+the fields, and the only one over the vertices splits adjacency text into
+its lines.
 """
 
 from __future__ import annotations
 
-import math
-import re
+import bisect
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,16 +97,6 @@ class BipartiteCubicGraph:
 
     def vertices_of_type(self, t: int) -> np.ndarray:
         return np.flatnonzero(self.types == t)
-
-    def relabeled(self, perm: Sequence[int]) -> "BipartiteCubicGraph":
-        """The same graph with vertex v renamed perm[v]."""
-        p = np.asarray(perm, dtype=np.int32)
-        inv = np.empty_like(p)
-        inv[p] = np.arange(self.n, dtype=np.int32)
-        types = np.empty_like(self.types)
-        types[p] = self.types
-        adj = np.sort(p[self.adj[inv]], axis=1)
-        return BipartiteCubicGraph(types, adj)
 
 
 def validate(neighbors: Sequence[Iterable[int]] | np.ndarray,
@@ -724,37 +717,99 @@ def gray_oracle() -> BipartiteCubicGraph:
 # ---------------------------------------------------------------------------
 
 def to_adjacency_text(G: BipartiteCubicGraph) -> str:
-    lines = [f"{v} {int(G.types[v])}: " + " ".join(str(int(w)) for w in G.adj[v])
-             for v in range(G.n)]
-    return "\n".join(lines) + "\n"
+    """Lines ``VERTEX TYPE: NEIGHBOR NEIGHBOR NEIGHBOR``, in vertex order,
+    each formatted by one ``%`` operation over all the rows."""
+    rows = np.column_stack([np.arange(G.n), G.types, G.adj])
+    return ("%d %d: %d %d %d\n" * G.n) % tuple(rows.ravel().tolist())
+
+
+def _ints(tokens: list[str]) -> np.ndarray:
+    """``int()`` of each token: int64 when every value fits, else Python
+    ints (dtype object), which ``validate`` clips."""
+    try:
+        return np.fromiter(map(int, tokens), dtype=np.int64,
+                           count=len(tokens))
+    except OverflowError:
+        return np.array([int(x) for x in tokens], dtype=object)
+
+
+def _vertex_lines(lines: Sequence[str]
+                  ) -> tuple[np.ndarray, np.ndarray | list[list[int]]]:
+    """VERTEX and TYPE of each line as an (L, 2) array, and the NEIGHBORs:
+    an (L, 3) array when each line has three, else one list a line.
+    Raises ValueError when some line is not ``VERTEX TYPE: NEIGHBOR ...``
+    in ``int()`` fields or repeats an earlier VERTEX.
+
+    All lines are tokenized at once, joined by a " : " that no head holds:
+    a head of two tokens each puts the separators at every third token.
+    The NEIGHBOR tokens are split the same way; a ":" among them is left
+    over after the separators are taken out, and fails ``int()``.
+    """
+    heads, colons, rests = zip(*[line.partition(":") for line in lines])
+    count = len(lines)
+    tokens = " : ".join(heads).split()
+    if not all(colons) or len(tokens) != 3 * count - 1 \
+            or tokens[2::3] != [":"] * (count - 1):
+        raise ValueError
+    del tokens[2::3], heads  # held apart from the NEIGHBOR tokens
+    head = _ints(tokens).reshape(count, 2)
+    ids = np.sort(head[:, 0])
+    if (ids[1:] == ids[:-1]).any():
+        raise ValueError
+    tokens = " : ".join(rests).split()
+    if len(tokens) == 4 * count - 1 and tokens[3::4] == [":"] * (count - 1):
+        del tokens[3::4]
+        return head, _ints(tokens).reshape(count, 3)
+    return head, [[int(x) for x in rest.split()] for rest in rests]
+
+
+def _unreadable(lines: Sequence[str]) -> bool:
+    try:
+        _vertex_lines(lines)
+    except ValueError:
+        return True
+    return False
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The number and the stripped text of each line of ``text`` that is
+    neither blank nor a comment, one starting with '#'."""
+    return ((lineno, line) for lineno, line
+            in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and not line.startswith("#"))
 
 
 def from_adjacency_text(text: str) -> BipartiteCubicGraph:
     """Decode lines ``VERTEX TYPE: NEIGHBOR ...``, skipping blank lines and
-    lines that start with '#'.  Raises ValueError on a line it cannot read
-    and GraphError on a graph that fails ``validate``."""
-    neighbors = {}
-    types = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, colon, rest = line.partition(":")
-        try:
-            vid, vtype = (int(x) for x in head.split())
-            if not colon or vid in neighbors:
-                raise ValueError
-            neighbors[vid] = [int(x) for x in rest.split()]
-        except ValueError:
-            raise ValueError(f"line {lineno}: {line!r} is not"
-                             " 'VERTEX TYPE: NEIGHBOR ...' with a new"
-                             " vertex id") from None
-        types[vid] = vtype
-    n = len(neighbors)
-    if sorted(neighbors) != list(range(n)):
+    lines that start with '#'; each field is read by ``int()``.  Raises
+    ValueError on a line it cannot read or that repeats an earlier VERTEX,
+    and GraphError when the VERTEX ids are not 0..n-1 or the graph fails
+    ``validate``.
+
+    The lines are read at once (``_vertex_lines``), and the ids checked on
+    arrays.  The line a ValueError names is the first one whose prefix of
+    the lines fails, found by bisection, since a failing prefix fails with
+    any further lines.
+    """
+    lines = [line for _, line in _content_lines(text)]
+    if not lines:
+        return validate([], [])
+    try:
+        head, rows = _vertex_lines(lines)
+    except ValueError:
+        bad = bisect.bisect_left(range(1, len(lines) + 1), True,
+                                 key=lambda k: _unreadable(lines[:k]))
+        lineno, line = next(itertools.islice(_content_lines(text), bad, None))
+        raise ValueError(f"line {lineno}: {line!r} is not 'VERTEX TYPE:"
+                         " NEIGHBOR ...' with a new vertex id") from None
+    ids, types = head.T
+    n = len(ids)
+    if ((ids < 0) | (ids >= n)).any():
         raise GraphError("vertex ids must be 0..n-1")
-    return validate([neighbors[v] for v in range(n)],
-                    [types[v] for v in range(n)])
+    line_of = np.empty(n, dtype=np.int64)  # the line of each vertex
+    line_of[ids.astype(np.int64)] = np.arange(n)
+    return validate([rows[i] for i in line_of] if isinstance(rows, list)
+                    else rows[line_of], types[line_of])
 
 
 def to_dot(G: BipartiteCubicGraph) -> str:
@@ -772,51 +827,77 @@ def to_graph6(G: BipartiteCubicGraph) -> str:
     """Standard graph6 encoding (type labels are not representable).
 
     Edge {i, j} with i < j is bit j(j-1)/2 + i of the upper triangle, read
-    column by column in 6-bit groups offset by 63; only the set bits are
-    written, so the work is linear in the output size.
+    column by column in 6-bit groups offset by 63.  The bits of all edges
+    are set at once in one uint8 array that also holds the header, and
+    ``str()`` decodes that array's buffer: the text is the only other
+    copy.  The text has N(N-1)/12 characters, whatever the edges.
     """
     n = G.n
     if n <= 62:
-        header = chr(n + 63)
+        header = [n]
     elif n <= 258047:
-        header = chr(126) + "".join(
-            chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+        header = [63, n >> 12, (n >> 6) & 63, n & 63]  # 63 + 63 is "~"
     else:
         raise ValueError(f"graph6 holds at most 258047 vertices, this graph"
                          f" has {n}")
-    body = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))  # "?" is 0 + 63
-    for j in range(n):
-        for i in G.adj[j]:
-            if i < j:
-                k = j * (j - 1) // 2 + int(i)
-                body[k // 6] += 32 >> (k % 6)
-    return header + body.decode("ascii")
+    codes = np.full(len(header) + (n * (n - 1) // 2 + 5) // 6, 63,
+                    dtype=np.uint8)  # 63 is "?", no bit set
+    codes[:len(header)] += np.array(header, dtype=np.uint8)
+    j = np.repeat(np.arange(n, dtype=np.int64), 3)
+    i = G.adj.ravel().astype(np.int64)
+    k = j * (j - 1) // 2 + i
+    k = k[i < j]
+    # Each bit is added once: 63 + the bits of a group is at most 126.
+    np.add.at(codes, len(header) + k // 6, (32 >> (k % 6)).astype(np.uint8))
+    return str(codes.data, "ascii")
+
+
+def _level_types(adj: np.ndarray) -> np.ndarray:
+    """Types 1 and 2 by breadth-first levels over the (n, 3) neighbour rows
+    ``adj``, one gather a level: in each component, the vertices at an even
+    distance from its least vertex are type 1 and the others type 2.  On a
+    bipartite graph that is its 2-colouring; on any other, some edge joins
+    two vertices of one type, which ``validate`` names."""
+    types = np.zeros(len(adj), dtype=np.int8)
+    uncoloured = np.flatnonzero(types == 0)
+    while len(uncoloured):
+        level, t = uncoloured[:1], 1
+        while len(level):
+            types[level] = t
+            reached = adj[level].ravel()
+            level, t = np.unique(reached[types[reached] == 0]), 3 - t
+        uncoloured = np.flatnonzero(types == 0)
+    return types
 
 
 def from_graph6(text: str) -> BipartiteCubicGraph:
-    """Decode graph6; the types are a BFS 2-coloring (class containing
-    vertex 0 becomes type 1), flagged as convention, not provenance.
+    """Decode graph6; the types are ``_level_types``, a convention, not
+    provenance.
 
-    Only the set bits are decoded: bit k of the upper triangle is the edge
-    {i, j} with j(j-1)/2 <= k = j(j-1)/2 + i < j(j+1)/2.  One regex scan
-    finds the body characters other than "?" (no bit set), so the Python
-    loop is linear in the edges, as in ``to_graph6``.  Raises ValueError
+    The characters are checked and decoded as one uint8 array.  Only the
+    set bits are decoded, all at once: bit k of the upper triangle is the
+    edge {i, j} with j(j-1)/2 <= k = j(j-1)/2 + i < j(j+1)/2, and j is
+    found by one binary search of the column starts j(j-1)/2.  One stable
+    argsort of the edge ends gives the neighbour rows.  Raises ValueError
     on text that is not graph6 and GraphError on a graph that fails
-    ``validate``.
+    ``validate``; a vertex of degree other than 3 is named first.
     """
     text = text.strip()
     if text.startswith(">>graph6<<"):
         text = text[10:]
     if not text:
         raise ValueError("graph6 text is empty")
-    if not re.fullmatch("[?-~]*", text):
+    # In UTF-8 a character past ASCII is bytes past 127, so also outside.
+    codes = np.frombuffer(text.encode("utf-8", "surrogatepass"),
+                          dtype=np.uint8)
+    if codes.min() < 63 or codes.max() > 126:
         raise ValueError("graph6 text has a character outside '?'..'~'")
     if text[0] != "~":
-        n, body = ord(text[0]) - 63, text[1:]
+        n, body = ord(text[0]) - 63, codes[1:]
     elif len(text) >= 4 and text[1] != "~":
         n = ((ord(text[1]) - 63) << 12) | ((ord(text[2]) - 63) << 6) \
             | (ord(text[3]) - 63)
-        body = text[4:]
+        body = codes[4:]
     else:
         raise ValueError("graph6 header is truncated or beyond"
                          " 258047 vertices")
@@ -824,26 +905,21 @@ def from_graph6(text: str) -> BipartiteCubicGraph:
     if len(body) != (nbits + 5) // 6:
         raise ValueError(f"graph6 body has {len(body)} characters; {n}"
                          f" vertices need {(nbits + 5) // 6}")
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for match in re.finditer("[^?]", body):
-        pos = match.start()
-        val = ord(match.group()) - 63
-        for k in range(6 * pos, min(6 * pos + 6, nbits)):
-            if val & (32 >> (k - 6 * pos)):
-                j = (1 + math.isqrt(1 + 8 * k)) // 2
-                i = k - j * (j - 1) // 2
-                neighbors[i].append(j)
-                neighbors[j].append(i)
-    color = [0] * n
-    for start in range(n):  # every component, so validate can say why
-        if color[start]:
-            continue
-        color[start] = 1
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in neighbors[v]:
-                if color[w] == 0:
-                    color[w] = 3 - color[v]
-                    frontier.append(w)
-    return validate(neighbors, color)
+    at = np.flatnonzero(body != 63)
+    bits = np.unpackbits((body[at] - 63)[:, None], axis=1)[:, 2:]
+    group, offset = np.nonzero(bits)
+    k = 6 * at[group] + offset
+    k = k[k < nbits]
+    columns = np.arange(n, dtype=np.int64)
+    starts = columns * (columns - 1) // 2  # the first bit of each column
+    j = np.searchsorted(starts, k, side="right") - 1
+    i = k - starts[j]
+    ends = np.concatenate([i, j])
+    order = np.argsort(ends, kind="stable")
+    others = np.concatenate([j, i])[order]
+    degree = np.bincount(ends, minlength=n)
+    if (degree != 3).any():  # validate names the first such vertex
+        return validate(np.split(others, np.cumsum(degree)[:-1]),
+                        np.ones(n, dtype=np.int8))
+    adj = others.reshape(n, 3)
+    return validate(adj, _level_types(adj))

@@ -9,6 +9,9 @@ multiplied with ``*`` by default.  ``cayley_table`` turns generators in
 such a form into the integer Cayley table the library validators take,
 and ``chain`` builds the Schreier-Sims oracle of an automorphism group
 from its image arrays; ``arc_vertices`` decodes arc codes into walks.
+``bfs_types`` is the 2-colouring that ``graphsym.from_graph6`` types a
+decoded graph by, one vertex at a time, and ``relabeled`` renames the
+vertices of a graph.
 ``reduce`` is the residue class of one Eisenstein integer mod m, by
 nearest division, and ``regularity_kind`` the regularity rule on it: the
 oracles of ``ResidueRing``'s array arithmetic.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
@@ -27,7 +31,7 @@ import numpy as np
 
 from medial.catalog import SchlafliType
 from medial.eisenstein import EisensteinInt, ResidueRing, ScalarGroup
-from medial.graphsym import _prefix_orbit_sizes
+from medial.graphsym import BipartiteCubicGraph, _prefix_orbit_sizes
 from medial.permgroup import Permutation, PermutationGroup
 from medial.polytope import PolytopeValidationError
 
@@ -102,6 +106,37 @@ def arc_vertices(adj: np.ndarray, codes: np.ndarray,
         larger = (codes >> (length - 1 - k)) & 1
         arcs[:, k] = np.where(larger == 1, upper, lower)
     return arcs
+
+
+def bfs_types(neighbors: Sequence[Iterable[int]]) -> list[int]:
+    """Types 1 and 2 by breadth-first search: in each component the least
+    vertex is type 1, and each vertex reached from a vertex of one type
+    gets the other."""
+    types = [0] * len(neighbors)
+    for start in range(len(neighbors)):
+        if types[start]:
+            continue
+        types[start] = 1
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in neighbors[v]:
+                if not types[w]:
+                    types[w] = 3 - types[v]
+                    queue.append(w)
+    return types
+
+
+def relabeled(G: BipartiteCubicGraph,
+              perm: Sequence[int]) -> BipartiteCubicGraph:
+    """The same graph with vertex v renamed perm[v]."""
+    p = np.asarray(perm, dtype=np.int32)
+    inv = np.empty_like(p)
+    inv[p] = np.arange(G.n, dtype=np.int32)
+    types = np.empty_like(G.types)
+    types[p] = G.types
+    adj = np.sort(p[G.adj[inv]], axis=1)
+    return BipartiteCubicGraph(types, adj)
 
 
 def cayley_table(gens: Sequence, identity: Hashable | None = None,

@@ -342,6 +342,26 @@ def test_invalid_graph_file_exit_code(capsys, tmp_path, name, text):
     assert "validation failure" in err
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("k4.g6", "C~", "edge 1-2 joins two vertices of type 2"),
+    ("petersen.g6", "IheA@GUAo", "edge 2-3 joins two vertices of type 1"),
+    ("dodecahedron.g6", "ShCHGD@?K?_@?@?C_GGG@??cG?G?GK_?C",
+     "edge 2-3 joins two vertices of type 1"),
+    ("two-k33.g6", "KFz_????wF?[", "graph is disconnected"),
+    ("c6.g6", "EhEG", "vertex 0 has degree 2, not 3"),
+])
+def test_graph6_validation_messages(capsys, tmp_path, name, text, message):
+    # networkx's graph6 of K4, the Petersen graph, the dodecahedron, two
+    # copies of K3,3 and the 6-cycle.  A decoded cubic graph is typed by
+    # breadth-first levels from each component's least vertex 0, so in
+    # the Petersen graph and the dodecahedron vertices 2 and 3, both at
+    # distance 2, are the first edge within one type.
+    path = tmp_path / name
+    path.write_text(text + "\n")
+    assert run(capsys, "classify", str(path)) == \
+        (EXIT_VALIDATION, "", f"validation failure: {message}\n")
+
+
 def test_bad_limit_exit_code(capsys):
     # A nan budget would never expire: every comparison with it is false.
     for flag, value in (("--max-cosets", "0"), ("--max-vertices", "-5"),

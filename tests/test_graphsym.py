@@ -2,7 +2,9 @@
 arc counting, symmetry classification, isomorphism, and exporters."""
 
 import functools
+import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -49,7 +51,14 @@ from medial.polytope import (
     handle_from_presentation,
     medial_layer_graph,
 )
-from reference import arc_vertices, chain, orbit, stabilizer_sequence
+from reference import (
+    arc_vertices,
+    bfs_types,
+    chain,
+    orbit,
+    relabeled,
+    stabilizer_sequence,
+)
 
 RNG = random.Random(7)
 
@@ -385,7 +394,7 @@ def test_classification_invariant_under_relabeling():
     base = classify(g)
     perm = list(range(g.n))
     RNG.shuffle(perm)
-    h = g.relabeled(perm)
+    h = relabeled(g, perm)
     c = classify(h)
     assert c.label() == base.label()
     assert c.aut_order == base.aut_order
@@ -530,7 +539,7 @@ def test_automorphism_search_is_pruned_by_the_group_found(monkeypatch, seed):
     if seed is not None:
         perm = list(range(g.n))
         random.Random(seed).shuffle(perm)
-        g = g.relabeled(perm)
+        g = relabeled(g, perm)
     counts = count_refinements(monkeypatch)
     aut = automorphism_group(g)
     assert aut.order == 34992
@@ -676,7 +685,7 @@ def test_isomorphism_self_and_relabeled():
     assert ok and witness is not None
     perm = list(range(g.n))
     RNG.shuffle(perm)
-    h = g.relabeled(perm)
+    h = relabeled(g, perm)
     ok, witness = is_isomorphic(g, h)
     assert ok
     for v in range(g.n):
@@ -691,7 +700,7 @@ def test_isomorphism_ignores_type_labels():
     g = gray_oracle()
     perm = list(range(g.n))
     random.Random(5).shuffle(perm)
-    h = replace(g, types=3 - g.types).relabeled(perm)
+    h = relabeled(replace(g, types=3 - g.types), perm)
     ok, witness = is_isomorphic(g, h)
     assert ok
     assert sorted(tuple(sorted((witness[v], witness[w])))
@@ -727,12 +736,12 @@ def test_isomorphism_matches_networkx():
     pairs = [
         (from_networkx(nx, nx.desargues_graph()),
          from_networkx(nx, double_cover(nx, nx.petersen_graph()))),
-        (gray, gray.relabeled(perm)),
+        (gray, relabeled(gray, perm)),
         (from_networkx(nx, nx.moebius_kantor_graph()),
          from_networkx(nx, nx.circular_ladder_graph(8))),
         (gray, haar_27_013()),
         (universal_row(*ROWS[2]), eisenstein_graph(parse_eisenstein("3"))),
-        (gray, bipartite_two_switch(gray.relabeled(perm))),
+        (gray, bipartite_two_switch(relabeled(gray, perm))),
     ]
     verdicts, by_cycles = [], []
     for g, h in pairs:
@@ -775,24 +784,99 @@ def test_graph6_roundtrip_up_to_isomorphism():
     assert ok
 
 
-@pytest.mark.parametrize("source", ["gray", "row4", "3-3w"])
+@pytest.mark.parametrize("source", ["gray", "row4", "3-3w", "3-3w:1",
+                                    "3-3w:2", "3-3w:3", "6"])
 def test_graph6_matches_networkx(source):
-    # Byte-identical to networkx's writer on 54, 120 (4-character header)
-    # and 1458 vertices, and decoded back to the same edge set.
+    # Byte-identical to networkx's writer on 54, 120 (4-character header),
+    # 1458 and 3240 vertices, the last two the graph-file benchmark's, and
+    # on three renamings (seeds 1-3) of the 1458; decoded back to the same
+    # edge set, typed as the breadth-first oracle types it.
     nx = pytest.importorskip("networkx")
-    if source == "gray":
+    name, _, seed = source.partition(":")
+    if name == "gray":
         g = gray_oracle()
-    elif source == "row4":
-        pres = universal_locally_toroidal(ToroidalParams(2, 0),
-                                          ToroidalParams(2, 2))
-        g = medial_layer_graph(handle_from_presentation(pres, "row 4"))
+    elif name == "row4":
+        g = universal_row(*ROWS[4])
     else:
-        g = medial_layer_graph(handle_from_matrix_group(
-            generate_group(parse_eisenstein("3-3w"))))
+        g = eisenstein_graph(parse_eisenstein(name))
+    if seed:
+        perm = list(range(g.n))
+        random.Random(int(seed)).shuffle(perm)
+        g = relabeled(g, perm)
     text = to_graph6(g)
     assert text.encode() == \
         nx.to_graph6_bytes(to_networkx(nx, g), header=False).rstrip(b"\n")
-    assert sorted(from_graph6(text).edges()) == sorted(g.edges())
+    back = from_graph6(text)
+    assert sorted(back.edges()) == sorted(g.edges())
+    assert back.types.tolist() == bfs_types(back.adj.tolist())
+
+
+#: The SHA-256 of the adjacency text of the graph-file benchmark's 1458-
+#: and 3240-vertex graphs, as a line-at-a-time writer wrote it.
+ADJACENCY_SHA256 = {
+    "3-3w": "d51ca86fed9284f4180c3f8b4a1050fb9185e7b9ff036a6495653bf3f9f9de0d",
+    "6": "e9ca828c0e4e07fca5ba3aed47af8fb6162daa69eebb2f10ee41fae46bfdd7b3",
+}
+
+
+@pytest.mark.parametrize("m", sorted(ADJACENCY_SHA256))
+def test_adjacency_text_at_benchmark_sizes(m):
+    # The text is unchanged and reads back to the same types and
+    # neighbour rows.
+    g = eisenstein_graph(parse_eisenstein(m))
+    text = to_adjacency_text(g)
+    assert hashlib.sha256(text.encode()).hexdigest() == ADJACENCY_SHA256[m]
+    back = from_adjacency_text(text)
+    assert np.array_equal(back.types, g.types)
+    assert np.array_equal(back.adj, g.adj)
+
+
+@pytest.mark.parametrize("codec", ["to_graph6", "from_graph6"])
+def test_graph6_codec_memory_is_linear_in_the_text(codec):
+    # The graph6 text of the 3240-vertex graph has 874,534 characters.
+    # Each codec holds the text, one byte array of its length and the
+    # edge arrays; a list of the body's bits, or a Python object a
+    # character, would pass the bound many times over.
+    g = eisenstein_graph(parse_eisenstein("6"))
+    text = to_graph6(g)
+    tracemalloc.start()
+    try:
+        getattr(graphsym, codec)(g if codec == "to_graph6" else text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0 1: 1 2 3\n# 0 1: x\n\n0 1: 1 2 3\nx", "line 4: '0 1: 1 2 3'"),
+    ("0 1: 1 2 3\n x 1: 1 2 3 \n0 1: 1 2 3", "line 2: 'x 1: 1 2 3'"),
+    ("0 1: 1 2 3\n1 2: 0 : 2", "line 2: '1 2: 0 : 2'"),
+    ("0 1: 1 2 3\n1 2: 0 2 3:", "line 2: '1 2: 0 2 3:'"),
+    ("0 1 2: 1\n0 1", "line 1: '0 1 2: 1'"),
+    ("0: 1 2 3\n1 1 2: 0", "line 1: '0: 1 2 3'"),
+    ("0 1 1 2 3", "line 1: '0 1 1 2 3'"),
+])
+def test_adjacency_text_names_the_first_bad_line(text, line):
+    # A line that does not read, or that repeats an earlier vertex id, is
+    # named by its number among all lines, comments and blanks included.
+    with pytest.raises(ValueError) as raised:
+        from_adjacency_text(text)
+    assert str(raised.value) == f"{line} is not 'VERTEX TYPE: NEIGHBOR" \
+        " ...' with a new vertex id"
+
+
+def test_adjacency_text_fields_are_read_by_int():
+    # Signs, underscores and other digits read as int() reads them; two
+    # distinct ids past int64 are out of range, not a repeat.
+    g = k33()
+    text = "".join(f"+{v} {g.types[v]}:\t" + " ".join(f"0_{w}" for w in row)
+                   + "\n" for v, row in enumerate(g.adj))
+    back = from_adjacency_text(text.replace("5 2", "\u0665 2"))
+    assert np.array_equal(back.types, g.types)
+    assert np.array_equal(back.adj, g.adj)
+    with pytest.raises(GraphError, match="vertex ids must be 0..n-1"):
+        from_adjacency_text(f"{10 ** 20} 1: 1 2 3\n{10 ** 20 + 1} 2: 0 2 3")
 
 
 def test_dot_output_contains_all_edges():

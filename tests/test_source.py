@@ -26,7 +26,6 @@ UNREAD = {
     "PermutationGroup.transporter":
         "bench/tracing.py wraps it (ROADMAP item 1)",
     "Permutation.from_cycles": "only tests read it (ROADMAP item 7)",
-    "BipartiteCubicGraph.relabeled": "only tests read it (ROADMAP item 7)",
     "toroidal_map": "only tests read it (ROADMAP item 7)",
     "simplex_toroidal_1296": "only tests read it (ROADMAP item 7)",
 }
