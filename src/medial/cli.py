@@ -23,7 +23,6 @@ import io
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import graphsym
@@ -75,6 +74,21 @@ class BadInput(ValueError):
     """Unrecognized key or malformed argument."""
 
 
+#: Every option but --config, with its value parser and help: the flag
+#: is the name with '-' for '_', the config key the name in either
+#: spelling, and the JobSpec field the name itself.
+OPTIONS = {
+    "max_cosets": (int, "cosets defined by each Todd-Coxeter run"),
+    "max_elements": (int, "elements of the matrix closure or base orbit"),
+    "time_budget": (float, "budget in seconds for building the group:"
+                           " Todd-Coxeter and the base orbit, or matrix"
+                           " closure"),
+    "max_vertices": (int, "automorphism search cap"),
+    "format": (str, "one of " + ", ".join(FORMATS)),
+    "output": (str, "write to file"),
+}
+
+
 @dataclass
 class JobSpec:
     """One command's settings; its defaults are the CLI's defaults."""
@@ -84,16 +98,17 @@ class JobSpec:
     max_elements: int = DEFAULT_MAX_ELEMENTS
     time_budget: float | None = None
     max_vertices: int = graphsym.DEFAULT_VERTEX_CAP
-    fmt: str = "csv"
-    jobs: int = 1
+    format: str = "csv"
+    output: str | None = None
 
     def __post_init__(self):
-        if min(self.max_cosets, self.max_elements, self.max_vertices,
-               self.jobs) < 1:
+        if min(self.max_cosets, self.max_elements, self.max_vertices) < 1:
             raise BadInput("limits must be positive")
         # Written so that nan, which compares false, is rejected too.
         if self.time_budget is not None and not self.time_budget > 0:
             raise BadInput("time budget must be positive")
+        if self.format not in FORMATS:
+            raise BadInput(f"unknown format {self.format!r}")
 
 
 @dataclass
@@ -247,8 +262,8 @@ def _export_graph(graph: BipartiteCubicGraph, fmt: str, out) -> None:
 
 def cmd_build(spec: JobSpec, out) -> int:
     report = build_instance(spec)
-    if spec.fmt in ("dot", "adj", "graph6"):
-        _export_graph(report.graph, spec.fmt, out)
+    if spec.format in ("dot", "adj", "graph6"):
+        _export_graph(report.graph, spec.format, out)
         return EXIT_OK
     out.write(f"key: {report.key}\n")
     out.write(f"params: {report.params}\n")
@@ -282,7 +297,7 @@ def _load_graph(path: str) -> BipartiteCubicGraph:
 def cmd_classify(spec: JobSpec, out) -> int:
     """One row; an undecided verdict also prints its reason on stderr."""
     row, c = _classified_row(spec)
-    _emit_rows([row], spec.fmt, out)
+    _emit_rows([row], spec.format, out)
     if c.verdict == "undecided":
         print(f"undecided: {c.reason}", file=sys.stderr)
         return EXIT_OVERFLOW
@@ -298,15 +313,10 @@ def _table1_row(spec: JobSpec, params: str) -> list[str]:
 
 
 def cmd_table1(spec: JobSpec, out) -> int:
-    specs = [replace(spec, key=f"universal:3,6:{s[0]},{s[1]}:{t[0]},{t[1]}")
-             for s, t in TABLE1_ROWS]
-    params = [_universal_params(s, t) for s, t in TABLE1_ROWS]
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            rows = list(pool.map(_table1_row, specs, params))
-    else:
-        rows = list(map(_table1_row, specs, params))
-    _emit_rows(rows, spec.fmt, out)
+    rows = [_table1_row(
+        replace(spec, key=f"universal:3,6:{s[0]},{s[1]}:{t[0]},{t[1]}"),
+        _universal_params(s, t)) for s, t in TABLE1_ROWS]
+    _emit_rows(rows, spec.format, out)
     return EXIT_OK
 
 
@@ -359,17 +369,9 @@ def make_parser() -> argparse.ArgumentParser:
     # supply them and JobSpec the rest.
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
-    common.add_argument("--max-cosets", type=int)
-    common.add_argument("--max-elements", type=int)
-    common.add_argument("--time-budget", type=float,
-                        help="budget in seconds for building the group:"
-                             " Todd-Coxeter and the base orbit, or matrix"
-                             " closure")
-    common.add_argument("--max-vertices", type=int,
-                        help="automorphism search cap")
-    common.add_argument("--format", dest="fmt", choices=FORMATS)
-    common.add_argument("--jobs", type=int)
-    common.add_argument("--output", help="write to file")
+    for name, (parse, text) in OPTIONS.items():
+        common.add_argument("--" + name.replace("_", "-"), type=parse,
+                            help=text)
     common.add_argument("--config",
                         help="key=value file supplying defaults for any flag")
     parser = _Parser(
@@ -385,18 +387,6 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format(value: str) -> str:
-    if value not in FORMATS:
-        raise ValueError(f"unknown format {value!r}")
-    return value
-
-
-_CONFIG_KEYS = {
-    "max_cosets": int, "max_elements": int, "time_budget": float,
-    "max_vertices": int, "fmt": _format, "jobs": int, "output": str,
-}
-
-
 def _apply_config(args: argparse.Namespace) -> None:
     """Config-file values stand in for any option not given as a flag.
     Every value is parsed and range-checked, also where a flag overrides
@@ -408,15 +398,12 @@ def _apply_config(args: argparse.Namespace) -> None:
                 continue
             key, sep, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key == "format":
-                key = "fmt"
-            if not sep or key not in _CONFIG_KEYS:
+            if not sep or key not in OPTIONS:
                 raise BadInput(f"{args.config}:{lineno}: bad config line"
                                f" {line!r}")
             try:
-                parsed = _CONFIG_KEYS[key](value.strip())
-                if key != "output":
-                    JobSpec("", **{key: parsed})  # its range checks
+                parsed = OPTIONS[key][0](value.strip())
+                JobSpec("", **{key: parsed})  # its range checks
             except ValueError as exc:  # BadInput from JobSpec too
                 raise BadInput(f"{args.config}:{lineno}: bad config line"
                                f" {line!r} ({exc})")
@@ -436,17 +423,16 @@ def main(argv: list[str] | None = None) -> int:
         if "config" in args:
             _apply_config(args)
         spec = JobSpec(key=getattr(args, "key", ""),
-                       **{k: getattr(args, k) for k in _CONFIG_KEYS
-                          if k in args and k != "output"})
-        if "output" in args:  # fails before any work; changes nothing
-            existed = os.path.lexists(args.output)
-            open(args.output, "a").close()
+                       **{k: getattr(args, k) for k in OPTIONS if k in args})
+        if spec.output is not None:  # fails before any work; changes nothing
+            existed = os.path.lexists(spec.output)
+            open(spec.output, "a").close()
             if not existed:
-                os.remove(args.output)
+                os.remove(spec.output)
     except (BadInput, OSError) as exc:  # OSError: the config or output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    out = io.StringIO() if "output" in args else sys.stdout
+    out = sys.stdout if spec.output is None else io.StringIO()
     try:
         code = COMMANDS[args.command](spec, out)
     except BadInput as exc:
@@ -461,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     if out is not sys.stdout:
         try:
-            with open(args.output, "w") as fh:
+            with open(spec.output, "w") as fh:
                 fh.write(out.getvalue())
         except OSError as exc:  # e.g. its directory went away meanwhile
             print(f"error: {exc}", file=sys.stderr)

@@ -882,21 +882,29 @@ def from_graph6(text: str) -> BipartiteCubicGraph:
     on text that is not graph6 and GraphError on a graph that fails
     ``validate``; a vertex of degree other than 3 is named first.
     """
-    text = text.strip()
-    if text.startswith(">>graph6<<"):
-        text = text[10:]
-    if not text:
+    # The span that text.strip() keeps, found without copying the text.
+    start, end = 0, len(text)
+    while start < end and text[start].isspace():
+        start += 1
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    if text.startswith(">>graph6<<", start, end):
+        start += 10
+    if start == end:
         raise ValueError("graph6 text is empty")
     # In UTF-8 a character past ASCII is bytes past 127, so also outside.
-    codes = np.frombuffer(text.encode("utf-8", "surrogatepass"),
-                          dtype=np.uint8)
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"),
+                        dtype=np.uint8)
+    codes = raw[len(text[:start].encode("utf-8")):
+                len(raw) - len(text[end:].encode("utf-8"))]
     if codes.min() < 63 or codes.max() > 126:
         raise ValueError("graph6 text has a character outside '?'..'~'")
-    if text[0] != "~":
-        n, body = ord(text[0]) - 63, codes[1:]
-    elif len(text) >= 4 and text[1] != "~":
-        n = ((ord(text[1]) - 63) << 12) | ((ord(text[2]) - 63) << 6) \
-            | (ord(text[3]) - 63)
+    head = codes[:4].tobytes().decode("ascii")
+    if head[0] != "~":
+        n, body = ord(head[0]) - 63, codes[1:]
+    elif len(head) == 4 and head[1] != "~":
+        n = ((ord(head[1]) - 63) << 12) | ((ord(head[2]) - 63) << 6) \
+            | (ord(head[3]) - 63)
         body = codes[4:]
     else:
         raise ValueError("graph6 header is truncated or beyond"

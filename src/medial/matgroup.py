@@ -32,6 +32,17 @@ over Z[w], where each word is the identity matrix and the determinants are
 1, -1 and 1; so ``find_generators`` only reduces the triple mod m, and
 each build's own (R')/(C') or (R)/(C) validation runs on its Cayley table.
 
+The reflections of a regular group come from one fixed word as well:
+r = star sigma2 sigma1^2 sigma2, which is (R, star) up to the scalar -1,
+since sigma2 sigma1^2 sigma2 = -conj(R) over Z[w] with
+
+    R = [[2w, 1 + 2w], [-1 - 2w, -2 - 2w]].
+
+R conj(R) = I and (R conj(s)) (conj(R) s) = I for s in sigma1, sigma2,
+sigma2 sigma3, exactly over Z[w] (the test suite proves this too), so
+r is an involution with r s r = s^-1 for each such s, and sigma1 r, r,
+r sigma2 and r sigma2 sigma3 are the four involutory generators.
+
 An element (M, star) is coded as one int64: the entry positions
 (e0, e1, e2, e3) of M in the ring and the flag star, packed in mixed radix
 so that code order is the order of the tuples (e0, e1, e2, e3, star), and
@@ -265,35 +276,17 @@ def generate_group(
 
 
 def recover_reflection_codes(group: MatrixGroup) -> tuple[int, ...] | None:
-    """Search for an involution r with r sigma1 r = sigma1^-1 and
-    r sigma2 r = sigma2^-1; if found return the codes of the four
-    involutory generators (sigma1*r, r, r*sigma2, r*sigma2*sigma3), else
-    None.
-
-    Only regular instances admit such an r; for chiral ones this returns
-    None (the search domain is the conjugation-flagged coset, empty there).
-    Given r^2 = 1, r s r = s^-1 holds exactly when (r s)^2 = 1, and each
-    of the four generators squares to 1 exactly when r, r sigma1, r sigma2
-    or r sigma2 sigma3 does.  So the search squares every flagged element
-    at once, then the products of its involutions with sigma1, sigma2 and
-    sigma2 sigma3, and r is the first involution whose three products
-    square to 1.
-    """
-    s1, s2, s3 = group.sigma_codes
-
-    def square_one(x: np.ndarray) -> np.ndarray:
-        return group._product(x, x) == group.identity
-
-    flagged = group.codes[group.codes & 1 == 1]
-    involutions = flagged[square_one(flagged)]
-    times_s2 = group._product(involutions, s2)
-    found = np.flatnonzero(
-        square_one(group._product(involutions, s1))
-        & square_one(times_s2)
-        & square_one(group._product(times_s2, s3)))
-    if not len(found):
+    """The codes of the four involutory generators (sigma1 r, r,
+    r sigma2, r sigma2 sigma3) of a regular group, where r is the fixed
+    word star sigma2 sigma1^2 sigma2; None for a chiral group, which has
+    no star.  Over Z[w], sigma2 sigma1^2 sigma2 = -conj(R), so r is
+    (R, star) up to the scalar -1 (see the module docstring)."""
+    if group.kind != "regular":
         return None
-    r = involutions[found[0]]
+    s1, s2, s3 = group.sigma_codes
+    r = group._pack(group.arith.identity, 1)
+    for s in (s2, s1, s1, s2):
+        r = group._product(r, s)
     rho2 = group._product(r, s2)
     return tuple(int(x) for x in (group._product(s1, r), r, rho2,
                                   group._product(rho2, s3)))

@@ -456,21 +456,17 @@ def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> Polyt
     """Eisenstein route: the Cayley table of the matrix group on the
     generators that the faces need, then everything on the table.
 
-    Regular instances first recover the four reflections; failure to do so
-    is an error (the full symmetry group would not be reachable from the
-    rotations alone).  Chiral instances take the columns s1, s2, s3, s1 s2
-    and s2 s3: the sigmas act, and the rotation stabilizers of the faces
-    are generated by pairs of these columns.  Only the sigma columns are
+    Regular instances take the four reflections, fixed words in the
+    sigmas and the conjugation (``recover_reflection_codes``).  Chiral
+    instances take the columns s1, s2, s3, s1 s2 and s2 s3: the sigmas
+    act, and the rotation stabilizers of the faces are generated by pairs
+    of these columns.  Only the sigma columns are
     matrix products; x s1 s2 and x s2 s3 are gathers on them.
     """
     if label is None:
         label = f"eisenstein m={mg.modulus}"
     if mg.kind == "regular":
-        columns = recover_reflection_codes(mg)
-        if columns is None:
-            raise PolytopeValidationError(
-                f"{label}: no reflection recovery in a regular instance")
-        right = mg.cayley_table(columns)
+        right = mg.cayley_table(recover_reflection_codes(mg))
         acting, stabilizers = range(4), _PARABOLIC
     else:
         right = mg.cayley_table(mg.sigma_codes)

@@ -482,19 +482,17 @@ def test_time_budget_is_one_deadline_per_instance(capsys, monkeypatch):
                for i in range(len(calls)))
 
 
-def test_table1_jobs_match_serial_rows(capsys):
+def test_table1_coset_cap_rows(capsys):
     # With 1000 cosets rows 1-5 are classified and rows 6 and 7 overflow:
-    # their facet enumerations define 1107 and 9867 cosets.  Worker
-    # processes give the serial run's rows, in order.
-    tables = []
-    for jobs in ("1", "2"):
-        code, out, _ = run(capsys, "table1", "--max-cosets", "1000",
-                           "--jobs", jobs)
-        assert code == EXIT_OK
-        tables.append([r[:-1] for r in parse_csv(out)])  # mask seconds
-    assert tables[0] == tables[1]
-    assert [r[4] for r in tables[0][1:]] == \
+    # their facet enumerations define 1107 and 9867 cosets.
+    code, out, _ = run(capsys, "table1", "--max-cosets", "1000")
+    assert code == EXIT_OK
+    rows = parse_csv(out)
+    assert rows[0] == CSV_COLUMNS
+    assert [r[4] for r in rows[1:]] == \
         ["3+", "ss-(4,3)", "3+", "ss-(3,3)", "3+", "overflow", "overflow"]
+    assert [r[5] for r in rows[6:]] == ["", ""]
+    assert [r[6] for r in rows[6:]] == ["coset limit 1000 exceeded"] * 2
 
 
 def test_classify_deterministic_apart_from_timing(capsys):
@@ -535,20 +533,30 @@ def test_bad_config_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
                        "--config", str(tmp_path))
     assert code == EXIT_BAD_INPUT and err.startswith("error:")
-    # extended is no option any more, so no config key either.
-    for value in ("true", "false"):
-        cfg.write_text(f"extended = {value}\n")
+    # extended and jobs are no options any more, so no config keys either;
+    # fmt is no spelling of format.
+    for name, value in (("extended", "true"), ("extended", "false"),
+                        ("jobs", "2"), ("fmt", "md")):
+        cfg.write_text(f"{name} = {value}\n")
         code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
                            "--config", str(cfg))
-        assert code == EXIT_BAD_INPUT and "bad config line" in err, value
+        assert code == EXIT_BAD_INPUT and "bad config line" in err, name
+    for flag in ("--extended", "--jobs"):
+        with pytest.raises(SystemExit) as info:
+            main(["table1", flag, "2"])
+        assert info.value.code == EXIT_BAD_INPUT, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+    # A format outside FORMATS is bad input, as a flag or a config line.
+    code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",
+                       "--format", "nope")
+    assert (code, err) == (EXIT_BAD_INPUT, "error: unknown format 'nope'\n")
     # Every value is parsed and range-checked, also where a flag
     # overrides it.
     for line, flag in (("max_cosets=abc", ["--max-cosets", "100"]),
                        ("format=nope", ["--format", "csv"]),
                        ("time-budget=soon", ["--time-budget", "5"]),
                        ("max_cosets=0", ["--max-cosets", "100"]),
-                       ("time_budget=-1", ["--time-budget", "5"]),
-                       ("jobs=0", ["--jobs", "1"])):
+                       ("time_budget=-1", ["--time-budget", "5"])):
         cfg.write_text(line + "\n")
         for flags in ([], flag):
             code, _, err = run(capsys, "build", "universal:3,6:1,1:1,1",

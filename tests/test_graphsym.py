@@ -831,21 +831,26 @@ def test_adjacency_text_at_benchmark_sizes(m):
     assert np.array_equal(back.adj, g.adj)
 
 
-@pytest.mark.parametrize("codec", ["to_graph6", "from_graph6"])
-def test_graph6_codec_memory_is_linear_in_the_text(codec):
+@pytest.mark.parametrize("codec, end", [
+    ("to_graph6", ""), ("from_graph6", ""), ("from_graph6", "\n"),
+], ids=["to_graph6", "from_graph6", "from_graph6-newline"])
+def test_graph6_codec_memory_is_linear_in_the_text(codec, end):
     # The graph6 text of the 3240-vertex graph has 874,534 characters.
     # Each codec holds the text, one byte array of its length and the
     # edge arrays; a list of the body's bits, or a Python object a
-    # character, would pass the bound many times over.
+    # character, would pass the bound many times over.  A text that ends
+    # in a newline, as a file written by --format graph6 does, is decoded
+    # without a stripped copy of it.
     g = eisenstein_graph(parse_eisenstein("6"))
     text = to_graph6(g)
+    arg = g if codec == "to_graph6" else text + end
     tracemalloc.start()
     try:
-        getattr(graphsym, codec)(g if codec == "to_graph6" else text)
+        getattr(graphsym, codec)(arg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * len(text)
+    assert peak <= 2.5 * len(text)
 
 
 @pytest.mark.parametrize("text, line", [

@@ -53,6 +53,12 @@ RELATION_WORDS = (
     ("(sigma1 sigma2 sigma3)^2", (0, 1, 2, 0, 1, 2)),
 )
 
+#: The reflection word r = star sigma2 sigma1^2 sigma2 over generator
+#: indices 0..2, and R, with sigma2 sigma1^2 sigma2 = -conj(R) over Z[w].
+REFLECTION_WORD = (1, 0, 0, 1)
+REFLECTION_R = (EisensteinInt(0, 2), EisensteinInt(1, 2),
+                EisensteinInt(-1, -2), EisensteinInt(-2, -2))
+
 IDENTITY = (EisensteinInt(1, 0), EisensteinInt(0, 0),
             EisensteinInt(0, 0), EisensteinInt(1, 0))
 
@@ -136,6 +142,26 @@ def test_frozen_triple_is_proved_over_the_eisenstein_integers():
         assert acc == IDENTITY, name
     assert [a * d - b * c for a, b, c, d in SIGMA_TRIPLE] == \
         [EisensteinInt(1, 0), EisensteinInt(-1, 0), EisensteinInt(1, 0)]
+
+
+def test_reflection_word_is_proved_over_the_eisenstein_integers():
+    # r = (R, star) up to -1.  R conj(R) = I makes r an involution, and
+    # (R conj(s)) (conj(R) s) = I makes r s one, so r s r = s^-1, for s in
+    # sigma1, sigma2 and sigma2 sigma3: recover_reflection_codes needs no
+    # search, modulo any m and any conjugation-stable scalar group.
+    def conj(x):
+        return tuple(z.conjugate() for z in x)
+
+    s1, s2, s3 = SIGMA_TRIPLE
+    word = IDENTITY
+    for i in REFLECTION_WORD:
+        word = integral_matmul(word, SIGMA_TRIPLE[i])
+    assert word == tuple(-z for z in conj(REFLECTION_R))
+    assert integral_matmul(REFLECTION_R, conj(REFLECTION_R)) == IDENTITY
+    for s in (s1, s2, integral_matmul(s2, s3)):
+        assert integral_matmul(integral_matmul(REFLECTION_R, conj(s)),
+                               integral_matmul(conj(REFLECTION_R), s)) \
+            == IDENTITY
 
 
 @pytest.mark.parametrize("m", ["3", "2-2w", "(1-w)*(1+3w)", "3-3w", "30"])
