@@ -154,6 +154,17 @@ def build_instance(spec: JobSpec) -> InstanceReport:
         handle = handle_from_presentation(
             pres, spec.key, max_cosets=spec.max_cosets,
             max_elements=spec.max_elements, deadline=deadline)
+        # A relator may collapse its map to a smaller one: |G| over the
+        # facets (vertices) must be the order 12 v of the map's group.
+        for faces, rank, named in (
+                ("facets", 3, ToroidalParams(*s)),
+                ("vertex figures", 0, ToroidalParams(*t, "6,3"))):
+            found = handle.group_order // handle.face_counts[rank]
+            if found != 12 * named.v:
+                raise PolytopeValidationError(
+                    f"{spec.key}: the {faces} collapse from {named} to a"
+                    f" map whose group has order {found}, not"
+                    f" {12 * named.v}")
         params = _universal_params(s, t)
     elif parts[0] == "eisenstein":
         if len(parts) != 3 or not parts[1].startswith("m=") \

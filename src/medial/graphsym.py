@@ -50,7 +50,8 @@ the 3x3x3 cube vs. its 27 axis-aligned columns of 3), isomorphism testing
 with explicit witness, a DOT exporter, and graph6 and adjacency-text
 codecs that work on whole arrays: no Python loop runs over the bits or
 the fields, and the only one over the vertices splits adjacency text into
-its lines.
+its lines.  An edge list becomes a graph in one place, ``from_edges``,
+which the graph6 decoder and the polytope's medial layer graph call.
 """
 
 from __future__ import annotations
@@ -870,6 +871,23 @@ def _level_types(adj: np.ndarray) -> np.ndarray:
     return types
 
 
+def from_edges(n: int, first: np.ndarray, second: np.ndarray,
+               types: Sequence[int] | None = None) -> BipartiteCubicGraph:
+    """The graph on the vertices 0..n-1 with the edges {first[k],
+    second[k]}, validated; ``types`` None means ``_level_types``.  One
+    stable argsort of the edge ends gives the neighbour rows: an (n, 3)
+    array when every degree is 3, else one row a vertex, so that
+    ``validate`` names the first vertex of another degree."""
+    ends = np.concatenate([first, second])
+    others = np.concatenate([second, first])[np.argsort(ends, kind="stable")]
+    degree = np.bincount(ends, minlength=n)
+    if (degree != 3).any():
+        return validate(np.split(others, np.cumsum(degree)[:-1]),
+                        np.ones(n, dtype=np.int8) if types is None else types)
+    adj = others.reshape(n, 3)
+    return validate(adj, _level_types(adj) if types is None else types)
+
+
 def from_graph6(text: str) -> BipartiteCubicGraph:
     """Decode graph6; the types are ``_level_types``, a convention, not
     provenance.
@@ -877,10 +895,10 @@ def from_graph6(text: str) -> BipartiteCubicGraph:
     The characters are checked and decoded as one uint8 array.  Only the
     set bits are decoded, all at once: bit k of the upper triangle is the
     edge {i, j} with j(j-1)/2 <= k = j(j-1)/2 + i < j(j+1)/2, and j is
-    found by one binary search of the column starts j(j-1)/2.  One stable
-    argsort of the edge ends gives the neighbour rows.  Raises ValueError
-    on text that is not graph6 and GraphError on a graph that fails
-    ``validate``; a vertex of degree other than 3 is named first.
+    found by one binary search of the column starts j(j-1)/2, and
+    ``from_edges`` gives the graph.  Raises ValueError on text that is not
+    graph6 and GraphError on a graph that fails ``validate``; a vertex of
+    degree other than 3 is named first.
     """
     # The span that text.strip() keeps, found without copying the text.
     start, end = 0, len(text)
@@ -921,13 +939,4 @@ def from_graph6(text: str) -> BipartiteCubicGraph:
     columns = np.arange(n, dtype=np.int64)
     starts = columns * (columns - 1) // 2  # the first bit of each column
     j = np.searchsorted(starts, k, side="right") - 1
-    i = k - starts[j]
-    ends = np.concatenate([i, j])
-    order = np.argsort(ends, kind="stable")
-    others = np.concatenate([j, i])[order]
-    degree = np.bincount(ends, minlength=n)
-    if (degree != 3).any():  # validate names the first such vertex
-        return validate(np.split(others, np.cumsum(degree)[:-1]),
-                        np.ones(n, dtype=np.int8))
-    adj = others.reshape(n, 3)
-    return validate(adj, _level_types(adj))
+    return from_edges(n, k - starts[j], j)

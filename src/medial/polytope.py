@@ -31,8 +31,9 @@ on it regularly (``_certified_cayley_table``).  The matrix route takes
 one vectorized product per generator.  From there one path
 (``_checked_handle``) validates the group, computes the four face
 actions, the incidences and the diamond check, all as numpy array
-operations on the table, and ``medial_layer_graph`` extracts the graph
-the same way.
+operations on the table, and keeps the face count of each rank;
+``medial_layer_graph`` passes the orbit of the base 1-face/2-face pair,
+as edges, to ``graphsym.from_edges``.
 """
 
 from __future__ import annotations
@@ -75,26 +76,6 @@ class PolytopeValidationError(ValueError):
     """A generator system fails its defining relations or intersections."""
 
 
-@dataclass(frozen=True, eq=False)
-class StringCGroup:
-    """Validated regular-polytope generators rho0..rho3: the columns of
-    the Cayley table ``right``, whose row ``identity`` is the identity."""
-
-    right: np.ndarray
-    identity: int
-    schlafli: SchlafliType
-
-
-@dataclass(frozen=True, eq=False)
-class RotationGroup:
-    """Validated rotation generators sigma1..sigma3: the columns of the
-    Cayley table ``right``, whose row ``identity`` is the identity."""
-
-    right: np.ndarray
-    identity: int
-    schlafli: SchlafliType
-
-
 def _times(right: np.ndarray, x, word: Iterable[int]):
     """The rows x (one row or an array of them) times the generators of
     ``word`` in turn."""
@@ -111,9 +92,10 @@ def _word_order(right: np.ndarray, identity: int, word: Sequence[int]) -> int:
     return k
 
 
-def validate_string_cgroup(right: np.ndarray, identity: int) -> StringCGroup:
-    """Check relations (R) and intersections (C) for rho0..rho3, the
-    columns of the Cayley table ``right`` with identity row ``identity``.
+def validate_string_cgroup(right: np.ndarray, identity: int) -> SchlafliType:
+    """The type of rho0..rho3, the columns of the Cayley table ``right``
+    with identity row ``identity``, once relations (R) and intersections
+    (C) hold.
 
     The intersection condition only needs checking for proper subsets I, J
     (a full-index side intersects trivially), so the group itself is never
@@ -135,7 +117,7 @@ def validate_string_cgroup(right: np.ndarray, identity: int) -> StringCGroup:
                for c in itertools.combinations(range(4), k)]
     _check_intersections(right, identity, [f"rho{i}" for i in range(4)],
                          list(itertools.product(subsets, repeat=2)))
-    return StringCGroup(right, identity, SchlafliType(p1, p2, p3))
+    return SchlafliType(p1, p2, p3)
 
 
 def _check_intersections(right: np.ndarray, identity: int,
@@ -184,9 +166,10 @@ def _check_intersections(right: np.ndarray, identity: int,
 
 
 def validate_rotation_group(right: np.ndarray,
-                            identity: int) -> RotationGroup:
-    """Check relations (R') and intersections (C') for sigma1..sigma3, the
-    columns of the Cayley table ``right`` with identity row ``identity``."""
+                            identity: int) -> SchlafliType:
+    """The type of sigma1..sigma3, the columns of the Cayley table
+    ``right`` with identity row ``identity``, once relations (R') and
+    intersections (C') hold."""
     if right.shape[1] != 3:
         raise PolytopeValidationError(f"need 3 generators, got {right.shape[1]}")
     for name, word in (("(sigma1 sigma2)^2", (0, 1)),
@@ -203,7 +186,7 @@ def validate_rotation_group(right: np.ndarray,
     if 1 in (p1, p2, p3):
         raise PolytopeValidationError(
             f"sigma{(p1, p2, p3).index(1) + 1} is the identity")
-    return RotationGroup(right, identity, SchlafliType(p1, p2, p3))
+    return SchlafliType(p1, p2, p3)
 
 
 def generator_map_homomorphism(
@@ -250,7 +233,7 @@ def _is_injective(mapping: np.ndarray | None) -> bool:
     return len(np.unique(values)) == len(values)
 
 
-def is_directly_regular(R: RotationGroup) -> bool:
+def is_directly_regular(right: np.ndarray, identity: int) -> bool:
     """Whether the rotation group admits the involutory reflection twist
 
         sigma1 |-> sigma1^-1,  sigma2 |-> sigma1^2 sigma2,  sigma3 |-> sigma3
@@ -260,10 +243,10 @@ def is_directly_regular(R: RotationGroup) -> bool:
 
     The twist images are words over the sigmas, and the left translations
     of the inner check are found by propagation from the identity, so
-    only the sigma columns of ``R.right`` are ever read.
+    only the sigma columns of ``right`` are ever read.
     """
-    right, identity = R.right, R.identity
-    words = [(0,) * (R.schlafli.p1 - 1), (0, 0, 1), (2,)]
+    p1 = _word_order(right, identity, (0,))
+    words = [(0,) * (p1 - 1), (0, 0, 1), (2,)]
     twist = generator_map_homomorphism(right, identity, identity, words)
     if not _is_injective(twist):
         return False
@@ -282,10 +265,10 @@ def is_directly_regular(R: RotationGroup) -> bool:
     return not len(inner)
 
 
-def self_duality_test(C: StringCGroup) -> bool:
+def self_duality_test(right: np.ndarray, identity: int) -> bool:
     """Whether rho_j |-> rho_{3-j} extends to a group automorphism."""
     return _is_injective(generator_map_homomorphism(
-        C.right, C.identity, C.identity, [(3,), (2,), (1,), (0,)]))
+        right, identity, identity, [(3,), (2,), (1,), (0,)]))
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +307,14 @@ class PolytopeHandle:
     group_order: int
     rank1_images: np.ndarray  # shape (generators, 1-faces)
     rank2_images: np.ndarray  # shape (generators, 2-faces)
+    face_counts: tuple[int, int, int, int]  # of ranks 0, 1, 2 and 3
     self_dual: bool | None = None  # regular kind only
 
     def __post_init__(self):
         # A 1-face's stabilizer in the full group is <rho0> x <rho2, rho3>,
         # of order 4 p3, and a 2-face's is <rho0, rho1> x <rho3>, of order
         # 4 p1; the rotation group has half the order and half of each.
-        n1, n2 = len(self.rank1_images[0]), len(self.rank2_images[0])
+        n1, n2 = self.face_counts[1:3]
         h = 1 if self.kind == "regular" else 2
         expect = (self.group_order * h // (4 * self.schlafli.p3),
                   self.group_order * h // (4 * self.schlafli.p1))
@@ -494,20 +478,22 @@ def _checked_handle(label: str, kind: str, right: np.ndarray, identity: int,
     """
     generators = right[:, :len(acting)]
     if kind == "regular":
-        cgroup = validate_string_cgroup(generators, identity)
-        schlafli, self_dual = cgroup.schlafli, self_duality_test(cgroup)
+        schlafli = validate_string_cgroup(generators, identity)
+        self_dual = self_duality_test(generators, identity)
     else:
-        rotations = validate_rotation_group(generators, identity)
-        if is_directly_regular(rotations):
+        schlafli = validate_rotation_group(generators, identity)
+        if is_directly_regular(generators, identity):
             raise PolytopeValidationError(
                 f"{label}: labelled chiral, but its rotation group is"
                 " directly regular")
-        schlafli, self_dual = rotations.schlafli, None
+        self_dual = None
     actions = [face_action(right, identity, acting, stabilizers[rank])
                for rank in range(4)]
     handle = PolytopeHandle(
         label=label, kind=kind, schlafli=schlafli, group_order=len(right),
-        rank1_images=actions[1], rank2_images=actions[2], self_dual=self_dual)
+        rank1_images=actions[1], rank2_images=actions[2],
+        face_counts=tuple(len(action[0]) for action in actions),
+        self_dual=self_dual)
     _diamond_check(actions, label)
     return handle
 
@@ -578,19 +564,10 @@ def medial_layer_graph(handle: PolytopeHandle):
         raise PolytopeValidationError(
             f"{handle.label}: type {handle.schlafli} is not {{3,q,3}}, so"
             " it has no cubic medial layer graph")
-    n1 = len(handle.rank1_images[0])
-    n2 = len(handle.rank2_images[0])
+    _, n1, n2, _ = handle.face_counts
     x, y = _pair_orbit(handle.rank1_images, handle.rank2_images).T
-    ends = np.concatenate([x, n1 + y])
-    others = np.concatenate([n1 + y, x])[np.argsort(ends, kind="stable")]
-    degrees = np.bincount(ends, minlength=n1 + n2)
-    if (degrees == 3).all():
-        neighbors = others.reshape(-1, 3)
-    else:
-        neighbors = np.split(others, np.cumsum(degrees)[:-1])
-    types = [1] * n1 + [2] * n2
     try:
-        graph = graphsym.validate(neighbors, types)
+        graph = graphsym.from_edges(n1 + n2, x, n1 + y, [1] * n1 + [2] * n2)
     except graphsym.GraphError as exc:
         raise PolytopeValidationError(
             f"{handle.label}: medial construction inconsistent: {exc}") from exc
@@ -605,8 +582,8 @@ def graph_automorphisms(handle: PolytopeHandle) -> np.ndarray:
     """The group's generators as automorphisms of ``medial_layer_graph``:
     one image array a row, each generator's 1-face action followed by its
     2-face action on the vertices numbered after the 1-faces."""
-    n1 = len(handle.rank1_images[0])
-    return np.concatenate([handle.rank1_images, n1 + handle.rank2_images],
+    return np.concatenate([handle.rank1_images,
+                           handle.face_counts[1] + handle.rank2_images],
                           axis=1)
 
 

@@ -78,10 +78,30 @@ def test_build_validates_chiral_instance(capsys):
 def test_build_directly_regular_chiral_exits_3(capsys, monkeypatch):
     # A chiral label contradicted by the direct-regularity check is a
     # validation failure.
-    monkeypatch.setattr(polytope, "is_directly_regular", lambda r: True)
+    monkeypatch.setattr(polytope, "is_directly_regular",
+                        lambda right, identity: True)
     code, out, err = run(capsys, "build", "eisenstein:m=(1-w)*(1+3w):A=")
     assert code == EXIT_VALIDATION
     assert "directly regular" in err
+
+
+@pytest.mark.parametrize("st, faces, named, found, expected", [
+    ("1,1:2,2", "vertex figures", "{6,3}_(2,2)", 36, 144),
+    ("1,1:3,3", "vertex figures", "{6,3}_(3,3)", 108, 324),
+    ("2,0:4,0", "vertex figures", "{6,3}_(4,0)", 48, 192),
+    ("2,2:1,1", "facets", "{3,6}_(2,2)", 36, 144),
+    ("3,3:1,1", "facets", "{3,6}_(3,3)", 108, 324),
+    ("4,0:2,0", "facets", "{3,6}_(4,0)", 48, 192),
+])
+def test_universal_key_whose_map_collapses_exits_3(capsys, st, faces, named,
+                                                   found, expected):
+    # The relator of the larger map collapses it to the smaller one: |G|
+    # over the facets (vertices) is not the order 12 v of the map's group.
+    key = f"universal:3,6:{st}"
+    assert run(capsys, "build", key) == (
+        EXIT_VALIDATION, "",
+        f"validation failure: {key}: the {faces} collapse from {named} to"
+        f" a map whose group has order {found}, not {expected}\n")
 
 
 def test_parse_eisenstein_product():

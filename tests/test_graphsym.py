@@ -33,6 +33,7 @@ from medial.graphsym import (
     base_arc,
     classify,
     from_adjacency_text,
+    from_edges,
     from_graph6,
     gray_oracle,
     is_isomorphic,
@@ -784,14 +785,60 @@ def test_graph6_roundtrip_up_to_isomorphism():
     assert ok
 
 
-@pytest.mark.parametrize("source", ["gray", "row4", "3-3w", "3-3w:1",
-                                    "3-3w:2", "3-3w:3", "6"])
+def test_from_edges_rebuilds_the_oracle():
+    # In any order and either way round, the oracle's edges with its types
+    # give the oracle; with no types they give its graph6 round trip.
+    g = gray_oracle()
+    first, second = np.array(RNG.sample(g.edges(), 81)).T
+    h = from_edges(g.n, second, first, g.types)
+    assert np.array_equal(h.types, g.types)
+    assert np.array_equal(h.adj, g.adj)
+    h, back = from_edges(g.n, first, second), from_graph6(to_graph6(g))
+    assert np.array_equal(h.types, back.types)
+    assert np.array_equal(h.adj, back.adj)
+
+
+def test_from_edges_names_a_vertex_of_wrong_degree():
+    # Without the edge {i, j}, i < j, vertex i is the first of degree 2,
+    # and from_graph6 names it alike on the text without that edge's bit.
+    g = gray_oracle()
+    edges = g.edges()
+    i, j = edges.pop(10)
+    first, second = np.array(edges).T
+    message = f"vertex {i} has degree 2, not 3"
+    for types in (None, g.types):
+        with pytest.raises(GraphError) as raised:
+            from_edges(g.n, first, second, types)
+        assert str(raised.value) == message
+    text, k = to_graph6(g), j * (j - 1) // 2 + i
+    at = 1 + k // 6  # after the one-character header
+    text = text[:at] + chr(ord(text[at]) - (32 >> k % 6)) + text[at + 1:]
+    with pytest.raises(GraphError) as raised:
+        from_graph6(text)
+    assert str(raised.value) == message
+
+
+#: The SHA-256 of networkx's graph6 text (``to_graph6_bytes``, no header
+#: or newline) of the graph-file benchmark's 1458- and 3240-vertex graphs
+#: and of three renamings (seeds 1-3) of the 1458, where its quadratic
+#: writer takes seconds a graph.
+GRAPH6_SHA256 = {
+    "3-3w": "48c1a7d1f83761c32bc40a1fe6d75bf2ec8247d43b18ca8c7d5ed245b5b5125d",
+    "3-3w:1":
+        "86106a1a12a5e29a9d333046a2ff4945d0dbbc67be77e449dd34f86c596b0d7d",
+    "3-3w:2":
+        "7f5ace993aa730b729beabc0a31e3291e5fa40fbcbb6aafa99705b0f6fedba14",
+    "3-3w:3":
+        "923939abaf6666092a4559f3d808ea672cab74b8d64eeea53a3abe02c633011c",
+    "6": "2a09189f33622a498437e451aec8ee6d51543cfe4b58a3b13b3c396b7c1c7a1d",
+}
+
+
+@pytest.mark.parametrize("source", ["gray", "row4", *GRAPH6_SHA256])
 def test_graph6_matches_networkx(source):
-    # Byte-identical to networkx's writer on 54, 120 (4-character header),
-    # 1458 and 3240 vertices, the last two the graph-file benchmark's, and
-    # on three renamings (seeds 1-3) of the 1458; decoded back to the same
-    # edge set, typed as the breadth-first oracle types it.
-    nx = pytest.importorskip("networkx")
+    # Byte-identical to networkx's writer on 54 and 120 (4-character
+    # header) vertices, and to its pinned output on the rest; decoded back
+    # to the same edge set, typed as the breadth-first oracle types it.
     name, _, seed = source.partition(":")
     if name == "gray":
         g = gray_oracle()
@@ -804,8 +851,13 @@ def test_graph6_matches_networkx(source):
         random.Random(int(seed)).shuffle(perm)
         g = relabeled(g, perm)
     text = to_graph6(g)
-    assert text.encode() == \
-        nx.to_graph6_bytes(to_networkx(nx, g), header=False).rstrip(b"\n")
+    if source in GRAPH6_SHA256:
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            GRAPH6_SHA256[source]
+    else:
+        nx = pytest.importorskip("networkx")
+        assert text.encode() == nx.to_graph6_bytes(
+            to_networkx(nx, g), header=False).rstrip(b"\n")
     back = from_graph6(text)
     assert sorted(back.edges()) == sorted(g.edges())
     assert back.types.tolist() == bfs_types(back.adj.tolist())

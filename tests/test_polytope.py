@@ -77,16 +77,16 @@ def universal_rhos(s, t):
 
 def test_simplex_cgroup_valid():
     rhos = simplex_rhos()
-    c = validate_string_cgroup(*cayley_table(rhos))
-    assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (3, 3, 3)
-    assert len(c.right) == PermutationGroup(rhos).order() == 120
+    right, identity = cayley_table(rhos)
+    assert validate_string_cgroup(right, identity) == SchlafliType(3, 3, 3)
+    assert len(right) == PermutationGroup(rhos).order() == 120
 
 
 def test_universal_54_cgroup_valid():
     rhos = universal_rhos((1, 1), (3, 0))
-    c = validate_string_cgroup(*cayley_table(rhos))
-    assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (3, 6, 3)
-    assert len(c.right) == PermutationGroup(rhos).order() == 324
+    right, identity = cayley_table(rhos)
+    assert validate_string_cgroup(right, identity) == SchlafliType(3, 6, 3)
+    assert len(right) == PermutationGroup(rhos).order() == 324
 
 
 def test_commuting_relation_violation_rejected():
@@ -124,9 +124,9 @@ def simplex_sigmas():
 
 def test_simplex_rotation_group_valid():
     sigmas = simplex_sigmas()
-    r = validate_rotation_group(*cayley_table(sigmas))
-    assert (r.schlafli.p1, r.schlafli.p2, r.schlafli.p3) == (3, 3, 3)
-    assert len(r.right) == PermutationGroup(sigmas).order() == 60
+    right, identity = cayley_table(sigmas)
+    assert validate_rotation_group(right, identity) == SchlafliType(3, 3, 3)
+    assert len(right) == PermutationGroup(sigmas).order() == 60
 
 
 def naive_table(naive, gens):
@@ -138,8 +138,8 @@ def test_eisenstein_sigmas_valid():
     for m, p in ((parse_eisenstein("3"), (3, 6, 3)),
                  (CHIRAL_M, (3, 6, 3))):
         naive = NaiveArithmetic(generate_group(m))
-        r = validate_rotation_group(*naive_table(naive, naive.sigmas))
-        assert (r.schlafli.p1, r.schlafli.p2, r.schlafli.p3) == p
+        assert validate_rotation_group(
+            *naive_table(naive, naive.sigmas)) == SchlafliType(*p)
 
 
 def test_degenerate_rotation_input_rejected():
@@ -183,27 +183,30 @@ def test_reflection_recovery_in_full_cayley_group():
     assert not any(reflects(r) for r in elements if not r[4])
     rhos = tuple(map(naive.decode, recover_reflection_codes(mg)))
     assert reflects(rhos[1])
-    c = validate_string_cgroup(*naive_table(naive, rhos))
-    assert len(c.right) == len(orbit([ident], rhos, mul)) == 324
-    assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (3, 6, 3)
+    right, identity = naive_table(naive, rhos)
+    assert validate_string_cgroup(right, identity) == SchlafliType(3, 6, 3)
+    assert len(right) == len(orbit([ident], rhos, mul)) == 324
 
 
 def test_directly_regular_simplex_true():
-    assert is_directly_regular(
-        validate_rotation_group(*cayley_table(simplex_sigmas()))) is True
+    table = cayley_table(simplex_sigmas())
+    validate_rotation_group(*table)
+    assert is_directly_regular(*table) is True
 
 
 def test_directly_regular_eisenstein_regular_true():
     # The reflection twist exists and is outer (conjugation-linear).
     naive = NaiveArithmetic(generate_group(parse_eisenstein("3")))
-    r = validate_rotation_group(*naive_table(naive, naive.sigmas))
-    assert is_directly_regular(r) is True
+    table = naive_table(naive, naive.sigmas)
+    validate_rotation_group(*table)
+    assert is_directly_regular(*table) is True
 
 
 def test_directly_regular_chiral_false():
     naive = NaiveArithmetic(generate_group(CHIRAL_M))
-    r = validate_rotation_group(*naive_table(naive, naive.sigmas))
-    assert is_directly_regular(r) is False
+    table = naive_table(naive, naive.sigmas)
+    validate_rotation_group(*table)
+    assert is_directly_regular(*table) is False
 
 
 def test_directly_regular_inner_twist_false():
@@ -217,13 +220,15 @@ def test_directly_regular_inner_twist_false():
     validate_string_cgroup(*cayley_table(rhos))
     sigmas = [rhos[j] * rhos[j + 1] for j in range(3)]
     assert PermutationGroup(sigmas).order() == 192
-    assert is_directly_regular(
-        validate_rotation_group(*cayley_table(sigmas))) is False
+    table = cayley_table(sigmas)
+    validate_rotation_group(*table)
+    assert is_directly_regular(*table) is False
 
 
 def test_chiral_handle_rejects_directly_regular(monkeypatch):
     mg = generate_group(CHIRAL_M)
-    monkeypatch.setattr(polytope, "is_directly_regular", lambda r: True)
+    monkeypatch.setattr(polytope, "is_directly_regular",
+                        lambda right, identity: True)
     with pytest.raises(PolytopeValidationError, match="directly regular"):
         handle_from_matrix_group(mg)
 
@@ -232,8 +237,9 @@ def test_self_duality():
     for rhos, self_dual in ((universal_rhos((1, 1), (1, 1)), True),
                             (universal_rhos((1, 1), (3, 0)), False),
                             (simplex_rhos(), True)):
-        assert self_duality_test(
-            validate_string_cgroup(*cayley_table(rhos))) is self_dual
+        table = cayley_table(rhos)
+        validate_string_cgroup(*table)
+        assert self_duality_test(*table) is self_dual
 
 
 @pytest.mark.parametrize("p1,order,self_dual", [(3, 120, True),
@@ -245,10 +251,10 @@ def test_faithful_action_on_vertices_validates(p1, order, self_dual):
                               [gen_word(1), gen_word(2), gen_word(3)])
     rhos = generator_permutations(table)
     assert rhos[0].degree == order // 24
-    c = validate_string_cgroup(*cayley_table(rhos))
-    assert (c.schlafli.p1, c.schlafli.p2, c.schlafli.p3) == (p1, 3, 3)
-    assert len(c.right) == PermutationGroup(rhos).order() == order
-    assert self_duality_test(c) is self_dual
+    right, identity = cayley_table(rhos)
+    assert validate_string_cgroup(right, identity) == SchlafliType(p1, 3, 3)
+    assert len(right) == PermutationGroup(rhos).order() == order
+    assert self_duality_test(right, identity) is self_dual
 
 
 @pytest.mark.parametrize("s,t,order,n", [
@@ -666,10 +672,10 @@ def library_outcome(right, identity):
     message of the PolytopeValidationError they raise."""
     try:
         if right.shape[1] == 4:
-            c = validate_string_cgroup(right, identity)
-            return str(c.schlafli), self_duality_test(c)
-        r = validate_rotation_group(right, identity)
-        return str(r.schlafli), is_directly_regular(r)
+            return (str(validate_string_cgroup(right, identity)),
+                    self_duality_test(right, identity))
+        return (str(validate_rotation_group(right, identity)),
+                is_directly_regular(right, identity))
     except PolytopeValidationError as exc:
         return f"{type(exc).__name__}: {exc}"
 

@@ -1,7 +1,8 @@
 """Checks over the package source: no function takes a parameter that its
 body never reads, every function, class, method and module-level
-constant is read somewhere in the package, the tools or the demos, and
-no docstring or comment names another module's private definition."""
+constant is read somewhere in the package, the tools or the demos, no
+docstring or comment names another module's private definition, and only
+graphsym calls ``validate``."""
 
 import ast
 import io
@@ -17,17 +18,17 @@ SRC = ROOT / "src" / "medial"
 #: names, each with the reason it stays.
 UNREAD = {
     "_Parser.error": "argparse calls it",
-    "admissible_subgroups": "the Eisenstein census of ROADMAP items 2-3",
-    "vertex_count": "the Eisenstein census of ROADMAP items 2-3",
+    "admissible_subgroups": "the Eisenstein census of ROADMAP item 6",
+    "vertex_count": "the Eisenstein census of ROADMAP item 6",
     "MatrixGroup.coset_action": "bench/tracing.py wraps it (ROADMAP item 1)",
-    "PermutationGroup": "the tests' oracle (ROADMAP item 7)",
+    "PermutationGroup": "the tests' oracle (ROADMAP item 9)",
     "PermutationGroup.prefix_stabilizer_orders":
         "bench/tracing.py wraps it (ROADMAP item 1)",
     "PermutationGroup.transporter":
         "bench/tracing.py wraps it (ROADMAP item 1)",
-    "Permutation.from_cycles": "only tests read it (ROADMAP item 7)",
-    "toroidal_map": "only tests read it (ROADMAP item 7)",
-    "simplex_toroidal_1296": "only tests read it (ROADMAP item 7)",
+    "Permutation.from_cycles": "only tests read it (ROADMAP item 9)",
+    "toroidal_map": "only tests read it (ROADMAP item 9)",
+    "simplex_toroidal_1296": "only tests read it (ROADMAP item 9)",
 }
 
 
@@ -202,3 +203,35 @@ def test_no_module_names_another_modules_private_definition():
                for path in sorted(SRC.glob("*.py"))}
     assert "polytope" in modules
     assert foreign_private_names(modules) == []
+
+
+def validate_calls(modules: dict[str, str]) -> list[str]:
+    """``module:line`` for each call of a ``validate``, by name or as an
+    attribute, in a module other than graphsym: an edge list becomes a
+    graph through ``graphsym.from_edges``, which validates it."""
+    return [f"{module}:{node.lineno}"
+            for module, source in modules.items() if module != "graphsym"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and "validate" in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None))]
+
+
+def test_check_finds_a_validate_call():
+    modules = {
+        "graphsym": "def from_edges():\n    return validate([], [])\n",
+        "polytope": ("from . import graphsym\n"
+                     "def graph():\n"
+                     "    return graphsym.validate([], [])\n"
+                     "def check(validate_string_cgroup):\n"
+                     "    return validate_string_cgroup()\n"),
+        "cli": "from .graphsym import validate\nvalidate([], [])\n",
+    }
+    assert validate_calls(modules) == ["polytope:3", "cli:2"]
+
+
+def test_only_graphsym_calls_validate():
+    modules = {path.stem: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    assert "graphsym" in modules and "polytope" in modules
+    assert validate_calls(modules) == []
