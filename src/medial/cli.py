@@ -229,8 +229,10 @@ def _row(key: str, last: str, params: str = "", group_order: str = "",
 
 
 def _classified_row(spec: JobSpec) -> tuple[list[str], Classification]:
-    """The row of a key or a graph file, and its classification."""
-    if ":" in spec.key:
+    """The row of a key or a graph file, and its classification.  A path
+    that names a file is a graph file, even if it contains ':'; anything
+    else that contains ':' is a key."""
+    if ":" in spec.key and not os.path.isfile(spec.key):
         report = classify_instance(spec, build_instance(spec))
         c = report.classification
         return _row(report.key, f"{report.seconds:.1f}", report.params,

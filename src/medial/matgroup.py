@@ -48,8 +48,10 @@ An element (M, star) is coded as one int64: the entry positions
 so that code order is the order of the tuples (e0, e1, e2, e3, star), and
 taken least over the scalar multiples of M.  The closure runs on these
 codes one breadth-first level at a time, with every product of a level
-taken at once in numpy; ``cayley_table`` gives the group's right
-multiplication by any coded elements in the same way.
+taken at once in numpy, and keeps them as the group's Cayley table on
+its generators: the sigmas of a chiral group, and the four reflections
+of a regular one, which give sigma1 = rho0 rho1, sigma2 = rho1 rho2,
+sigma3 = rho2 rho3 and star = rho1 (sigma2 sigma1^2 sigma2)^-1.
 
 Ring elements are their positions in the ``ResidueRing`` throughout,
 multiplied and added by table lookup (``_Arith``).
@@ -72,7 +74,6 @@ from .eisenstein import (
 from .permgroup import (
     OverflowResult,
     code_cayley_table,
-    code_orbit,
     face_action,
 )
 
@@ -167,8 +168,10 @@ class MatrixGroup:
     """A finished closure: the polytope symmetry group in matrix form.
 
     Elements are int64 codes (``_pack``).  ``codes`` lists every element
-    in ascending order; ``identity``, ``generator_codes`` (the defining
+    in ascending order; ``identity``, ``generator_codes`` (the closure's
     generators) and ``sigma_codes`` (sigma1..sigma3) are codes too.
+    ``right[i, j]`` is the index in ``codes`` of ``codes[i]`` times
+    ``generator_codes[j]``.
     """
 
     modulus: EisensteinInt
@@ -178,6 +181,7 @@ class MatrixGroup:
     # Rows of arith's product table for A's members: scalar multiples.
     _scalar_rows: np.ndarray = field(repr=False)
     codes: np.ndarray | None = field(repr=False, compare=False, default=None)
+    right: np.ndarray | None = field(repr=False, compare=False, default=None)
     identity: int = 0
     generator_codes: tuple[int, ...] = ()
     sigma_codes: tuple[int, ...] = ()
@@ -199,7 +203,7 @@ class MatrixGroup:
 
     def _product(self, x, y) -> np.ndarray:
         """Codes of the products of the coded elements x and y, entry by
-        entry (either may be a single code), as
+        entry, the two arrays broadcast against each other, as
 
             (M, c) * (N, d)  =  (M * conj^c(N), c xor d)."""
         conj = self.arith.arrays[2]
@@ -210,23 +214,17 @@ class MatrixGroup:
         return self._pack(self.arith.matmul(x_entries, y_entries),
                           x_star ^ y_star)
 
-    def cayley_table(self, gens: Sequence[int]) -> np.ndarray:
-        """``right[i, j]``: the index in ``codes`` of ``codes[i]`` times
-        ``gens[j]``, one vectorized product per column."""
-        return code_cayley_table(
-            self.codes, [lambda x, y=y: self._product(x, y) for y in gens])
-
     def coset_action(self, stabilizer_gens: Sequence[int],
                      gens: Sequence[int]) -> list[list[int]]:
         """Right multiplication by ``gens`` on the right cosets of
         <stabilizer_gens>, one image list per generator; coset 0 is the
         subgroup."""
         k = len(gens)
-        right = self.cayley_table(list(gens) + list(stabilizer_gens))
-        return face_action(right, int(np.searchsorted(self.codes,
-                                                      self.identity)),
-                           range(k), range(k, k + len(stabilizer_gens))
-                           ).tolist()
+        columns = np.array(list(gens) + list(stabilizer_gens))[:, None]
+        codes, right = code_cayley_table(
+            self.identity, lambda x: self._product(x, columns))
+        return face_action(right, int(np.searchsorted(codes, self.identity)),
+                           range(k), range(k, len(columns))).tolist()
 
 
 def generate_group(
@@ -237,14 +235,16 @@ def generate_group(
 ) -> MatrixGroup:
     """Breadth-first closure of the frozen generators mod m, modulo the
     scalars in A (by default {1, -1}), one level at a time on int64
-    element codes.
+    element codes, with its Cayley table (``code_cayley_table``).
 
-    For regular (m, A) the entrywise-conjugation element is adjoined, so the
-    result is the full polytope symmetry group; for chiral (m, A) it is the
-    rotation group.  Raises OverflowResult past ``max_elements``, or when a
-    level starts past ``deadline``, a ``time.monotonic()`` value.  The
-    ring's product and sum tables have norm(m)^2 entries each, so a
-    norm(m)^2 past ``max_elements`` overflows before they are built.  A
+    For regular (m, A) the closure runs over the four reflections, which
+    generate the sigmas and the entrywise-conjugation element, so the
+    result is the full polytope symmetry group; for chiral (m, A) it runs
+    over the sigmas and is the rotation group.  Raises OverflowResult past
+    ``max_elements``, or when a level starts past ``deadline``, a
+    ``time.monotonic()`` value.  The ring's product and sum tables have
+    norm(m)^2 entries each, so a norm(m)^2 past ``max_elements``
+    overflows before they are built.  A
     must be a scalar group of Z[w]/(m), else ConfigurationError.
     """
     _check_norm(m)  # before any table is built
@@ -261,17 +261,14 @@ def generate_group(
     group = MatrixGroup(
         modulus=m, scalars=A, kind=kind, arith=arith,
         _scalar_rows=arith.arrays[0][A.positions])
-    sigma_codes = tuple(group._pack(sigmas, 0).tolist())
-    identity = int(group._pack(arith.identity, 0))
-    gen_codes = sigma_codes
-    if kind == "regular":
-        gen_codes += (int(group._pack(arith.identity, 1)),)
-    codes = code_orbit(
-        [identity],
-        lambda x: np.concatenate([group._product(x, g) for g in gen_codes]),
-        max_elements, deadline)
-    group.codes, group.identity = codes, identity
-    group.generator_codes, group.sigma_codes = gen_codes, sigma_codes
+    group.sigma_codes = tuple(group._pack(sigmas, 0).tolist())
+    group.identity = int(group._pack(arith.identity, 0))
+    group.generator_codes = recover_reflection_codes(group) \
+        or group.sigma_codes
+    columns = np.array(group.generator_codes)[:, None]
+    group.codes, group.right = code_cayley_table(
+        group.identity, lambda x: group._product(x, columns), max_elements,
+        deadline)
     return group
 
 

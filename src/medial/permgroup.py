@@ -6,9 +6,10 @@ breadth-first level per numpy pass: the point orbits of a group
 (``point_orbits``), and in ``graphsym`` its orbits on arcs, are
 ``code_orbit`` over the generators' image arrays.  A closure past its
 element cap or its deadline raises ``OverflowResult``, the package's one
-signal that a limit was hit.  ``code_cayley_table`` reads the Cayley
-table, ``right[g, j]`` = element g times generator j, off such an orbit
-when it is a whole group; both construction routes end in one.
+signal that a limit was hit.  ``code_cayley_table`` is the closure of a
+group's elements that keeps each level's images: it returns the group
+and its Cayley table, ``right[g, j]`` = element g times generator j, in
+one pass; both construction routes end in one.
 ``face_action`` is the one action on the cosets of a subgroup, and every
 face action of either route is computed on such a table.  The pipeline
 needs nothing else from this module.
@@ -338,23 +339,35 @@ def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
     return codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
 
 
-def code_cayley_table(codes: np.ndarray,
-                      steps: Sequence[Callable[[np.ndarray], np.ndarray]]
-                      ) -> np.ndarray:
-    """The Cayley table of a group whose elements are the sorted int64
-    ``codes``: ``right[i, j]`` is the index in ``codes`` of
-    ``steps[j](codes)[i]``, element i times generator j.
+def code_cayley_table(seed: int, step: Callable[[np.ndarray], np.ndarray],
+                      limit: int | None = None,
+                      deadline: float | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The group that the generators of ``step`` generate from the int64
+    code ``seed``, and its Cayley table, from one ``code_orbit``: returns
+    ``(codes, right)``, the sorted codes of the elements and
+    ``right[i, j]``, the index in ``codes`` of element i times generator j.
 
-    Raises ValueError when a step maps an element outside ``codes``.
+    ``step`` maps an array of codes to the ``(generators, len(codes))``
+    array of their images.  Each breadth-first level's images are kept,
+    so every element is stepped once.  A generator permutes the orbit, as
+    a group's generators do, so its images over all levels sort to
+    ``codes``, and a sort ranks them with no search.  ``limit`` and
+    ``deadline`` are ``code_orbit``'s.
     """
-    right = np.empty((len(codes), len(steps)), dtype=np.int64)
-    for j, step in enumerate(steps):
-        images = step(codes)
-        at = np.minimum(np.searchsorted(codes, images), len(codes) - 1)
-        if (codes[at] != images).any():
-            raise ValueError(f"generator {j} maps an element outside the group")
-        right[:, j] = at
-    return right
+    levels, images = [], []
+
+    def keep(codes: np.ndarray) -> np.ndarray:
+        levels.append(codes)
+        images.append(step(codes))
+        return images[-1].ravel()
+
+    codes = code_orbit([seed], keep, limit, deadline)
+    images = np.concatenate(images, axis=1)
+    right = np.empty_like(images)
+    np.put_along_axis(right, np.argsort(images, axis=1),
+                      np.arange(len(codes)), axis=1)
+    return codes, right.T[np.argsort(np.concatenate(levels))]
 
 
 def face_action(right: np.ndarray, identity: int, gens: Sequence[int],

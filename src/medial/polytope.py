@@ -22,13 +22,15 @@ stabilizer subgroups and incidence as the orbit of the base coset pair
 under simultaneous right multiplication by the group generators.
 
 Both construction routes end in one integer Cayley table of the group,
-``right[g, j]`` = element g times generator j.  The presentation route
-enumerates the cosets of the base facet stabilizer, or of the base 1-face
-stabilizer where the facets' do not certify, or else of the trivial
-subgroup, which always certifies, and reads the table off the orbit of one
-tuple of those cosets, once the orbit's size proves that the group acts
-on it regularly (``_certified_cayley_table``).  The matrix route takes
-one vectorized product per generator.  From there one path
+``right[g, j]`` = element g times generator j, from one
+``code_cayley_table`` closure, which steps each element once.  The
+presentation route enumerates the cosets of the base facet stabilizer,
+or of the base 1-face stabilizer where the facets' do not certify, or
+else of the trivial subgroup, which always certifies, and closes the
+orbit of one tuple of those cosets; it keeps the table once the orbit's
+size proves that the group acts on it regularly
+(``_certified_cayley_table``).  The matrix route's table is its
+closure's (``MatrixGroup.right``).  From there one path
 (``_checked_handle``) validates the group, computes the four face
 actions, the incidences and the diamond check, all as numpy array
 operations on the table, and keeps the face count of each rank;
@@ -40,10 +42,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import graphsym
 from .catalog import SchlafliType
 from .fpgroup import (
     DEFAULT_MAX_COSETS,
@@ -51,11 +54,7 @@ from .fpgroup import (
     coset_enumeration,
     gen_word,
 )
-from .matgroup import (
-    DEFAULT_MAX_ELEMENTS,
-    MatrixGroup,
-    recover_reflection_codes,
-)
+from .matgroup import DEFAULT_MAX_ELEMENTS, MatrixGroup
 from .permgroup import (
     OverflowResult,
     code_cayley_table,
@@ -388,7 +387,7 @@ def _certified_cayley_table(
     columns = coset_enumeration(pres, [gen_word(g) for g in subgroup],
                                 max_cosets=max_cosets,
                                 deadline=deadline).columns
-    ngens, index = columns.shape
+    index = columns.shape[1]
     # A bound above max_elements // index could only certify an orbit
     # past max_elements, so its enumeration stops there.
     bound = _subgroup_order_bound(
@@ -400,21 +399,14 @@ def _certified_cayley_table(
     place = index ** np.arange(k - 1, -1, -1, dtype=np.int64)
     base = np.arange(k) @ place
 
-    def stepper(generators: Iterable[int]) -> Callable:
-        """Images of tuple codes under each of ``generators``."""
-        def step(codes: np.ndarray) -> np.ndarray:
-            digits = codes[:, None] // place % index
-            return np.concatenate([columns[g][digits] @ place
-                                   for g in generators])
-        return step
+    def step(codes: np.ndarray) -> np.ndarray:
+        """Images of tuple codes under every generator, a row each."""
+        return columns[:, codes[:, None] // place % index] @ place
 
-    elements = code_orbit([base], stepper(range(ngens)), max_elements,
-                          deadline)
+    elements, right = code_cayley_table(base, step, max_elements, deadline)
     if bound is None or len(elements) != bound * index:
         return None
-    return (code_cayley_table(elements, [stepper((g,))
-                                         for g in range(ngens)]),
-            int(np.searchsorted(elements, base)))
+    return right, int(np.searchsorted(elements, base))
 
 
 def _subgroup_order_bound(pres: Presentation, subgroup: tuple[int, ...],
@@ -437,23 +429,20 @@ def _subgroup_order_bound(pres: Presentation, subgroup: tuple[int, ...],
 
 
 def handle_from_matrix_group(mg: MatrixGroup, label: str | None = None) -> PolytopeHandle:
-    """Eisenstein route: the Cayley table of the matrix group on the
-    generators that the faces need, then everything on the table.
+    """Eisenstein route: the closure's Cayley table (``mg.right``), then
+    everything on the table.
 
-    Regular instances take the four reflections, fixed words in the
-    sigmas and the conjugation (``recover_reflection_codes``).  Chiral
-    instances take the columns s1, s2, s3, s1 s2 and s2 s3: the sigmas
-    act, and the rotation stabilizers of the faces are generated by pairs
-    of these columns.  Only the sigma columns are
-    matrix products; x s1 s2 and x s2 s3 are gathers on them.
+    A regular group's table is on the four reflections.  A chiral group's
+    is on s1, s2 and s3, and gets the columns s1 s2 and s2 s3 as gathers
+    on it: the sigmas act, and the rotation stabilizers of the faces are
+    generated by pairs of these columns.
     """
     if label is None:
         label = f"eisenstein m={mg.modulus}"
+    right = mg.right
     if mg.kind == "regular":
-        right = mg.cayley_table(recover_reflection_codes(mg))
         acting, stabilizers = range(4), _PARABOLIC
     else:
-        right = mg.cayley_table(mg.sigma_codes)
         right = np.column_stack([right, right[right[:, 0], 1],
                                  right[right[:, 1], 2]])
         acting, stabilizers = range(3), _CHIRAL_STABILIZERS
@@ -558,8 +547,6 @@ def medial_layer_graph(handle: PolytopeHandle):
     (type 2), with 2-face vertices numbered after the 1-face block.  Only
     a polytope of type {3,q,3} has one: its faces then lie in 3 faces of
     the other rank."""
-    from . import graphsym
-
     if (handle.schlafli.p1, handle.schlafli.p3) != (3, 3):
         raise PolytopeValidationError(
             f"{handle.label}: type {handle.schlafli} is not {{3,q,3}}, so"

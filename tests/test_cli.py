@@ -169,6 +169,22 @@ def test_graph_file_search_is_not_seeded(capsys, tmp_path, monkeypatch):
                          "8053c8da8865b7b043667affdd0da5c1")
 
 
+def test_graph_file_whose_path_contains_a_colon(capsys, tmp_path):
+    # A path that names a file is a graph file, not a key; without such a
+    # file, a name with ':' is still a key, and an unknown one exits 4.
+    rows = []
+    for name in ("gray1.g6", "gray:1.g6"):
+        path = tmp_path / name
+        path.write_text(graphsym.to_graph6(graphsym.gray_oracle()) + "\n")
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == EXIT_OK
+        rows.append(parse_csv(out)[1])
+        assert rows[-1][3] == "54"
+    assert rows[0][1:6] == rows[1][1:6]
+    code, _, err = run(capsys, "classify", "bogus:1")
+    assert code == EXIT_BAD_INPUT and "unknown key kind" in err
+
+
 @pytest.mark.parametrize("key, verdict, reason", [
     ("universal:3,6:1,1:1,1",
      graphsym.Classification("semisymmetric", n=18, aut_order=108,

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from medial import cli
 from medial.cli import parse_eisenstein_product
 from medial.eisenstein import (
     EisensteinInt,
@@ -35,7 +36,7 @@ from medial.matgroup import (
     recover_reflection_codes,
     regularity_test,
 )
-from medial.permgroup import Permutation, PermutationGroup, code_orbit
+from medial.permgroup import Permutation, PermutationGroup, code_cayley_table
 from reference import elements, orbit, reduce
 
 RNG = random.Random(11)
@@ -68,6 +69,15 @@ def integral_matmul(x, y):
     a, b, c, d = x
     e, f, g, h = y
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def subgroup_table(group, gens):
+    """The Cayley table of the subgroup of ``group`` generated by the coded
+    elements ``gens``, on those generators, and the row of its identity."""
+    columns = np.array(gens)[:, None]
+    codes, right = code_cayley_table(
+        group.identity, lambda x: group._product(x, columns))
+    return right, int(np.searchsorted(codes, group.identity))
 
 
 def reduced_triple(m):
@@ -231,11 +241,11 @@ def test_group_order_chiral():
 
 def test_rotation_subgroup_has_index_2_when_regular():
     g = generate_group(parse_eisenstein("3"))
-    right = g.cayley_table(g.sigma_codes)
-    identity = int(np.searchsorted(g.codes, g.identity))
-    rotations = code_orbit([identity], lambda x: right[x].ravel())
+    columns = np.array(g.sigma_codes)[:, None]
+    rotations, _ = code_cayley_table(g.identity,
+                                     lambda x: g._product(x, columns))
     assert len(rotations) * 2 == g.order
-    assert (g.codes[rotations] & 1 == 0).all()
+    assert (rotations & 1 == 0).all()
 
 
 @pytest.mark.parametrize("m,verdict", [
@@ -312,9 +322,8 @@ def test_cayley_action_order_equals_element_count():
         index = {code: i for i, code in enumerate(elements)}
         perms = [Permutation([index[naive.naive_multiply(x, s)]
                               for x in elements])
-                 for s in naive.generators]
-        right = g.cayley_table(g.generator_codes)
-        assert right.T.tolist() == [p.images.tolist() for p in perms]
+                 for s in map(naive.decode, g.generator_codes)]
+        assert g.right.T.tolist() == [p.images.tolist() for p in perms]
         assert PermutationGroup(perms, degree=g.order).order() == g.order
 
 
@@ -324,7 +333,11 @@ def test_closure_matches_element_at_a_time_orbit(m):
     g = generate_group(m)
     naive = NaiveArithmetic(g)
     assert naive.decode(g.identity) == naive.identity
-    assert [naive.decode(s) for s in g.generator_codes] == naive.generators
+    assert [naive.decode(s) for s in g.sigma_codes] == naive.sigmas
+    # A regular group is closed over its reflections, which generate the
+    # sigmas and the conjugation: the same group as the oracle's.
+    assert g.generator_codes == (recover_reflection_codes(g)
+                                 or g.sigma_codes)
     oracle = orbit([naive.identity], naive.generators, naive.naive_multiply)
     assert naive.elements() == sorted(oracle)
     with pytest.raises(OverflowResult):
@@ -335,6 +348,28 @@ def test_closure_matches_element_at_a_time_orbit(m):
 def test_overflow_cap():
     with pytest.raises(OverflowResult):
         generate_group(parse_eisenstein("3-3w"), max_elements=100)
+
+
+@pytest.mark.parametrize("key,order,generators,singles", [
+    ("eisenstein:m=3:A=", 324, 4, 8),
+    ("eisenstein:m=(1-w)*(1+3w):A=", 2016, 3, 0)])
+def test_build_multiplies_each_element_once(monkeypatch, tmp_path, key,
+                                            order, generators, singles):
+    # The closure keeps its products as the Cayley table, so a build takes
+    # |G| products per generator, besides the few single products that
+    # give a regular group's reflections; the handle multiplies nothing.
+    counted = []
+    product = MatrixGroup._product
+
+    def counting(self, x, y):
+        counted.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
+        return product(self, x, y)
+
+    monkeypatch.setattr(MatrixGroup, "_product", counting)
+    out = tmp_path / "build.txt"
+    assert cli.main(["build", key, "--output", str(out)]) == 0
+    assert f"group_order: {order}\n" in out.read_text()
+    assert sum(counted) <= order * generators + singles
 
 
 def test_error_inside_the_closure_is_not_an_overflow(monkeypatch):

@@ -125,16 +125,21 @@ def test_elements_listing_matches_order():
 
 def test_cayley_table_from_coded_orbit():
     # Z12 generated by 3 and 4, element k coded as 10 k.
-    steps = [lambda x: (x + 30) % 120, lambda x: (x + 40) % 120]
-    codes = code_orbit([0], lambda x: np.concatenate([f(x) for f in steps]))
+    def step(x):
+        return np.stack([(x + 30) % 120, (x + 40) % 120])
+
+    codes, right = code_cayley_table(0, step)
     assert codes.tolist() == list(range(0, 120, 10))
-    right = code_cayley_table(codes, steps)
     assert right.T.tolist() == [[(k + 3) % 12 for k in range(12)],
                                 [(k + 4) % 12 for k in range(12)]]
-    with pytest.raises(ValueError, match="generator 1"):
-        code_cayley_table(codes, [steps[0], lambda x: x + 5])
-    with pytest.raises(ValueError, match="generator 0"):
-        code_cayley_table(codes, [lambda x: x + 10])
+    assert len(code_cayley_table(0, step, limit=12)[0]) == 12
+    with pytest.raises(OverflowResult, match="^orbit exceeded 11 elements$"):
+        code_cayley_table(0, step, limit=11)
+    with pytest.raises(OverflowResult, match="^time budget exceeded$"):
+        code_cayley_table(0, step, deadline=time.monotonic() - 1)
+    # The trivial group: a seed that every generator fixes.
+    codes, right = code_cayley_table(7, lambda x: np.stack([x, x, x]))
+    assert (codes.tolist(), right.tolist()) == ([7], [[0, 0, 0]])
 
 
 def test_code_orbit_overflows_at_its_cap_or_deadline():

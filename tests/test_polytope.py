@@ -35,7 +35,7 @@ from medial.matgroup import (
 from medial.permgroup import (
     Permutation,
     PermutationGroup,
-    code_orbit,
+    code_cayley_table,
     face_action,
     point_orbits,
 )
@@ -60,7 +60,7 @@ from reference import (
     generator_permutations,
     orbit,
 )
-from test_matgroup import NaiveArithmetic
+from test_matgroup import NaiveArithmetic, subgroup_table
 
 CHIRAL_M = parse_eisenstein("1-w") * parse_eisenstein("1+3w")
 
@@ -458,36 +458,46 @@ CERTIFIED_ON = {name: 1 if name in ("row 1", "row 3") else 3
 @pytest.mark.parametrize("name", ORDERS)
 def test_presentation_route_enumerates_once(monkeypatch, name):
     pres = PRESENTATIONS.get(name) or simplex_toroidal_1296()
-    enumerations, orbits, tried = [], [], []
+    enumerations, closures, tried = [], [], []
 
     def counting(*args, **kwargs):
         enumerations.append(args)
         return coset_enumeration(*args, **kwargs)
 
-    def spying(*args, **kwargs):
-        orbits.append(args)
-        return code_orbit(*args, **kwargs)
+    def spying(seed, step, *args, **kwargs):
+        # The codes that each closure steps, all levels together.
+        stepped = []
+
+        def recording(codes):
+            stepped.append(codes)
+            return step(codes)
+
+        result = code_cayley_table(seed, recording, *args, **kwargs)
+        closures.append(np.concatenate(stepped))
+        return result
 
     monkeypatch.setattr(polytope, "coset_enumeration", counting)
-    monkeypatch.setattr(polytope, "code_orbit", spying)
+    monkeypatch.setattr(polytope, "code_cayley_table", spying)
     for subgroup in polytope._CERTIFYING_SUBGROUPS:
         enumerations.clear()
-        orbits.clear()
+        closures.clear()
         stabilizer = (pres, [gen_word(i) for i in subgroup])
         tried.append(stabilizer[1])
         table = polytope._certified_cayley_table(
             pres, subgroup, DEFAULT_MAX_COSETS, DEFAULT_MAX_ELEMENTS, None)
-        # Each subgroup takes one orbit and one enumeration of G's
-        # presentation, never over the trivial subgroup; the only other
-        # enumeration is the bound on the subgroup's order.
-        assert len(orbits) == 1
+        # Each subgroup takes one closure, which steps each of its points
+        # once, and one enumeration of G's presentation, never over the
+        # trivial subgroup; the only other enumeration is the bound on the
+        # subgroup's order.
+        assert len(closures) == 1
+        assert len(np.unique(closures[0])) == len(closures[0])
         assert [args for args in enumerations if args[0] is pres] \
             == [stabilizer]
         if table is not None:
             break
     assert subgroup == polytope._PARABOLIC[CERTIFIED_ON[name]]
     right, _ = table
-    assert len(right) == ORDERS[name]
+    assert len(right) == len(closures[0]) == ORDERS[name]
     index = coset_enumeration(*stabilizer).num_cosets
     assert [coset_enumeration(*args).num_cosets for args in enumerations
             if args[0] is not pres] == [ORDERS[name] // index]
@@ -585,11 +595,10 @@ def test_chiral_product_columns_are_gathers(m):
     # handle that five matrix-product columns give.
     mg = generate_group(parse_eisenstein_product(m))
     s1, s2, s3 = mg.sigma_codes
-    right = mg.cayley_table((s1, s2, s3, mg._product(s1, s2),
-                             mg._product(s2, s3)))
+    right, identity = subgroup_table(
+        mg, (s1, s2, s3, mg._product(s1, s2), mg._product(s2, s3)))
     products = polytope._checked_handle(
-        m, "chiral", right, int(np.searchsorted(mg.codes, mg.identity)),
-        range(3), polytope._CHIRAL_STABILIZERS)
+        m, "chiral", right, identity, range(3), polytope._CHIRAL_STABILIZERS)
     assert handle_summary(handle_from_matrix_group(mg, m)) \
         == handle_summary(products)
 
@@ -737,53 +746,54 @@ SELF_DUAL = {"row 1": True, "row 2": False, "row 3": True, "row 4": False,
 
 def instance_tables(name):
     """The tables on the reflections (for a regular instance) and on the
-    sigmas, with their identity row."""
+    sigmas, each with its identity row."""
     if name in STRING_GROUPS or name.startswith("row"):
         right, identity = presentation_tables(name)
-        return [right, sigma_columns(right)], identity
+        return [(right, identity), (sigma_columns(right), identity)]
     m, _, scalars = name.partition(" A=")
     m = parse_eisenstein_product(m)
     mg = generate_group(m, ScalarGroup(
         ResidueRing(m), [parse_eisenstein(a) for a in scalars.split(",")
                          if a]))
     rhos = recover_reflection_codes(mg)
-    tables = [mg.cayley_table(mg.sigma_codes)]
+    tables = [subgroup_table(mg, mg.sigma_codes)]
     if rhos is not None:
-        tables.insert(0, mg.cayley_table(rhos))
-    return tables, int(np.searchsorted(mg.codes, mg.identity))
+        tables.insert(0, subgroup_table(mg, rhos))
+    return tables
 
 
 @pytest.mark.parametrize("name", SELF_DUAL)
 def test_table_validators_match_generic_reference(name):
     # Every verdict, and every message of a broken variant, equals the
     # generic validators' on the rows of the same table.
-    tables, identity = instance_tables(name)
+    tables = instance_tables(name)
     regular = SELF_DUAL[name] is not None
     assert len(tables) == 1 + regular
-    for right in tables:
+    for right, identity in tables:
         for table in [right, *broken_columns(right)]:
             got = library_outcome(table, identity)
             assert got == reference_outcome(range(table.shape[1]), identity,
                                             TableProduct(table)), name
     # Self-duality of the reflections, or direct regularity of a chiral
     # group's sigmas.
-    schlafli, verdict = library_outcome(tables[0], identity)
+    schlafli, verdict = library_outcome(*tables[0])
     assert verdict is (SELF_DUAL[name] if regular else False)
     if name == "11-cell":
         # Its facets are hemi-icosahedra, so the sigmas generate the whole
         # group and its rotation subgroup fails (C').
-        assert library_outcome(tables[-1], identity) == (
+        assert library_outcome(*tables[-1]) == (
             "PolytopeValidationError: intersection condition fails:"
             " <sigma1,sigma2> ^ <sigma2,sigma3> has order 10, <sigma2> has"
             " order 5")
     else:
         # The sigma columns of a regular table reach only the rotation
         # subgroup, which the reflection twist makes directly regular.
-        assert library_outcome(tables[-1], identity) == (schlafli, regular)
+        assert library_outcome(*tables[-1]) == (schlafli, regular)
     if name == "[3,3,3]":
         # sigma2^3 is the identity there, so the variant with sigma2^3 in
         # every column passes (R') and (C') and fails on its first sigma.
-        assert library_outcome(broken_columns(tables[-1])[-1], identity) \
+        right, identity = tables[-1]
+        assert library_outcome(broken_columns(right)[-1], identity) \
             == "PolytopeValidationError: sigma1 is the identity"
 
 
@@ -813,10 +823,9 @@ def test_table_rows_and_tuple_arithmetic_agree(m, scalars):
     mg = generate_group(m, ScalarGroup(ResidueRing(m),
                                        [parse_eisenstein(a) for a in scalars]))
     naive = NaiveArithmetic(mg)
-    identity = int(np.searchsorted(mg.codes, mg.identity))
     rhos = recover_reflection_codes(mg)
     columns = [mg.sigma_codes] if rhos is None else [rhos, mg.sigma_codes]
-    rows = [library_outcome(mg.cayley_table(c), identity) for c in columns]
+    rows = [library_outcome(*subgroup_table(mg, c)) for c in columns]
     tuples = [reference_outcome([naive.decode(x) for x in c], naive.identity,
                                 naive.naive_multiply) for c in columns]
     assert rows == tuples
